@@ -62,24 +62,13 @@ def _fit_rate(points):
     return float(np.exp(slope))
 
 
-def converge(op, theta, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
-    """Iterate the relaxed map and track the distance to the limit point.
-
-    The limit is the projection of the start onto the fixed subspace of the
-    unrelaxed map (relaxation does not move fixed points). k_stop is the
-    first iteration whose distance drops below eps, or None if the budget
-    runs out; the measured rate is a least-squares fit of the log-distance
-    over the last half of the usable trace.
-    """
+def _iterate(t, theta, v, limit, eps, k_max):
+    """Iterate the relaxed map from v and trace the distance to the limit."""
     if not 0.0 < theta < 2.0:
         raise splitting.DomainError("relaxation parameter must lie in (0, 2)")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    t = _dense(op)
-    v = np.asarray(v0, dtype=float).copy()
     t_theta = splitting.relax(t, theta)
-    f = fix_basis(t)
-    limit = f @ (f.T @ v)
     points = []
     k_stop = None
     for k in range(k_max + 1):
@@ -93,6 +82,21 @@ def converge(op, theta, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     return ConvergenceTrace(theta, points, k_stop, _fit_rate(points))
 
 
+def converge(op, theta, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
+    """Iterate the relaxed map and track the distance to the limit point.
+
+    The limit is the projection of the start onto the fixed subspace of the
+    unrelaxed map (relaxation does not move fixed points). k_stop is the
+    first iteration whose distance drops below eps, or None if the budget
+    runs out; the measured rate is a least-squares fit of the log-distance
+    over the last half of the usable trace.
+    """
+    t = _dense(op)
+    v0 = np.asarray(v0, dtype=float)
+    f = fix_basis(t)
+    return _iterate(t, theta, v0, f @ (f.T @ v0), eps, k_max)
+
+
 @dataclass
 class SweepRecord:
     theta: float
@@ -102,21 +106,26 @@ class SweepRecord:
 
 
 def theta_sweep(op, thetas, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
-    """One convergence run per relaxation parameter.
+    """One convergence run per relaxation parameter, from one analysis of T.
 
-    The predicted rate comes from the closed-form relaxation formula when
-    the map is iso-averaged, and from the spectrum of the relaxed matrix
-    otherwise.
+    T_theta has the eigenvalues theta lam + 1 - theta and the fixed subspace
+    of T, so one report and one limit point of T serve every theta. The
+    predicted rate is the closed-form relaxation formula for iso-averaged
+    maps, else max |theta lam + 1 - theta| over the eigenvalues lam off 1.
     """
     t = _dense(op)
+    v0 = np.asarray(v0, dtype=float)
     report = splitting.spectral_report(t)
+    f = fix_basis(t)
+    limit = f @ (f.T @ v0)
     records = []
     for theta in thetas:
-        trace = converge(t, theta, v0, eps=eps, k_max=k_max)
+        trace = _iterate(t, theta, v0, limit, eps, k_max)
         if report.is_iso_averaged:
             predicted = splitting.predicted_rate(report.rho1, theta)
         else:
-            predicted = splitting.spectral_report(splitting.relax(t, theta)).rho1
+            relaxed = (theta * lam + (1.0 - theta) for lam in report.eigenvalues_off_one)
+            predicted = max(map(abs, relaxed), default=0.0)
         records.append(SweepRecord(theta, trace.k_stop, predicted, trace.measured_rate))
     return records
 
@@ -152,10 +161,9 @@ def convexity_check(t, x, k, grid, require_normal=True):
     t = _dense(t)
     x = np.asarray(x, dtype=float)
     if require_normal:
-        normality, _, _ = splitting.certificates(t)
-        nrm = matlin.operator_norm(t)
-        if normality > splitting.DEFECT_TOL * (1.0 + nrm * nrm):
-            raise NotNormalError(f"normality defect {normality:.3e} is too large")
+        cert = splitting.certificates(t)
+        if not cert.is_normal:
+            raise NotNormalError(f"normality defect {cert.normality_defect:.3e} is too large")
 
     def f(theta):
         y = x.copy()
@@ -180,9 +188,7 @@ def monotonicity_check(op, theta, x, k_max=DEFAULT_K_MAX):
     theta != 1, and its sum with the kernel for theta = 1.
     """
     t = _dense(op)
-    _, iso, _ = splitting.certificates(t)
-    nrm = matlin.operator_norm(t)
-    if iso > splitting.DEFECT_TOL * (1.0 + nrm * nrm):
+    if not splitting.certificates(t).is_iso_averaged:
         raise ValueError("strict decrease is only guaranteed for iso-averaged maps")
     if not 0.0 < theta < 2.0:
         raise splitting.DomainError("relaxation parameter must lie in (0, 2)")
@@ -232,10 +238,10 @@ def witness_search(graph_pair, d):
     worst = 0.0
     for i in range(1, n + 1):
         op = splitting.build(graph_pair, subspaces.coordinate_product(n, i, d))
-        _, iso, _ = splitting.certificates(op.T)
+        iso = splitting.certificates(op.T).iso_defect
         if iso > WITNESS_TOL:
-            return WitnessResult(True, i, float(iso))
-        worst = max(worst, float(iso))
+            return WitnessResult(True, i, iso)
+        worst = max(worst, iso)
     return WitnessResult(False, None, worst)
 
 
@@ -323,10 +329,9 @@ def graph_equality_trials(seed, trials):
                     for _ in range(n)
                 ]
                 op = splitting.build(gp, subspaces.product(factors))
-                _, iso, _ = splitting.certificates(op.T)
-                nrm = matlin.operator_norm(op.T)
-                consistent = iso <= splitting.DEFECT_TOL * (1.0 + nrm * nrm)
-                records.append(TrialRecord(name, n, d, True, consistent, float(iso), None))
+                cert = splitting.certificates(op.T)
+                consistent, defect = cert.is_iso_averaged, cert.iso_defect
+                records.append(TrialRecord(name, n, d, True, consistent, defect, None))
             else:
                 res = witness_search(gp, d)
                 records.append(TrialRecord(name, n, d, False, res.found, res.defect, res.index))
@@ -378,7 +383,7 @@ def _demo_not_normal():
         return float(np.linalg.norm(tt @ (tt @ x)))
 
     target = math.sqrt(5.0) / 4.0
-    normality, _, _ = splitting.certificates(t)
+    normality = splitting.certificates(t).normality_defect
     lines = (
         _close("norm of squared relaxed iterate at 1/2", f(0.5), target, 1e-12),
         _bound("midpoint value vs endpoint average 1/2", f(0.5), ">", 0.5 * (f(0.0) + f(1.0))),
@@ -395,20 +400,18 @@ def _demo_relaxed_projector():
     thetas = [i / 8.0 for i in range(0, 17)]
     worst_exact = 0.0
     worst_normal = 0.0
-    off_defects = []
+    iso = {}
     for theta in thetas:
         tt = splitting.relax(t, theta)
         worst_exact = max(worst_exact, float(np.max(np.abs(tt - np.diag([1.0, 1.0 - theta])))))
-        normality, iso, _ = splitting.certificates(tt)
-        worst_normal = max(worst_normal, normality)
-        if theta not in (0.0, 1.0):
-            off_defects.append(iso)
-    _, iso0, _ = splitting.certificates(splitting.relax(t, 0.0))
-    _, iso1, _ = splitting.certificates(splitting.relax(t, 1.0))
+        cert = splitting.certificates(tt)
+        worst_normal = max(worst_normal, cert.normality_defect)
+        iso[theta] = cert.iso_defect
+    off_defects = [defect for theta, defect in iso.items() if theta not in (0.0, 1.0)]
     lines = (
         _close("worst deviation from diag(1, 1-theta)", worst_exact, 0.0, 0.0),
-        _close("iso defect at theta = 0", iso0, 0.0, 1e-12),
-        _close("iso defect at theta = 1", iso1, 0.0, 1e-12),
+        _close("iso defect at theta = 0", iso[0.0], 0.0, 1e-12),
+        _close("iso defect at theta = 1", iso[1.0], 0.0, 1e-12),
         _bound("smallest iso defect off {0, 1}", min(off_defects), ">", 1e-12),
         _close("worst normality defect over the grid", worst_normal, 0.0, 1e-12),
     )
@@ -455,9 +458,7 @@ def _demo_geometric():
     final_dist = float(np.linalg.norm(v - limit))
 
     thetas = [i / 5.0 for i in range(1, 10)]
-    stops = {}
-    for theta in thetas:
-        stops[theta] = converge(op, theta, v0).k_stop
+    stops = {r.theta: r.k_stop for r in theta_sweep(op, thetas, v0)}
 
     sym = 0.0
     trace_lo = converge(op, 0.2, v0, eps=1e-30, k_max=200)
@@ -498,7 +499,7 @@ def _demo_parallel_down_extra():
     z = graphs.incidence(gp.gp)
     op = splitting.build(gp, spaces, z=z)
     expected = matlin.kron_lift(parallel_down_extra_c(n), d)
-    normality, _, _ = splitting.certificates(op.T)
+    normality = splitting.certificates(op.T).normality_defect
     lines = (
         _close("deviation from the closed-form C", float(np.max(np.abs(op.C - expected))), 0.0, 1e-10),
         _bound("normality defect", normality, ">", 1e-3),
@@ -521,12 +522,12 @@ def _demo_biparallel():
     spaces = subspaces.product([subspaces.full(d)] * n)
     op = splitting.build(gp, spaces, z=graphs.incidence(gp.gp))
     expected = matlin.kron_lift(np.diag([0.5] * (n - 2) + [0.0]), d)
-    normality, iso, _ = splitting.certificates(op.T)
+    cert = splitting.certificates(op.T)
     witness = witness_search(gp, d)
     lines = (
         _close("deviation from block-diagonal C", float(np.max(np.abs(op.C - expected))), 0.0, 1e-10),
-        _bound("normality defect", normality, "<=", 1e-9),
-        _close("iso defect (eigenvalue 1/2 off the circle)", iso, 0.5, 1e-9),
+        _bound("normality defect", cert.normality_defect, "<=", 1e-9),
+        _close("iso defect (eigenvalue 1/2 off the circle)", cert.iso_defect, 0.5, 1e-9),
         _bound("coordinate-product witness defect", witness.defect, ">", WITNESS_TOL),
     )
     return DemoReport("biparallel", lines)
@@ -538,7 +539,7 @@ def _demo_malitsky_tam():
     spaces = subspaces.product([subspaces.full(d)] * n)
     op = splitting.build(gp, spaces, z=graphs.incidence(gp.gp))
     expected = matlin.kron_lift(malitsky_tam_c(n), d)
-    _, iso, _ = splitting.certificates(op.T)
+    iso = splitting.certificates(op.T).iso_defect
     witness = witness_search(gp, d)
     lines = (
         _close("deviation from the half-permutation C", float(np.max(np.abs(op.C - expected))), 0.0, 1e-10),

@@ -6,15 +6,15 @@ dense matrix T = I - C, with C = Zbar^T M^{-1} P Zbar, and as a matrix-free
 forward-substitution sweep; the two routes are kept in agreement by tests
 and serve as each other's oracle.
 
-Certificates quantify how far T is from being normal (T^T T = T T^T), from
-being the average of an isometry and the identity (2 T^T T = T + T^T), and
-how far 2T - I is from an isometry. The second property is what makes the
-relaxed map's convergence rate an explicit function of the relaxation
-parameter.
+Certificates quantify how far T is from being normal (T^T T = T T^T) and
+from being the average of an isometry and the identity (2 T^T T = T + T^T),
+and `certificates` alone turns them into verdicts. The second property is
+what makes the relaxed map's convergence rate an explicit function of the
+relaxation parameter.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -170,21 +170,30 @@ def relax(t, theta):
     return theta * t + (1.0 - theta) * np.eye(t.shape[0])
 
 
-def certificates(t):
-    """Structural defect norms of a square matrix.
+@dataclass(frozen=True)
+class Certificates:
+    normality_defect: float
+    iso_defect: float
+    norm: float
+    is_normal: bool
+    is_iso_averaged: bool
 
-    Returns (normality_defect, iso_defect, isometry_defect): the spectral
-    norms of T^T T - T T^T, of 2 T^T T - T - T^T, and of
-    (2T - I)^T (2T - I) - I. All three vanish exactly when T is the
-    average of an isometry and the identity.
+
+def certificates(t):
+    """Structural defects of a square matrix, its norm, and the verdicts.
+
+    The defects are the spectral norms of T^T T - T T^T and of
+    2 T^T T - T - T^T; each counts as zero up to DEFECT_TOL (1 + ||T||^2).
+    The isometry defect of 2T - I is 2 iso_defect, since
+    (2T - I)^T (2T - I) - I = 2 (2 T^T T - T - T^T).
     """
     t = np.asarray(t, dtype=float)
     gram = t.T @ t
     normality = matlin.operator_norm(gram - t @ t.T)
     iso = matlin.operator_norm(2.0 * gram - t - t.T)
-    s = 2.0 * t - np.eye(t.shape[0])
-    isometry = matlin.operator_norm(s.T @ s - np.eye(t.shape[0]))
-    return normality, iso, isometry
+    nrm = matlin.operator_norm(t)
+    threshold = DEFECT_TOL * (1.0 + nrm * nrm)
+    return Certificates(normality, iso, nrm, normality <= threshold, iso <= threshold)
 
 
 def fix_basis(t):
@@ -203,60 +212,45 @@ def fix_basis(t):
 
 
 @dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(Certificates):
     eigenvalues: tuple  # complex, sorted by (re, im)
+    eigenvalues_off_one: tuple  # the eigenvalues not identified with 1, same order
     fix_dim: int
     rho1: float
-    normality_defect: float
-    iso_defect: float
-    is_normal: bool
-    is_iso_averaged: bool
 
 
 def spectral_report(t):
     """Eigenvalues, fixed-subspace dimension, subdominant radius, and flags.
 
-    The subdominant radius is the largest eigenvalue modulus after removing
-    the eigenvalues identified with 1 (within 1e-7 (1 + ||T||)), with 0 as
-    the floor when nothing remains. When the map is classified iso-averaged
+    Extends the `certificates` record. The subdominant radius is the largest
+    modulus of the eigenvalues off 1 (farther than 1e-7 (1 + ||T||)), with
+    0 as the floor when none remain. When the map is classified iso-averaged
     every eigenvalue must sit on the circle of radius 1/2 centered at 1/2;
     a violation means the eigensolver and the certificate disagree, which
     is reported as a self-check failure.
     """
     t = np.asarray(t, dtype=float)
     eigs = sorted(matlin.general_eigenvalues(t), key=lambda lam: (lam.real, lam.imag))
-    nrm = matlin.operator_norm(t)
+    cert = certificates(t)
     fix_dim = fix_basis(t).shape[1]
-    one_band = EIGENVALUE_ONE_TOL * (1.0 + nrm)
-    ones = [lam for lam in eigs if abs(lam - 1.0) <= one_band]
-    if len(ones) != fix_dim:
+    one_band = EIGENVALUE_ONE_TOL * (1.0 + cert.norm)
+    off_one = tuple(lam for lam in eigs if abs(lam - 1.0) > one_band)
+    at_one = len(eigs) - len(off_one)
+    if at_one != fix_dim:
         warnings.warn(
-            f"eigenvalues at 1 ({len(ones)}) disagree with the fixed-subspace "
+            f"eigenvalues at 1 ({at_one}) disagree with the fixed-subspace "
             f"dimension ({fix_dim}); the map may be defective at 1",
             RuntimeWarning,
             stacklevel=2,
         )
-    rest = [abs(lam) for lam in eigs if abs(lam - 1.0) > one_band]
-    rho1 = max(rest, default=0.0)
-    normality, iso, _ = certificates(t)
-    threshold = DEFECT_TOL * (1.0 + nrm * nrm)
-    is_normal = normality <= threshold
-    is_iso = iso <= threshold
-    if is_iso:
+    if cert.is_iso_averaged:
         worst = max(abs(abs(lam - 0.5) - 0.5) for lam in eigs)
         if worst > EIGENVALUE_ONE_TOL:
             raise SelfCheckFailedError(
                 f"iso-averaged map has an eigenvalue off the half-circle (distance {worst:.3e})"
             )
-    return SpectralReport(
-        eigenvalues=tuple(eigs),
-        fix_dim=fix_dim,
-        rho1=float(rho1),
-        normality_defect=float(normality),
-        iso_defect=float(iso),
-        is_normal=is_normal,
-        is_iso_averaged=is_iso,
-    )
+    rho1 = max((abs(lam) for lam in off_one), default=0.0)
+    return SpectralReport(*astuple(cert), tuple(eigs), off_one, fix_dim, rho1)
 
 
 def predicted_rate(rho1, theta):

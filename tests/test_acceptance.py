@@ -36,12 +36,12 @@ def test_criterion_02_relaxed_projector():
         theta = i / 8.0  # exact in binary, so the identity check can be exact
         tt = splitting.relax(t, theta)
         ok = ok and np.array_equal(tt, np.diag([1.0, 1.0 - theta]))
-        normality, iso, _ = splitting.certificates(tt)
-        ok = ok and normality <= 1e-12
+        cert = splitting.certificates(tt)
+        ok = ok and cert.normality_defect <= 1e-12
         if theta in (0.0, 1.0):
-            ok = ok and iso <= 1e-12
+            ok = ok and cert.iso_defect <= 1e-12
         else:
-            ok = ok and iso > 1e-12
+            ok = ok and cert.iso_defect > 1e-12
     _report(2, "relaxed projector is diag(1, 1-theta), iso only at 0 and 1", ok)
 
 
@@ -82,8 +82,7 @@ def test_criterion_05_graph_equality_characterization():
             ok = ok and res.found and res.defect > 1e-6
     mt = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
     op = splitting.build(mt, subspaces.product([subspaces.full(2)] * 4))
-    _, iso, _ = splitting.certificates(op.T)
-    ok = ok and iso <= 1e-9
+    ok = ok and splitting.certificates(op.T).iso_defect <= 1e-9
     _report(5, "iso-averagedness classifies exactly by graph equality", ok)
 
 
@@ -105,8 +104,7 @@ def test_criterion_06_closed_form_c_matrices():
         op = splitting.build(gp, subspaces.product([subspaces.full(d)] * 4), z=graphs.incidence(gp.gp))
         expected = matlin.kron_lift(experiments.parallel_down_extra_c(4), d)
         ok = ok and np.max(np.abs(op.C - expected)) <= 1e-10
-        normality, _, _ = splitting.certificates(op.T)
-        ok = ok and normality > 1e-3
+        ok = ok and splitting.certificates(op.T).normality_defect > 1e-3
     _report(6, "closed-form C matrices for the three catalog pairs", ok)
 
 

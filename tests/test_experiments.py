@@ -64,10 +64,19 @@ def test_theta_sweep_symmetry_and_optimum():
 
 
 def test_theta_sweep_non_iso_uses_spectrum():
-    t = np.eye(3) - np.diag([0.5, 0.5, 0.0])
-    records = experiments.theta_sweep(t, [0.5], np.array([1.0, 1.0, 1.0]))
-    relaxed_rho = splitting.spectral_report(splitting.relax(t, 0.5)).rho1
-    assert records[0].rho1_predicted == pytest.approx(relaxed_rho, abs=1e-12)
+    # The direct report of each relaxed matrix is the oracle for the
+    # sweep's affine map of the unrelaxed spectrum.
+    ring_seq = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
+    spaces = subspaces.product([subspaces.random_subspace(2, 1, 50 + i) for i in range(4)])
+    built = splitting.build(ring_seq, spaces).T
+    assert not splitting.certificates(built).is_iso_averaged
+    thetas = [0.1, 0.5, 1.0, 1.5, 1.9]
+    for t in (np.eye(3) - np.diag([0.5, 0.5, 0.0]), built):
+        records = experiments.theta_sweep(t, thetas, np.ones(t.shape[0]), k_max=50)
+        assert [r.theta for r in records] == thetas
+        for r in records:
+            relaxed_rho = splitting.spectral_report(splitting.relax(t, r.theta)).rho1
+            assert r.rho1_predicted == pytest.approx(relaxed_rho, abs=1e-12)
 
 
 def test_measured_rate_tracks_prediction():
@@ -179,8 +188,7 @@ def test_witness_search_malitsky_tam_full_spaces_stay_iso():
     gp = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
     spaces = subspaces.product([subspaces.full(2)] * 4)
     op = splitting.build(gp, spaces)
-    _, iso, _ = splitting.certificates(op.T)
-    assert iso <= 1e-9
+    assert splitting.certificates(op.T).iso_defect <= 1e-9
     assert experiments.witness_search(gp, 2).found
 
 

@@ -133,17 +133,35 @@ def test_relax_projector_diagonal():
 
 
 def test_certificates_shift_block():
-    normality, iso, isometry = splitting.certificates(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert normality == pytest.approx(1.0, abs=1e-12)
-    assert iso > 0.5
-    assert isometry > 0.5
+    cert = splitting.certificates(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert cert.normality_defect == pytest.approx(1.0, abs=1e-12)
+    assert cert.iso_defect > 0.5
+    assert not cert.is_normal and not cert.is_iso_averaged
 
 
 def test_certificates_projector_is_clean():
-    normality, iso, isometry = splitting.certificates(np.diag([1.0, 0.0]))
-    assert normality == 0.0
-    assert iso == 0.0
-    assert isometry <= 1e-12
+    cert = splitting.certificates(np.diag([1.0, 0.0]))
+    assert cert.normality_defect == 0.0
+    assert cert.iso_defect == 0.0
+    assert cert.is_normal and cert.is_iso_averaged
+
+
+def test_certificates_isometry_defect_is_twice_iso_and_norm_matches_numpy():
+    # (2T - I)^T (2T - I) - I = 2 (2 T^T T - T - T^T), so the isometry
+    # defect of 2T - I needs no norm of its own.
+    ring_seq = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
+    spaces = subspaces.product([subspaces.random_subspace(2, 1, 900 + i) for i in range(4)])
+    for t in (
+        np.array([[0.0, 1.0], [0.0, 0.0]]),
+        np.diag([1.0, 0.0]),
+        experiments.random_operator(seed=901).T,
+        splitting.build(ring_seq, spaces).T,
+    ):
+        cert = splitting.certificates(t)
+        s = 2.0 * t - np.eye(t.shape[0])
+        isometry = np.linalg.norm(s.T @ s - np.eye(t.shape[0]), 2)
+        assert isometry == pytest.approx(2.0 * cert.iso_defect, rel=1e-12, abs=1e-15)
+        assert cert.norm == pytest.approx(np.linalg.norm(t, 2), rel=1e-12)
 
 
 def test_certificates_half_shifted_permutation():
@@ -151,10 +169,8 @@ def test_certificates_half_shifted_permutation():
     # iso-averaged map.
     p = np.eye(4)[[1, 2, 3, 0]]
     c = 0.5 * (np.eye(4) - p)
-    _, iso, _ = splitting.certificates(np.eye(4) - c)
-    assert iso <= 1e-12
-    _, iso_c, _ = splitting.certificates(c)
-    assert iso_c <= 1e-12
+    assert splitting.certificates(np.eye(4) - c).iso_defect <= 1e-12
+    assert splitting.certificates(c).iso_defect <= 1e-12
 
 
 def test_spectral_report_identity():
@@ -230,8 +246,8 @@ def test_rebase_rotation_preserves_defects():
     re = splitting.rebase(op, o)
     n0 = splitting.certificates(op.T)
     n1 = splitting.certificates(re.T)
-    assert abs(n0[0] - n1[0]) <= 1e-9
-    assert abs(n0[1] - n1[1]) <= 1e-9
+    assert abs(n0.normality_defect - n1.normality_defect) <= 1e-9
+    assert abs(n0.iso_defect - n1.iso_defect) <= 1e-9
     lift = matlin.kron_lift(o, op.d)
     assert np.allclose(re.C, lift.T @ op.C @ lift, atol=1e-9)
 
@@ -269,10 +285,10 @@ def test_relaxation_scales_normality_defect_quadratically():
     # Non-normal specimen: star-to-last plus one extra edge, full spaces.
     gp = experiments.with_extra_edge(graphs.preset("parallel_down", 4), (1, 2))
     op = splitting.build(gp, subspaces.product([subspaces.full(1)] * 4))
-    base, _, _ = splitting.certificates(op.T)
+    base = splitting.certificates(op.T).normality_defect
     assert base > 1e-3
     for theta in (0.3, 0.8, 1.5):
-        relaxed, _, _ = splitting.certificates(splitting.relax(op.T, theta))
+        relaxed = splitting.certificates(splitting.relax(op.T, theta)).normality_defect
         assert abs(relaxed - theta**2 * base) <= 1e-10
 
 
