@@ -11,7 +11,9 @@ Exit status: 0 on success, 1 when a check fails, 2 on configuration errors.
 """
 
 import argparse
+import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -44,12 +46,25 @@ class ExperimentConfig:
     v0: object  # numpy vector or the string "random"
 
 
+def _number(field, value, kind=float):
+    """value as a finite kind (int or float), or a ConfigError naming field."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{field}: expected a finite number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{field}: expected a finite number, got {value!r}")
+    return number
+
+
 def _expand_thetas(spec):
     if isinstance(spec, dict):
         for key in ("start", "stop", "step"):
             if key not in spec:
                 raise ConfigError(f'thetas: missing "{key}" in range form')
-        start, stop, step = float(spec["start"]), float(spec["stop"]), float(spec["step"])
+        start, stop, step = (
+            _number(f"thetas.{key}", spec[key]) for key in ("start", "stop", "step")
+        )
         if step <= 0.0:
             raise ConfigError("thetas: step must be positive")
         values = []
@@ -62,7 +77,7 @@ def _expand_thetas(spec):
             k += 1
         return values
     if isinstance(spec, list):
-        return [float(t) for t in spec]
+        return [_number("thetas", t) for t in spec]
     raise ConfigError("thetas: expected a list or {start, stop, step}")
 
 
@@ -87,7 +102,7 @@ def load_config(obj, seed=None, eps=None):
 
     if "ambient" not in obj:
         raise ConfigError('config: missing "ambient"')
-    ambient = int(obj["ambient"])
+    ambient = _number("ambient", obj["ambient"], int)
     if ambient < 1:
         raise ConfigError("ambient: must be at least 1")
 
@@ -106,17 +121,22 @@ def load_config(obj, seed=None, eps=None):
         if not 0.0 < theta < 2.0:
             raise ConfigError(f"thetas: {theta} outside the open interval (0, 2)")
 
-    eps_value = float(eps if eps is not None else obj.get("eps", experiments.DEFAULT_EPS))
+    eps_value = _number("eps", eps if eps is not None else obj.get("eps", experiments.DEFAULT_EPS))
     if eps_value <= 0.0:
         raise ConfigError("eps: must be positive")
-    k_max = int(obj.get("k_max", experiments.DEFAULT_K_MAX))
+    k_max = _number("k_max", obj.get("k_max", experiments.DEFAULT_K_MAX), int)
     if k_max < 1:
         raise ConfigError("k_max: must be at least 1")
-    seed_value = int(seed if seed is not None else obj.get("seed", 0))
+    seed_value = _number("seed", seed if seed is not None else obj.get("seed", 0), int)
 
     v0 = obj.get("v0", "random")
     if v0 != "random":
-        flat = np.asarray(v0, dtype=float).ravel()
+        try:
+            flat = np.asarray(v0, dtype=float).ravel()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"v0: expected a list of numbers: {exc}") from exc
+        if not np.all(np.isfinite(flat)):
+            raise ConfigError("v0: entries must be finite")
         if flat.shape[0] != (g.n - 1) * ambient:
             raise ConfigError(f"v0: expected {(g.n - 1) * ambient} numbers, got {flat.shape[0]}")
         v0 = flat
@@ -238,7 +258,10 @@ def _emit(text, out_path):
             fh.write(text)
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    # Built once per process: an ArgumentParser is a web of reference cycles,
+    # so one per call leaves garbage that only the cyclic collector frees.
     parser = argparse.ArgumentParser(
         prog="graphsplit",
         description="Graph splitting operators on subspaces: certificates, sweeps, examples.",
@@ -263,8 +286,11 @@ def main(argv=None):
     verify.add_argument("--seed", type=int, default=1)
     verify.add_argument("--trials", type=int, default=20)
     verify.add_argument("--out", help="write output to this path instead of stdout")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         if args.command == "analyze":
             config = _read_config(args.config, args.seed, args.eps)

@@ -2,20 +2,17 @@
 
 Everything operates on plain float64 numpy arrays. Factorizations are
 implemented directly rather than delegated: Householder QR with optional
-column pivoting, cyclic Jacobi for symmetric eigenproblems, and Hessenberg
-reduction followed by Francis double-shift QR iteration for general
-(possibly complex) spectra. This keeps the numerical behavior fully under
-our control at the desk scale this library targets (a few hundred rows).
+column pivoting, Hessenberg reduction followed by Francis double-shift QR
+iteration for general (possibly complex) spectra, and the Hessenberg-reduced
+Gram plus Sturm bisection for spectral norms. This keeps the numerical
+behavior fully under our control at the desk scale this library targets (a
+few hundred rows).
 """
 
 import numpy as np
 
 # Relative threshold shared by every rank decision in the package.
 RANK_TOL = 1e-10
-
-
-class NotSymmetricError(ValueError):
-    """Input to the symmetric eigensolver is not symmetric."""
 
 
 class NoConvergenceError(RuntimeError):
@@ -100,57 +97,6 @@ def null_space(a, tol=RANK_TOL):
     else:
         rank = int(np.count_nonzero(diag > tol * diag[0]))
     return q[:, rank:].copy() if rank < n else np.zeros((n, 0))
-
-
-def symmetric_eigen(a):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (values, vectors) with values sorted ascending and vectors
-    orthogonal, such that a @ vectors == vectors @ diag(values). Rotations
-    stop once the off-diagonal Frobenius mass falls below 1e-14 * ||a||_F.
-    """
-    a = _as_matrix(a)
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError("matrix must be square")
-    fro = float(np.linalg.norm(a))
-    if fro > 0.0 and float(np.linalg.norm(a - a.T)) > 1e-10 * fro:
-        raise NotSymmetricError("matrix is not symmetric")
-    w = 0.5 * (a + a.T)
-    v = np.eye(n)
-    if n < 2 or fro == 0.0:
-        return np.diagonal(w).copy(), v
-    off_tol = 1e-14 * fro
-    # Rotating on entries below skip_tol cannot move the off-diagonal norm
-    # past the stopping threshold, and avoids overflow in the tau quotient.
-    skip_tol = off_tol / n
-    for _ in range(60):
-        strict = w.copy()
-        np.fill_diagonal(strict, 0.0)
-        off = float(np.linalg.norm(strict))
-        if off <= off_tol:
-            break
-        for p in range(n - 1):
-            for q_ in range(p + 1, n):
-                apq = w[p, q_]
-                if abs(apq) <= skip_tol:
-                    continue
-                tau = (w[q_, q_] - w[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                wp, wq = w[:, p].copy(), w[:, q_].copy()
-                w[:, p] = c * wp - s * wq
-                w[:, q_] = s * wp + c * wq
-                wp, wq = w[p, :].copy(), w[q_, :].copy()
-                w[p, :] = c * wp - s * wq
-                w[q_, :] = s * wp + c * wq
-                vp, vq = v[:, p].copy(), v[:, q_].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q_] = s * vp + c * vq
-    values = np.diagonal(w).copy()
-    order = np.argsort(values, kind="stable")
-    return values[order], v[:, order]
 
 
 def _hessenberg(a):
@@ -269,15 +215,71 @@ def general_eigenvalues(a):
     return eigs
 
 
+def _count_below(d, e2, x, pivmin):
+    """Sturm count: eigenvalues below x of the symmetric tridiagonal (d, e).
+
+    Counts the negative pivots of the LDL^T factorization of T - x I, with
+    e2 the squared off-diagonal. A pivot of magnitude at most pivmin is
+    replaced by -pivmin, as in LAPACK's dstebz, so the count never divides
+    by zero.
+    """
+    count = 0
+    q = 1.0
+    for di, ei2 in zip(d, e2):
+        q = di - x - ei2 / q
+        if abs(q) <= pivmin:
+            q = -pivmin
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def _largest_eigenvalue(t):
+    """Largest eigenvalue of a symmetric tridiagonal t by Sturm bisection.
+
+    Bisects the Gershgorin interval down to the last float: the width stops
+    at 2 eps max|end| or when the midpoint meets an end.
+    """
+    d = np.diagonal(t).tolist()
+    e = np.abs(np.diagonal(t, -1)).tolist()
+    n = len(d)
+    e2 = [0.0] + [x * x for x in e]
+    radius = [a + b for a, b in zip([0.0] + e, e + [0.0])]
+    lo = min(di - r for di, r in zip(d, radius))
+    hi = max(di + r for di, r in zip(d, radius))
+    eps = float(np.finfo(float).eps)
+    pivmin = float(np.finfo(float).tiny) * max(1.0, max(e2))
+    # Widen the bracket past the rounding of the Gershgorin sums (dstebz).
+    pad = 2.1 * (max(abs(lo), abs(hi)) * eps * n + 2.0 * pivmin)
+    lo, hi = lo - pad, hi + pad
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi or hi - lo <= 2.0 * eps * max(abs(lo), abs(hi)):
+            return mid
+        if _count_below(d, e2, mid, pivmin) == n:
+            hi = mid
+        else:
+            lo = mid
+
+
 def operator_norm(a):
-    """Spectral norm sqrt(lambda_max(a^T a)), via the symmetric eigensolver."""
+    """Spectral norm sqrt(lambda_max(a^T a)), without eigenvectors.
+
+    a is first scaled by the power of two 2^-e with max|a| in
+    [2^(e-1), 2^e), which is exact and keeps the Gram matrix clear of
+    underflow and overflow. The Gram matrix on the smaller side is reduced
+    by _hessenberg, which leaves a symmetric matrix tridiagonal, and its
+    largest eigenvalue is found by Sturm bisection.
+    """
     a = _as_matrix(a)
     if a.size == 0 or not a.any():
         return 0.0
+    e = int(np.frexp(np.max(np.abs(a)))[1])
+    a = np.ldexp(a, -e)
     g = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
     g = 0.5 * (g + g.T)
-    values, _ = symmetric_eigen(g)
-    return float(np.sqrt(max(values[-1], 0.0)))
+    lam = _largest_eigenvalue(_hessenberg(g))
+    return float(np.ldexp(np.sqrt(max(lam, 0.0)), e))
 
 
 def kron_lift(z, d):

@@ -1,6 +1,7 @@
 """CLI surface: config ingestion, output formats, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -157,6 +158,26 @@ def test_config_errors(tmp_path, breaker, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("ambient", None),
+        ("eps", float("nan")),
+        ("k_max", "x"),
+        ("k_max", float("inf")),
+        ("seed", None),
+        ("thetas", {"start": 0.1, "stop": float("inf"), "step": 0.1}),
+        ("v0", [1.0, float("nan"), 0.0, 1.0]),
+    ],
+)
+def test_bad_values_name_their_field(tmp_path, field, value, capsys):
+    cfg = _config(**{field: value})
+    with pytest.raises(cli.ConfigError, match=f"^{field}"):
+        cli.load_config(json.loads(json.dumps(cfg)))
+    assert cli.main(["analyze", "--config", _write(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}")
+
+
 def test_invalid_json_reports_location(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -174,11 +195,15 @@ def test_explicit_v0_roundtrip(tmp_path, capsys):
 
 def test_stdin_config_subprocess():
     cfg = _config(thetas=[1.0])
+    # The child imports the same package as this test, installed or not.
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "graphsplit", "sweep"],
         input=json.dumps(cfg),
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("theta,k_stop,")

@@ -1,8 +1,8 @@
 """Kernel factorizations against reconstruction identities and numpy oracles.
 
-The implementation route (Householder QR, cyclic Jacobi, Francis QR) never
-calls numpy.linalg decompositions, so numpy.linalg here is a genuinely
-independent check.
+The implementation route (Householder QR, Hessenberg reduction, Francis QR,
+Sturm bisection) never calls numpy.linalg decompositions, so numpy.linalg
+here is a genuinely independent check.
 """
 
 import numpy as np
@@ -11,6 +11,7 @@ from conftest import eig_multiset_close
 
 from graphsplit import matlin
 from graphsplit._rng import SplitMix64
+from graphsplit.experiments import random_operator
 
 
 def test_qr_identity():
@@ -87,38 +88,30 @@ def test_null_space_requires_positive_tol():
         matlin.null_space(np.eye(2), tol=0.0)
 
 
-def test_symmetric_eigen_2x2():
-    values, vectors = matlin.symmetric_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(values, [1.0, 3.0], atol=1e-12)
-    assert np.allclose(vectors.T @ vectors, np.eye(2), atol=1e-12)
+def test_operator_norm_2x2():
+    assert matlin.operator_norm(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(3.0, abs=1e-12)
 
 
-def test_symmetric_eigen_relaxed_projector_diagonal():
-    values, _ = matlin.symmetric_eigen(np.diag([1.0, 1.0 - 0.3]))
-    assert np.allclose(values, [0.7, 1.0], atol=1e-14)
+def test_operator_norm_relaxed_projector_diagonal():
+    assert matlin.operator_norm(np.diag([1.0, 1.0 - 0.3])) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_symmetric_eigen_zero_matrix():
-    values, vectors = matlin.symmetric_eigen(np.zeros((4, 4)))
-    assert np.allclose(values, 0.0)
-    assert np.allclose(vectors, np.eye(4))
+def test_operator_norm_zero_matrix():
+    assert matlin.operator_norm(np.zeros((4, 4))) == 0.0
 
 
-def test_symmetric_eigen_rejects_asymmetric():
-    with pytest.raises(matlin.NotSymmetricError):
-        matlin.symmetric_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+def test_operator_norm_rejects_nonfinite():
+    with pytest.raises(ValueError):
+        matlin.operator_norm(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
-def test_symmetric_eigen_matches_numpy():
+def test_operator_norm_matches_numpy_square():
     rng = np.random.default_rng(5)
     for _ in range(15):
         n = int(rng.integers(1, 25))
         a = rng.standard_normal((n, n))
         a = a + a.T
-        values, vectors = matlin.symmetric_eigen(a)
-        assert np.all(np.diff(values) >= -1e-12)
-        assert np.linalg.norm(a @ vectors - vectors @ np.diag(values)) <= 1e-10 * np.linalg.norm(a)
-        assert np.allclose(values, np.linalg.eigvalsh(a), atol=1e-9 * (1 + np.linalg.norm(a)))
+        assert matlin.operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
 
 
 def test_general_eigenvalues_rotation():
@@ -174,7 +167,7 @@ def test_general_agrees_with_symmetric():
         a = rng.standard_normal((n, n))
         a = a + a.T
         general = matlin.general_eigenvalues(a)
-        symmetric, _ = matlin.symmetric_eigen(a)
+        symmetric = np.linalg.eigvalsh(a)
         assert eig_multiset_close(general, [complex(v) for v in symmetric], 1e-7 * (1 + np.linalg.norm(a)))
 
 
@@ -201,10 +194,24 @@ def test_operator_norm_scaled_identity():
 
 def test_operator_norm_matches_numpy():
     rng = np.random.default_rng(10)
-    for _ in range(15):
-        m, n = rng.integers(1, 20, size=2)
-        a = rng.standard_normal((m, n))
-        assert matlin.operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-10)
+    cases = [rng.standard_normal(tuple(rng.integers(1, 20, size=2))) for _ in range(15)]
+    # Repeated singular values, rank one, row and column vectors, scales far
+    # from 1 (where an unscaled Gram matrix under- or overflows) and T - I of
+    # built operators.
+    cases += [
+        np.kron(np.eye(3), np.ones((2, 2))),
+        np.diag([3.0, 1.0, 3.0, 3.0, 1.0]),
+        np.outer(rng.standard_normal(6), rng.standard_normal(4)),
+        rng.standard_normal((1, 7)),
+        rng.standard_normal((7, 1)),
+    ]
+    a = rng.standard_normal((6, 5))
+    cases += [scale * a for scale in (1e-16, 1e-160, 1e150)]
+    for seed in (6, 118, 131):
+        t = random_operator(seed).T
+        cases.append(t - np.eye(t.shape[0]))
+    for a in cases:
+        assert matlin.operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
 
 
 def test_kron_lift_column_factor():
@@ -236,3 +243,13 @@ def test_kron_lift_product_property():
 def test_rejects_nonfinite_entries():
     with pytest.raises(ValueError):
         matlin.qr(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+def test_operator_norm_on_built_operators():
+    # The four kinds of matrix whose norms the certificates take.
+    for seed in range(300):
+        t = random_operator(seed).T
+        i = np.eye(t.shape[0])
+        for m in (t, t - i, t.T @ t - t @ t.T, 2.0 * t.T @ t - t - t.T):
+            want = np.linalg.norm(m, 2)
+            assert abs(matlin.operator_norm(m) - want) <= 1e-15 * (1.0 + want)
