@@ -7,7 +7,9 @@ and `verify` runs the randomized graph-pair consistency check. All output
 is deterministic for a fixed config and seed; floats are printed with 12
 significant digits.
 
-Exit status: 0 on success, 1 when a check fails, 2 on configuration errors.
+Exit status: 0 on success, 1 when a check fails, 2 on configuration errors,
+3 on an internal numerical failure (a failed self-check, an eigensolver that
+does not converge, a singular linear solve).
 """
 
 import argparse
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import experiments, graphs, splitting, subspaces
+from . import experiments, graphs, matlin, splitting, subspaces
 from ._rng import SplitMix64
 
 
@@ -313,6 +315,12 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (
+        matlin.NoConvergenceError, splitting.SelfCheckFailedError, np.linalg.LinAlgError
+    ) as exc:
+        # LinAlgError is a ValueError, but a numerical failure, not bad input.
+        print(f"error: internal numerical failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

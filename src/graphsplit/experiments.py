@@ -51,35 +51,65 @@ class ConvergenceTrace:
     measured_rate: object  # float or None
 
 
-def _fit_rate(points):
-    usable = [(k, dist) for k, dist in points if dist > RATE_FLOOR]
+def _fit_rate(dists):
+    """Rate of a least-squares fit of the log-distance over the last half of
+    the usable trace (distances above RATE_FLOOR), or None if it is too short.
+
+    math.log keeps the fit bit-identical to a per-point loop; np.log is not.
+    """
+    usable = np.flatnonzero(dists > RATE_FLOOR)
     tail = usable[len(usable) // 2 :]
     if len(tail) < 2:
         return None
-    ks = np.array([k for k, _ in tail], dtype=float)
-    logs = np.array([math.log(dist) for _, dist in tail])
-    slope = np.polyfit(ks, logs, 1)[0]
+    logs = np.array([math.log(dist) for dist in dists[tail].tolist()])
+    slope = np.polyfit(tail.astype(float), logs, 1)[0]
     return float(np.exp(slope))
 
 
-def _iterate(t, theta, v, limit, eps, k_max):
-    """Iterate the relaxed map from v and trace the distance to the limit."""
-    if not 0.0 < theta < 2.0:
-        raise splitting.DomainError("relaxation parameter must lie in (0, 2)")
+def _relaxed_runs(t, thetas, v0, f, eps, k_max):
+    """Iterate every relaxed map T_theta from v0 in one loop.
+
+    The limit is the projection of v0 onto the span of f, the orthonormal
+    basis of the fixed subspace of T (which relaxation keeps). The relaxed
+    matrices are stacked; each step takes the distances of all still-running
+    iterates to the limit with one stacked dot and advances them with one
+    stacked matmul, and a theta leaves the stack at its first distance below
+    eps. Returns one (k_stop, dists) pair per theta: dists[k] is the
+    distance of iterate k, up to k_stop, or up to k_max with k_stop None
+    when the budget runs out. Every input is checked before the first step.
+    """
+    for theta in thetas:
+        if not 0.0 < theta < 2.0:
+            raise splitting.DomainError("relaxation parameter must lie in (0, 2)")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    t_theta = splitting.relax(t, theta)
-    points = []
-    k_stop = None
+    if k_max < 0:
+        raise ValueError("k_max must be non-negative")
+    if not thetas:
+        return []
+    v0 = np.asarray(v0, dtype=float)
+    limit = f @ (f.T @ v0)
+    stack = np.stack([splitting.relax(t, theta) for theta in thetas])
+    active = np.arange(len(thetas))
+    v = np.tile(v0, (len(thetas), 1))
+    dists = np.empty((min(k_max + 1, 64), len(thetas)))  # grows by doubling
+    k_stops = [None] * len(thetas)
     for k in range(k_max + 1):
-        dist = float(np.linalg.norm(v - limit))
-        points.append((k, dist))
-        if dist < eps:
-            k_stop = k
-            break
+        if k == len(dists):
+            dists = np.concatenate([dists, np.empty_like(dists)])
+        d = v - limit
+        dist = np.sqrt(np.matmul(d[:, None, :], d[:, :, None]))[:, 0, 0]
+        dists[k, active] = dist
+        done = dist < eps
+        if done.any():
+            for i in active[done].tolist():
+                k_stops[i] = k
+            active, stack, v = active[~done], stack[~done], v[~done]
+            if not active.size:
+                break
         if k < k_max:
-            v = t_theta @ v
-    return ConvergenceTrace(theta, points, k_stop, _fit_rate(points))
+            v = np.matmul(stack, v[..., None])[..., 0]
+    return [(ks, dists[: (k_max if ks is None else ks) + 1, i]) for i, ks in enumerate(k_stops)]
 
 
 def converge(op, theta, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
@@ -89,12 +119,12 @@ def converge(op, theta, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     unrelaxed map (relaxation does not move fixed points). k_stop is the
     first iteration whose distance drops below eps, or None if the budget
     runs out; the measured rate is a least-squares fit of the log-distance
-    over the last half of the usable trace.
+    over the last half of the usable trace. This is the one-theta case of
+    the stacked iteration that `theta_sweep` runs.
     """
     t = _dense(op)
-    v0 = np.asarray(v0, dtype=float)
-    f = fix_basis(t)
-    return _iterate(t, theta, v0, f @ (f.T @ v0), eps, k_max)
+    [(k_stop, dists)] = _relaxed_runs(t, [theta], v0, fix_basis(t), eps, k_max)
+    return ConvergenceTrace(theta, list(enumerate(dists.tolist())), k_stop, _fit_rate(dists))
 
 
 @dataclass
@@ -109,24 +139,24 @@ def theta_sweep(op, thetas, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     """One convergence run per relaxation parameter, from one analysis of T.
 
     T_theta has the eigenvalues theta lam + 1 - theta and the fixed subspace
-    of T, so one report and one limit point of T serve every theta. The
+    of T, so one report (with its fixed basis) and one limit point of T
+    serve every theta. The runs share one loop: each iteration advances
+    every theta still above eps with one stacked matrix-vector step. The
     predicted rate is the closed-form relaxation formula for iso-averaged
     maps, else max |theta lam + 1 - theta| over the eigenvalues lam off 1.
     """
     t = _dense(op)
-    v0 = np.asarray(v0, dtype=float)
+    thetas = list(thetas)
     report = splitting.spectral_report(t)
-    f = fix_basis(t)
-    limit = f @ (f.T @ v0)
+    runs = _relaxed_runs(t, thetas, v0, report.fixed_basis, eps, k_max)
     records = []
-    for theta in thetas:
-        trace = _iterate(t, theta, v0, limit, eps, k_max)
+    for theta, (k_stop, dists) in zip(thetas, runs):
         if report.is_iso_averaged:
             predicted = splitting.predicted_rate(report.rho1, theta)
         else:
             relaxed = (theta * lam + (1.0 - theta) for lam in report.eigenvalues_off_one)
             predicted = max(map(abs, relaxed), default=0.0)
-        records.append(SweepRecord(theta, trace.k_stop, predicted, trace.measured_rate))
+        records.append(SweepRecord(theta, k_stop, predicted, _fit_rate(dists)))
     return records
 
 

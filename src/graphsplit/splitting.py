@@ -14,7 +14,7 @@ relaxation parameter.
 """
 
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -217,6 +217,7 @@ class SpectralReport(Certificates):
     eigenvalues_off_one: tuple  # the eigenvalues not identified with 1, same order
     fix_dim: int
     rho1: float
+    fixed_basis: np.ndarray = field(compare=False, repr=False)  # the fix_basis of T
 
 
 def spectral_report(t):
@@ -232,7 +233,8 @@ def spectral_report(t):
     t = np.asarray(t, dtype=float)
     eigs = sorted(matlin.general_eigenvalues(t), key=lambda lam: (lam.real, lam.imag))
     cert = certificates(t)
-    fix_dim = fix_basis(t).shape[1]
+    basis = fix_basis(t)
+    fix_dim = basis.shape[1]
     one_band = EIGENVALUE_ONE_TOL * (1.0 + cert.norm)
     off_one = tuple(lam for lam in eigs if abs(lam - 1.0) > one_band)
     at_one = len(eigs) - len(off_one)
@@ -250,7 +252,7 @@ def spectral_report(t):
                 f"iso-averaged map has an eigenvalue off the half-circle (distance {worst:.3e})"
             )
     rho1 = max((abs(lam) for lam in off_one), default=0.0)
-    return SpectralReport(*astuple(cert), tuple(eigs), off_one, fix_dim, rho1)
+    return SpectralReport(*astuple(cert), tuple(eigs), off_one, fix_dim, rho1, basis)
 
 
 def predicted_rate(rho1, theta):

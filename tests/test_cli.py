@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
-from graphsplit import cli
+import numpy as np
+
+from graphsplit import cli, matlin
 
 
 def _config(**overrides):
@@ -176,6 +178,50 @@ def test_bad_values_name_their_field(tmp_path, field, value, capsys):
         cli.load_config(json.loads(json.dumps(cfg)))
     assert cli.main(["analyze", "--config", _write(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}")
+
+
+def _no_convergence(t):
+    raise matlin.NoConvergenceError("no deflation after 300 QR sweeps")
+
+
+def _off_circle(t):
+    # The spectrum of an iso-averaged map with the eigenvalue farthest from 1
+    # moved off the half-circle: the report's own self-check must fail.
+    eigs = list(np.linalg.eigvals(t))
+    eigs[max(range(len(eigs)), key=lambda i: abs(eigs[i] - 1.0))] = 0.25
+    return eigs
+
+
+def _singular(*args, **kwargs):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize(
+    "target,replacement,command,message",
+    [
+        ((matlin, "general_eigenvalues"), _no_convergence, "analyze", "no deflation"),
+        ((matlin, "general_eigenvalues"), _off_circle, "sweep", "off the half-circle"),
+        ((np.linalg, "solve"), _singular, "analyze", "Singular matrix"),
+    ],
+    ids=["no-convergence", "self-check", "linalg-error"],
+)
+def test_numerical_failures_exit_3(tmp_path, monkeypatch, capsys, target, replacement, command,
+                                   message):
+    monkeypatch.setattr(*target, replacement)
+    code = cli.main([command, "--config", _write(tmp_path, _config())])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal numerical failure: ")
+    assert message in err
+    assert err.count("\n") == 1
+
+
+def test_linalg_error_is_not_a_config_error(tmp_path, monkeypatch, capsys):
+    # numpy's LinAlgError subclasses ValueError, which otherwise means exit 2.
+    assert issubclass(np.linalg.LinAlgError, ValueError)
+    monkeypatch.setattr(np.linalg, "solve", _singular)
+    assert cli.main(["sweep", "--config", _write(tmp_path, _config())]) != 2
+    assert "Singular matrix" in capsys.readouterr().err
 
 
 def test_invalid_json_reports_location(tmp_path, capsys):

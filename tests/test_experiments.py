@@ -1,5 +1,7 @@
 """Convergence traces, sweeps, behavioral checks, and the example catalog."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,160 @@ def test_theta_sweep_non_iso_uses_spectrum():
         for r in records:
             relaxed_rho = splitting.spectral_report(splitting.relax(t, r.theta)).rho1
             assert r.rho1_predicted == pytest.approx(relaxed_rho, abs=1e-12)
+
+
+def _oracle_run(t, theta, v, limit, eps, k_max):
+    """One relaxed run, one theta at a time: the reference for the stacked loop."""
+    t_theta = splitting.relax(t, theta)
+    points = []
+    k_stop = None
+    for k in range(k_max + 1):
+        dist = float(np.linalg.norm(v - limit))
+        points.append((k, dist))
+        if dist < eps:
+            k_stop = k
+            break
+        if k < k_max:
+            v = t_theta @ v
+    return points, k_stop, _oracle_fit(points)
+
+
+def _oracle_fit(points):
+    usable = [(k, dist) for k, dist in points if dist > experiments.RATE_FLOOR]
+    tail = usable[len(usable) // 2 :]
+    if len(tail) < 2:
+        return None
+    ks = np.array([k for k, _ in tail], dtype=float)
+    logs = np.array([math.log(dist) for _, dist in tail])
+    return float(np.exp(np.polyfit(ks, logs, 1)[0]))
+
+
+def _assert_sweep_matches_oracle(t, thetas, v0, eps, k_max):
+    f = experiments.fix_basis(t)
+    limit = f @ (f.T @ v0)
+    records = experiments.theta_sweep(t, thetas, v0, eps=eps, k_max=k_max)
+    assert [r.theta for r in records] == list(thetas)
+    runs = [_oracle_run(t, theta, v0, limit, eps, k_max) for theta in thetas]
+    for rec, (_, k_stop, rate) in zip(records, runs):
+        assert rec.k_stop == k_stop, rec.theta
+        assert rec.rho1_measured == rate, rec.theta
+    if thetas:
+        # converge is the one-theta case of the same loop.
+        points, k_stop, rate = runs[0]
+        trace = experiments.converge(t, thetas[0], v0, eps=eps, k_max=k_max)
+        assert trace.points == points
+        assert (trace.k_stop, trace.measured_rate) == (k_stop, rate)
+    return [k_stop for _, k_stop, _ in runs]
+
+
+def test_rate_fit_takes_logarithms_point_by_point():
+    # The vectorized np.log can round differently from math.log; the fit on
+    # a trace array must equal the per-point fit, so feed it such values.
+    x = np.exp(np.random.default_rng(0).uniform(-25.0, 2.0, 100000))
+    differ = x[np.log(x) != np.array([math.log(v) for v in x.tolist()])]
+    for dists in [x[:300]] + [np.array([1.0, 1.0, v, 1.0]) for v in differ]:
+        assert experiments._fit_rate(dists) == _oracle_fit(list(enumerate(dists.tolist())))
+    assert experiments._fit_rate(np.array([0.5, 1e-14])) is None
+
+
+def test_stacked_sweep_matches_oracle_on_random_operators():
+    thetas = [0.2, 0.6, 1.0, 1.3, 1.8]
+    stops = []
+    for seed in range(50):
+        t = experiments.random_operator(seed).T
+        v0 = SplitMix64(1000 + seed).normals(t.shape[0])
+        order = thetas[seed % 5 :] + thetas[: seed % 5]  # converge checks order[0]
+        stops += _assert_sweep_matches_oracle(t, order, v0, 1e-9, 300)
+    # Both outcomes occur: runs that stop early and runs that use the budget.
+    assert None in stops and any(k is not None and k < 300 for k in stops)
+
+
+def test_stacked_sweep_matches_oracle_on_a_built_operator():
+    ring_seq = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
+    spaces = subspaces.product([subspaces.random_subspace(2, 1, 70 + i) for i in range(4)])
+    t = splitting.build(ring_seq, spaces).T
+    assert not splitting.certificates(t).is_iso_averaged
+    v0 = SplitMix64(71).normals(t.shape[0])
+    thetas = [0.1 * i for i in range(1, 20)]
+    stops = _assert_sweep_matches_oracle(t, thetas, v0, 1e-10, 400)
+    assert len(set(stops)) > 3
+
+
+def test_stacked_sweep_stops_at_different_iterations():
+    # T = diag(1, 1/2, 0): T_theta shrinks the second coordinate by
+    # 1 - theta/2 and the third by 1 - theta, so each theta stops at its own k.
+    t = np.diag([1.0, 0.5, 0.0])
+    v0 = np.array([3.0, 1.0, 1.0])
+    thetas = [1.0, 0.3, 1.9, 0.7, 1.2]
+    stops = _assert_sweep_matches_oracle(t, thetas, v0, 1e-6, 1000)
+    assert len(set(stops)) == len(thetas)
+    # A start in the fixed subspace stops at once, and a start within eps
+    # of it too.
+    assert _assert_sweep_matches_oracle(t, thetas, np.array([3.0, 0.0, 0.0]), 1e-6, 50) == [0] * 5
+    near = np.array([3.0, 1e-7, 0.0])
+    assert _assert_sweep_matches_oracle(t, [0.5, 1.5], near, 1e-6, 50) == [0, 0]
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 2, 25])
+def test_stacked_sweep_budget_edges(k_max):
+    op, v0, _, _ = experiments.three_lines_example()
+    thetas = [1.0, 0.4, 1.6]
+    assert _assert_sweep_matches_oracle(op.T, thetas, v0, 1e-12, k_max) == [None] * 3
+    trace = experiments.converge(op, 1.0, v0, eps=1e-12, k_max=k_max)
+    assert [k for k, _ in trace.points] == list(range(k_max + 1))
+
+
+def test_stacked_sweep_single_and_empty_theta_lists():
+    op, v0, _, _ = experiments.three_lines_example()
+    _assert_sweep_matches_oracle(op.T, [1.0], v0, 1e-8, 500)
+    assert experiments.theta_sweep(op, [], v0) == []
+    [record] = experiments.theta_sweep(op, [0.7], v0, eps=1e-8)
+    trace = experiments.converge(op, 0.7, v0, eps=1e-8)
+    assert (record.k_stop, record.rho1_measured) == (trace.k_stop, trace.measured_rate)
+
+
+def test_sweep_checks_inputs_before_iterating(monkeypatch):
+    op, v0, _, _ = experiments.three_lines_example()
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("iterated before the inputs were checked")
+
+    # Relaxing T is the first step of any run, and matmul advances it.
+    monkeypatch.setattr(splitting, "relax", no_step)
+    monkeypatch.setattr(np, "matmul", no_step)
+    with pytest.raises(splitting.DomainError):
+        experiments.theta_sweep(op, [0.5, 2.0], v0)
+    with pytest.raises(ValueError, match="eps"):
+        experiments.theta_sweep(op, [0.5, 1.0], v0, eps=0.0)
+    with pytest.raises(ValueError, match="eps"):
+        experiments.theta_sweep(op, [1.0], v0, eps=-1e-6)
+    with pytest.raises(ValueError, match="k_max"):
+        experiments.converge(op, 1.0, v0, k_max=-1)
+
+
+def test_sweep_accepts_a_generator_of_thetas():
+    op, v0, _, _ = experiments.three_lines_example()
+    thetas = [0.5, 1.0, 1.5]
+    from_list = experiments.theta_sweep(op, thetas, v0)
+    assert experiments.theta_sweep(op, (theta for theta in thetas), v0) == from_list
+
+
+def test_sweep_takes_the_fixed_basis_from_its_report(monkeypatch):
+    op, v0, _, _ = experiments.three_lines_example()
+    calls = []
+    original = splitting.fix_basis
+
+    def counting(t):
+        calls.append(t.shape)
+        return original(t)
+
+    monkeypatch.setattr(splitting, "fix_basis", counting)
+    monkeypatch.setattr(experiments, "fix_basis", counting)
+    experiments.theta_sweep(op, [0.5, 1.0, 1.5], v0)
+    assert len(calls) == 1
+    report = splitting.spectral_report(op.T)
+    assert report.fixed_basis.shape == (op.size, report.fix_dim)
+    assert np.array_equal(report.fixed_basis, original(op.T))
 
 
 def test_measured_rate_tracks_prediction():
