@@ -30,7 +30,6 @@ from .splitting import (
     build,
     certificates,
     dr_rate,
-    m_b,
     predicted_rate,
     rebase,
     relax,
@@ -80,7 +79,6 @@ __all__ = [
     "incidence",
     "intersect",
     "laplacian_factor",
-    "m_b",
     "matlin",
     "monotonicity_check",
     "pair",

@@ -22,7 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import experiments, graphs, matlin, splitting, subspaces
+from ._json import integer
 from ._rng import SplitMix64
+
+MAX_THETAS = 10_000  # values a thetas range may expand to
 
 
 class ConfigError(Exception):
@@ -49,12 +52,13 @@ class ExperimentConfig:
 
 
 def _number(field, value, kind=float):
-    """value as a finite kind (int or float), or a ConfigError naming field."""
+    """value as a finite float (an int when kind is integer), or a ConfigError naming field."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{field}: expected a finite number, got {value!r}") from exc
-    if not math.isfinite(number):
+        expected = "an integer" if kind is integer else "a finite number"
+        raise ConfigError(f"{field}: expected {expected}, got {value!r}") from exc
+    if kind is float and not math.isfinite(number):  # an int of 400 digits overflows isfinite
         raise ConfigError(f"{field}: expected a finite number, got {value!r}")
     return number
 
@@ -69,15 +73,14 @@ def _expand_thetas(spec):
         )
         if step <= 0.0:
             raise ConfigError("thetas: step must be positive")
+        # Bounded, since start + k * step need not grow: 1.0 + 1e-20 == 1.0.
         values = []
-        k = 0
-        while True:
+        for k in range(MAX_THETAS + 1):
             theta = start + k * step
             if theta > stop + 1e-9:
-                break
+                return values
             values.append(theta)
-            k += 1
-        return values
+        raise ConfigError(f"thetas: range gives more than {MAX_THETAS} values")
     if isinstance(spec, list):
         return [_number("thetas", t) for t in spec]
     raise ConfigError("thetas: expected a list or {start, stop, step}")
@@ -104,7 +107,7 @@ def load_config(obj, seed=None, eps=None):
 
     if "ambient" not in obj:
         raise ConfigError('config: missing "ambient"')
-    ambient = _number("ambient", obj["ambient"], int)
+    ambient = _number("ambient", obj["ambient"], integer)
     if ambient < 1:
         raise ConfigError("ambient: must be at least 1")
 
@@ -126,10 +129,10 @@ def load_config(obj, seed=None, eps=None):
     eps_value = _number("eps", eps if eps is not None else obj.get("eps", experiments.DEFAULT_EPS))
     if eps_value <= 0.0:
         raise ConfigError("eps: must be positive")
-    k_max = _number("k_max", obj.get("k_max", experiments.DEFAULT_K_MAX), int)
+    k_max = _number("k_max", obj.get("k_max", experiments.DEFAULT_K_MAX), integer)
     if k_max < 1:
         raise ConfigError("k_max: must be at least 1")
-    seed_value = _number("seed", seed if seed is not None else obj.get("seed", 0), int)
+    seed_value = _number("seed", seed if seed is not None else obj.get("seed", 0), integer)
 
     v0 = obj.get("v0", "random")
     if v0 != "random":
@@ -236,7 +239,7 @@ def cmd_verify(seed, trials):
     return "\n".join(lines) + "\n", good == total
 
 
-def _read_config(path, seed, eps):
+def _read_config(path, seed=None, eps=None):
     try:
         if path is None:
             text = sys.stdin.read()
@@ -276,8 +279,9 @@ def _parser():
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="config JSON path (default: standard input)")
-        cmd.add_argument("--seed", type=int, help="override the config seed")
-        cmd.add_argument("--eps", type=float, help="override the config stopping tolerance")
+        if name == "sweep":
+            cmd.add_argument("--seed", type=int, help="override the config seed")
+            cmd.add_argument("--eps", type=float, help="override the config stopping tolerance")
         cmd.add_argument("--out", help="write output to this path instead of stdout")
 
     demo = sub.add_parser("demo", help="replay a golden worked example (or 'all')")
@@ -295,7 +299,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         if args.command == "analyze":
-            config = _read_config(args.config, args.seed, args.eps)
+            config = _read_config(args.config)
             _emit(json.dumps(cmd_analyze(config), indent=2) + "\n", args.out)
             return 0
         if args.command == "sweep":

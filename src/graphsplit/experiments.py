@@ -309,19 +309,16 @@ def with_extra_edge(gp, edge):
 
 
 def pair_catalog():
-    """Named graph-pair builders with their G = G' status and minimal size."""
-    same = [(name, (lambda nm: lambda n: graphs.pair(graphs.preset(nm, n)))(name), True,
-             3 if name in ("ring", "biparallel") else 2)
+    """Named graph-pair builders, each taking the number of nodes (at least 3)."""
+    same = [(name, (lambda nm: lambda n: graphs.pair(graphs.preset(nm, n)))(name))
             for name in graphs.PRESETS]
     diff = [
         ("parallel_down+edge/parallel_down",
-         lambda n: with_extra_edge(graphs.preset("parallel_down", n), (1, 2)), False, 3),
+         lambda n: with_extra_edge(graphs.preset("parallel_down", n), (1, 2))),
         ("biparallel/parallel_up",
-         lambda n: graphs.pair(graphs.preset("biparallel", n), graphs.preset("parallel_up", n)),
-         False, 3),
+         lambda n: graphs.pair(graphs.preset("biparallel", n), graphs.preset("parallel_up", n))),
         ("ring/sequential",
-         lambda n: graphs.pair(graphs.preset("ring", n), graphs.preset("sequential", n)),
-         False, 3),
+         lambda n: graphs.pair(graphs.preset("ring", n), graphs.preset("sequential", n))),
     ]
     return same + diff
 
@@ -348,12 +345,12 @@ def graph_equality_trials(seed, trials):
         raise ValueError("need at least one trial")
     rng = SplitMix64(seed)
     records = []
-    for name, make, same, n_min in pair_catalog():
+    for name, make in pair_catalog():
         for _ in range(trials):
-            n = rng.randint(max(n_min, 3), 6)
+            n = rng.randint(3, 6)
             d = rng.randint(1, 3)
             gp = make(n)
-            if same:
+            if gp.same:
                 factors = [
                     subspaces.random_subspace(d, rng.randint(0, d), rng.next_uint64())
                     for _ in range(n)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matlin
+from ._json import integer
 
 PRESETS = ("sequential", "ring", "parallel_up", "parallel_down", "biparallel", "complete")
 
@@ -128,21 +129,6 @@ def pair(g, gp=None):
     return GraphPair(g, g if gp is None else gp)
 
 
-def edge_laplacian(n, edges):
-    """Laplacian Deg - Adj - Adj^T of an arbitrary edge set on n nodes.
-
-    No connectivity check: this also serves the difference graph that keeps
-    the nodes of a graph but drops the edges of its subgraph.
-    """
-    lap = np.zeros((n, n))
-    for i, j in edges:
-        lap[i - 1, i - 1] += 1.0
-        lap[j - 1, j - 1] += 1.0
-        lap[i - 1, j - 1] -= 1.0
-        lap[j - 1, i - 1] -= 1.0
-    return lap
-
-
 def matrices(g):
     """Adjacency, degree, Laplacian and update matrix B = Deg - 2 Adj^T."""
     n = g.n
@@ -211,7 +197,7 @@ def from_json(obj):
     if not isinstance(obj, dict):
         raise GraphError("graph fragment must be an object")
     if "preset" in obj:
-        return preset(obj["preset"], int(obj["n"]))
+        return preset(obj["preset"], integer(obj["n"]))
     if "edges" not in obj or "n" not in obj:
         raise GraphError('graph fragment needs either "preset"/"n" or "n"/"edges"')
-    return validate(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+    return validate(integer(obj["n"]), [tuple(integer(v) for v in e) for e in obj["edges"]])

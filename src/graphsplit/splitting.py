@@ -63,20 +63,14 @@ class SplittingOperator:
         return np.eye(self.size) - self.T
 
 
-def m_b(spaces, b):
-    """The block map P B-lifted P + (I - P) on the n-fold product space.
-
-    P is the block-diagonal projector of the product subspace. The map acts
-    as the identity on the orthogonal complement and is invertible thanks
-    to the forward orientation of the graph edges.
-    """
-    p = spaces.projector()
-    bbar = matlin.kron_lift(b, spaces.ambient)
-    return p @ bbar @ p + (np.eye(p.shape[0]) - p)
-
-
 def build(graph_pair, spaces, z=None):
     """Assemble the splitting operator for a graph pair and node subspaces.
+
+    The block map is M = P Bbar P + (I - P) on the n-fold product space: P
+    is the block-diagonal projector of the product subspace and Bbar the
+    lift of the update matrix B of G. M acts as the identity on the
+    orthogonal complement and is invertible thanks to the forward
+    orientation of the graph edges.
 
     The dense matrix is produced by columnwise linear solves against the
     block map (never an explicit inverse), followed by a build-time check
@@ -96,20 +90,21 @@ def build(graph_pair, spaces, z=None):
     if n < 2:
         raise ValueError("need at least two nodes")
     _, _, _, b = graphs.matrices(graph_pair.g)
-    lap_sub = graphs.edge_laplacian(n, graph_pair.gp.edges)
     if z is None:
         z = graphs.laplacian_factor(graph_pair.gp)
     else:
         z = np.asarray(z, dtype=float)
         if z.shape != (n, n - 1):
             raise BadFactorError(f"Z must be {n} x {n - 1}, got {z.shape}")
+        _, _, lap_sub, _ = graphs.matrices(graph_pair.gp)
         if np.linalg.norm(z @ z.T - lap_sub) > 1e-9 * (1.0 + np.linalg.norm(lap_sub)):
             raise BadFactorError("Z Z^T does not reproduce the subgraph Laplacian")
 
     p = spaces.projector()
     zbar = matlin.kron_lift(z, d)
     bbar = matlin.kron_lift(b, d)
-    m = m_b(spaces, b)
+    pbp = p @ bbar @ p
+    m = pbp + (np.eye(p.shape[0]) - p)
 
     x = np.linalg.solve(m, p @ zbar)
     c = zbar.T @ x
@@ -119,7 +114,6 @@ def build(graph_pair, spaces, z=None):
     scale = 1.0 + np.linalg.norm(minv)
     if np.linalg.norm(minv @ p - p @ minv) > 1e-9 * scale:
         raise SelfCheckFailedError("block-map inverse does not commute with the projector")
-    pbp = p @ bbar @ p
     lift_scale = 1e-9 * scale * (1.0 + np.linalg.norm(bbar))
     if (
         np.linalg.norm(minv @ pbp - p) > lift_scale

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matlin
+from ._json import integer
 from ._rng import SplitMix64
 
 
@@ -203,7 +204,7 @@ def from_json(obj, ambient):
             raise ValueError("hyperplane normal does not match the ambient dimension")
         return hyperplane(normal)
     if kind == "random":
-        return random_subspace(ambient, int(obj["dim"]), int(obj["seed"]))
+        return random_subspace(ambient, integer(obj["dim"]), integer(obj["seed"]))
     if kind == "full":
         return full(ambient)
     if kind == "trivial":

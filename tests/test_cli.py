@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -170,14 +171,97 @@ def test_config_errors(tmp_path, breaker, capsys):
         ("seed", None),
         ("thetas", {"start": 0.1, "stop": float("inf"), "step": 0.1}),
         ("v0", [1.0, float("nan"), 0.0, 1.0]),
+        # Integer fields take no bool, string or fraction (int() would truncate).
+        ("ambient", 2.9),
+        ("ambient", "2"),
+        ("k_max", True),
+        ("seed", 5.5),
+        ("seed", "7"),
     ],
 )
 def test_bad_values_name_their_field(tmp_path, field, value, capsys):
-    cfg = _config(**{field: value})
-    with pytest.raises(cli.ConfigError, match=f"^{field}"):
+    _assert_config_error(tmp_path, capsys, _config(**{field: value}), field)
+
+
+def _assert_config_error(tmp_path, capsys, cfg, field):
+    with pytest.raises(cli.ConfigError, match=f"^{re.escape(field)}"):
         cli.load_config(json.loads(json.dumps(cfg)))
     assert cli.main(["analyze", "--config", _write(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}")
+
+
+def _random_spaces(dim=1, seed=12):
+    return [
+        {"kind": "random", "dim": 1, "seed": 11},
+        {"kind": "random", "dim": dim, "seed": seed},
+        {"kind": "random", "dim": 1, "seed": 13},
+    ]
+
+
+@pytest.mark.parametrize(
+    "field,overrides",
+    [
+        ("graph", {"graph": {"preset": "sequential", "n": 3.7}}),
+        ("graph", {"graph": {"n": 3, "edges": [[1, 2.9], [2, 3]]}}),
+        ("subgraph", {"subgraph": {"preset": "sequential", "n": 3.5}}),
+        ("subgraph", {"subgraph": {"n": 3, "edges": [[1, 2], [True, 3]]}}),
+        ("spaces[2]", {"spaces": _random_spaces(dim=1.5)}),
+        ("spaces[2]", {"spaces": _random_spaces(seed="12")}),
+    ],
+)
+def test_integer_fragment_fields_name_their_field(tmp_path, field, overrides, capsys):
+    _assert_config_error(tmp_path, capsys, _config(**overrides), field)
+
+
+def test_integral_floats_load_as_integers():
+    exact = cli.load_config(_config(k_max=10000))
+    floats = cli.load_config(
+        _config(
+            graph={"n": 3.0, "edges": [[1.0, 2.0], [2, 3]]},
+            ambient=2.0,
+            spaces=_random_spaces(dim=1.0, seed=12.0),
+            k_max=1e4,
+            seed=5.0,
+        )
+    )
+    assert (floats.k_max, floats.seed) == (10000, 5)
+    assert type(floats.k_max) is int
+    assert cli.cmd_analyze(floats) == cli.cmd_analyze(exact)
+    assert cli.cmd_sweep(floats) == cli.cmd_sweep(exact)
+
+
+def test_a_long_integer_seed_loads():
+    # Too large for a float, which a finiteness test would convert it to.
+    assert cli.load_config(_config(seed=10**400)).seed == 10**400
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # 1.0 + k * 1e-20 == 1.0 for k below about 11000: the range never ends.
+        {"start": 1.0, "stop": 1.5, "step": 1e-20},
+        # (stop - start) / step is 0, yet 1e300 + k == 1e300 for every k.
+        {"start": 1e300, "stop": 1e300, "step": 1.0},
+        # 10001 values, one more than the limit.
+        {"start": 0.0001, "stop": 1.0001, "step": 1e-4},
+    ],
+)
+def test_theta_range_is_bounded(spec):
+    with pytest.raises(cli.ConfigError, match="^thetas: range gives more than 10000 values$"):
+        cli.load_config(_config(thetas=spec))
+
+
+def test_theta_range_at_the_limit_loads():
+    cfg = cli.load_config(_config(thetas={"start": 1e-4, "stop": 1.0, "step": 1e-4}))
+    assert len(cfg.thetas) == cli.MAX_THETAS
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--eps", "0.5"]])
+def test_analyze_takes_no_seed_or_eps(tmp_path, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--config", _write(tmp_path, _config()), *flag])
+    assert exc.value.code == 2
+    assert cli.main(["sweep", "--config", _write(tmp_path, _config()), *flag]) == 0
 
 
 def _no_convergence(t):

@@ -98,10 +98,12 @@ def test_laplacian_edge_difference():
     gp = graphs.preset("sequential", 5)
     _, _, lap_g, _ = graphs.matrices(g)
     _, _, lap_gp, _ = graphs.matrices(gp)
-    dropped = set(g.edges) - set(gp.edges)
-    assert np.allclose(lap_gp, lap_g - graphs.edge_laplacian(5, dropped), atol=1e-14)
-    # Dropping all edges leaves the zero Laplacian.
-    assert np.array_equal(graphs.edge_laplacian(4, ()), np.zeros((4, 4)))
+    assert set(g.edges) - set(gp.edges) == {(1, 5)}
+    # The ring drops to the chain by losing edge (1, 5), whose Laplacian is e e^T
+    # with e = e_1 - e_5.
+    e = np.zeros(5)
+    e[0], e[4] = 1.0, -1.0
+    assert np.array_equal(lap_gp, lap_g - np.outer(e, e))
 
 
 def test_incidence_reconstructs_laplacian():

@@ -22,26 +22,23 @@ def _dr_pair(angle_deg):
     return op, u1, u2
 
 
-def test_m_b_full_spaces_is_lifted_b():
-    g = graphs.preset("sequential", 3)
-    _, _, _, b = graphs.matrices(g)
-    spaces = subspaces.product([subspaces.full(2)] * 3)
-    assert np.allclose(splitting.m_b(spaces, b), matlin.kron_lift(b, 2), atol=1e-14)
+def test_build_forms_the_projector_once_and_lifts_twice(monkeypatch):
+    counts = {"projector": 0, "kron_lift": 0}
+    projector, kron_lift = subspaces.ProductSubspace.projector, matlin.kron_lift
 
+    def counting_projector(self):
+        counts["projector"] += 1
+        return projector(self)
 
-def test_m_b_trivial_spaces_is_identity():
-    g = graphs.preset("sequential", 3)
-    _, _, _, b = graphs.matrices(g)
-    spaces = subspaces.product([subspaces.trivial(2)] * 3)
-    assert np.array_equal(splitting.m_b(spaces, b), np.eye(6))
+    def counting_kron_lift(z, d):
+        counts["kron_lift"] += 1
+        return kron_lift(z, d)
 
-
-def test_m_b_invertible():
-    g = graphs.preset("sequential", 3)
-    _, _, _, b = graphs.matrices(g)
-    spaces = subspaces.product([subspaces.random_subspace(2, 1, 3 + k) for k in range(3)])
-    m = splitting.m_b(spaces, b)
-    assert np.linalg.norm(m @ np.linalg.inv(m) - np.eye(6)) <= 1e-10
+    monkeypatch.setattr(subspaces.ProductSubspace, "projector", counting_projector)
+    monkeypatch.setattr(matlin, "kron_lift", counting_kron_lift)
+    gp = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
+    splitting.build(gp, subspaces.product([subspaces.random_subspace(3, 2, k) for k in range(4)]))
+    assert counts == {"projector": 1, "kron_lift": 2}
 
 
 def test_build_two_nodes_is_douglas_rachford():
