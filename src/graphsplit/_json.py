@@ -1,4 +1,4 @@
-"""Strict reading of integer fields from decoded JSON."""
+"""Strict reading of integer and float fields from decoded JSON."""
 
 import numbers
 
@@ -14,3 +14,11 @@ def integer(value):
     ):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def real(value):
+    """value as a float; a bool or a string raises a ValueError, where float()
+    would read true as 1.0 and "0.5" as 0.5."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import experiments, graphs, matlin, splitting, subspaces
-from ._json import integer
+from ._json import integer, real
 from ._rng import SplitMix64
 
 MAX_THETAS = 10_000  # values a thetas range may expand to
@@ -51,14 +51,14 @@ class ExperimentConfig:
     v0: object  # numpy vector or the string "random"
 
 
-def _number(field, value, kind=float):
+def _number(field, value, kind=real):
     """value as a finite float (an int when kind is integer), or a ConfigError naming field."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         expected = "an integer" if kind is integer else "a finite number"
         raise ConfigError(f"{field}: expected {expected}, got {value!r}") from exc
-    if kind is float and not math.isfinite(number):  # an int of 400 digits overflows isfinite
+    if kind is real and not math.isfinite(number):  # an int of 400 digits overflows isfinite
         raise ConfigError(f"{field}: expected a finite number, got {value!r}")
     return number
 

@@ -268,7 +268,7 @@ def witness_search(graph_pair, d):
     worst = 0.0
     for i in range(1, n + 1):
         op = splitting.build(graph_pair, subspaces.coordinate_product(n, i, d))
-        iso = splitting.certificates(op.T).iso_defect
+        iso = splitting.iso_defect(op.T)
         if iso > WITNESS_TOL:
             return WitnessResult(True, i, iso)
         worst = max(worst, iso)
@@ -356,8 +356,7 @@ def graph_equality_trials(seed, trials):
                     for _ in range(n)
                 ]
                 op = splitting.build(gp, subspaces.product(factors))
-                cert = splitting.certificates(op.T)
-                consistent, defect = cert.is_iso_averaged, cert.iso_defect
+                defect, consistent = splitting.iso_verdict(op.T)
                 records.append(TrialRecord(name, n, d, True, consistent, defect, None))
             else:
                 res = witness_search(gp, d)

@@ -11,6 +11,7 @@ Node indices are 1-based at the boundary (matching the usual convention
 for these methods) and 0-based in array code.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,13 +160,25 @@ def laplacian_factor(g):
 
     Built from the pivoted QR of the transposed incidence matrix, so the
     reconstruction is exact up to round-off and no eigen-solve is needed.
+    Z is a pure function of the frozen graph, so it is computed once per
+    graph (the last 256 graphs are kept) and returned read-only: every call
+    on an equal graph gives the same array object, which no caller can
+    modify. Copy it to change it.
     """
+    # A plain function in front of the cache, since the span tracer of
+    # perfbench/tracer.py wraps plain functions only.
+    return _laplacian_factor(g)
+
+
+@functools.lru_cache(maxsize=256)
+def _laplacian_factor(g):
     n = g.n
     e = incidence(g)
     _, r, perm = matlin.qr(e.T, pivoting=True)
     z0 = r[: n - 1, :].T
     z = np.zeros((n, n - 1))
     z[perm, :] = z0
+    z.flags.writeable = False
     return z
 
 
@@ -197,6 +210,8 @@ def from_json(obj):
     if not isinstance(obj, dict):
         raise GraphError("graph fragment must be an object")
     if "preset" in obj:
+        if "n" not in obj:
+            raise GraphError('preset graph fragment needs "n"')
         return preset(obj["preset"], integer(obj["n"]))
     if "edges" not in obj or "n" not in obj:
         raise GraphError('graph fragment needs either "preset"/"n" or "n"/"edges"')

@@ -9,6 +9,8 @@ behavior fully under our control at the desk scale this library targets (a
 few hundred rows).
 """
 
+import math
+
 import numpy as np
 
 # Relative threshold shared by every rank decision in the package.
@@ -165,7 +167,10 @@ def general_eigenvalues(a):
     iteration; 1x1 and 2x2 trailing blocks are solved in closed form as
     they deflate. Raises NoConvergenceError if the budget of 100 n sweeps
     is exhausted, which does not happen for the well-scaled inputs this
-    package produces.
+    package produces. a is first scaled by the power of two 2^-e with
+    max|a| in [2^(e-1), 2^e), as in operator_norm, and the eigenvalues are
+    scaled back: both steps are exact, so a tiny or huge a neither
+    underflows nor overflows in the shift polynomial.
     """
     a = _as_matrix(a)
     n = a.shape[0]
@@ -175,7 +180,8 @@ def general_eigenvalues(a):
         return []
     if n == 1:
         return [complex(a[0, 0])]
-    h = _hessenberg(a)
+    e = int(np.frexp(np.max(np.abs(a)))[1])
+    h = _hessenberg(np.ldexp(a, -e))
     scale = float(np.linalg.norm(h)) or 1.0
     eps = float(np.finfo(float).eps)
     eigs = []
@@ -212,7 +218,7 @@ def general_eigenvalues(a):
             if sweeps > budget:
                 raise NoConvergenceError(f"no deflation after {budget} QR sweeps")
             _francis_sweep(h, lo, hi, exceptional=(stall % 10 == 0))
-    return eigs
+    return [complex(math.ldexp(lam.real, e), math.ldexp(lam.imag, e)) for lam in eigs]
 
 
 def _count_below(d, e2, x, pivmin):
@@ -286,4 +292,7 @@ def kron_lift(z, d):
     """Blockwise lift z -> z (x) I_d: every entry becomes a d x d scalar block."""
     if d < 1:
         raise ValueError("block size d must be at least 1")
-    return np.kron(_as_matrix(z), np.eye(d))
+    z = _as_matrix(z)
+    n, m = z.shape
+    # The products np.kron forms, signed zeros included, without its overhead.
+    return (z[:, None, :, None] * np.eye(d)[None, :, None, :]).reshape(n * d, m * d)

@@ -8,11 +8,15 @@ and serve as each other's oracle.
 
 Certificates quantify how far T is from being normal (T^T T = T T^T) and
 from being the average of an isometry and the identity (2 T^T T = T + T^T),
-and `certificates` alone turns them into verdicts. The second property is
-what makes the relaxed map's convergence rate an explicit function of the
-relaxation parameter.
+and one rule turns them into verdicts: a defect counts as zero up to
+DEFECT_TOL (1 + ||T||^2). `certificates` takes every defect and ||T||;
+`iso_defect` and `iso_verdict` take only what the graph-equality trials and
+witnesses read, with the same expressions and so the same bits. The second
+property is what makes the relaxed map's convergence rate an explicit
+function of the relaxation parameter.
 """
 
+import math
 import warnings
 from dataclasses import astuple, dataclass, field
 
@@ -173,6 +177,21 @@ class Certificates:
     is_iso_averaged: bool
 
 
+def _negligible(defect, nrm):
+    """Whether a defect counts as zero next to ||T|| = nrm: the one
+    classification rule of the package.
+
+    Rounding is monotone, so the computed threshold is never below
+    DEFECT_TOL, and a defect at most DEFECT_TOL is negligible whatever ||T||
+    is.
+    """
+    return defect <= DEFECT_TOL * (1.0 + nrm * nrm)
+
+
+def _iso(t, gram):
+    return matlin.operator_norm(2.0 * gram - t - t.T)
+
+
 def certificates(t):
     """Structural defects of a square matrix, its norm, and the verdicts.
 
@@ -184,10 +203,26 @@ def certificates(t):
     t = np.asarray(t, dtype=float)
     gram = t.T @ t
     normality = matlin.operator_norm(gram - t @ t.T)
-    iso = matlin.operator_norm(2.0 * gram - t - t.T)
+    iso = _iso(t, gram)
     nrm = matlin.operator_norm(t)
-    threshold = DEFECT_TOL * (1.0 + nrm * nrm)
-    return Certificates(normality, iso, nrm, normality <= threshold, iso <= threshold)
+    return Certificates(normality, iso, nrm, _negligible(normality, nrm), _negligible(iso, nrm))
+
+
+def iso_defect(t):
+    """The iso defect of `certificates`, bit for bit, at the cost of one norm."""
+    t = np.asarray(t, dtype=float)
+    return _iso(t, t.T @ t)
+
+
+def iso_verdict(t):
+    """(iso_defect, is_iso_averaged) of `certificates`, bit for bit.
+
+    ||T|| enters the verdict only when the defect exceeds DEFECT_TOL, so an
+    iso-averaged map costs one norm where `certificates` takes three.
+    """
+    t = np.asarray(t, dtype=float)
+    iso = iso_defect(t)
+    return iso, iso <= DEFECT_TOL or _negligible(iso, matlin.operator_norm(t))
 
 
 def fix_basis(t):
@@ -196,11 +231,21 @@ def fix_basis(t):
     Ranks T - I at a threshold tied to the scale of T itself: when T is the
     identity up to round-off, every direction is fixed, which a rank
     decision relative to the (noise-level) difference matrix would miss.
+
+    That identity test, ||T - I||_2 <= RANK_TOL (1 + ||T||_2), can only pass
+    when ||T - I||_F <= sqrt(N) RANK_TOL (1 + ||T||_F), because
+    ||A||_2 >= ||A||_F / sqrt(N) and ||T||_2 <= ||T||_F on N x N matrices.
+    The Frobenius norms are cheap, so the two spectral norms are taken only
+    inside that band, widened by a factor 2 for the rounding of the computed
+    norms; outside it T - I goes straight to the null-space routine.
     """
     t = np.asarray(t, dtype=float)
     n = t.shape[0]
     delta = t - np.eye(n)
-    if matlin.operator_norm(delta) <= matlin.RANK_TOL * (1.0 + matlin.operator_norm(t)):
+    band = 2.0 * math.sqrt(n) * matlin.RANK_TOL * (1.0 + np.linalg.norm(t))
+    if np.linalg.norm(delta) <= band and (
+        matlin.operator_norm(delta) <= matlin.RANK_TOL * (1.0 + matlin.operator_norm(t))
+    ):
         return np.eye(n)
     return matlin.null_space(delta)
 

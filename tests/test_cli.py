@@ -177,10 +177,29 @@ def test_config_errors(tmp_path, breaker, capsys):
         ("k_max", True),
         ("seed", 5.5),
         ("seed", "7"),
+        # Float fields take no bool or string (float() would read them).
+        ("eps", True),
+        ("eps", "1e-6"),
+        ("thetas", ["1.5", True]),
+        ("thetas", [1.5, True]),
     ],
 )
 def test_bad_values_name_their_field(tmp_path, field, value, capsys):
     _assert_config_error(tmp_path, capsys, _config(**{field: value}), field)
+
+
+@pytest.mark.parametrize(
+    "key,value", [("start", "0.5"), ("stop", True), ("step", "0.25"), ("start", False)]
+)
+def test_range_bounds_take_no_bool_or_string(tmp_path, key, value, capsys):
+    spec = {"start": 0.5, "stop": 1.0, "step": 0.25, key: value}
+    _assert_config_error(tmp_path, capsys, _config(thetas=spec), f"thetas.{key}")
+
+
+@pytest.mark.parametrize("field", ["graph", "subgraph"])
+def test_a_preset_without_n_says_so(tmp_path, field, capsys):
+    cfg = _config(**{field: {"preset": "sequential"}})
+    _assert_config_error(tmp_path, capsys, cfg, f'{field}: preset graph fragment needs "n"')
 
 
 def _assert_config_error(tmp_path, capsys, cfg, field):

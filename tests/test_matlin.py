@@ -5,6 +5,8 @@ Sturm bisection) never calls numpy.linalg decompositions, so numpy.linalg
 here is a genuinely independent check.
 """
 
+import math
+
 import numpy as np
 import pytest
 from conftest import eig_multiset_close
@@ -238,6 +240,35 @@ def test_kron_lift_product_property():
     left = matlin.kron_lift(a, 3) @ matlin.kron_lift(b, 3)
     right = matlin.kron_lift(a @ b, 3)
     assert np.allclose(left, right, atol=1e-13)
+
+
+def test_kron_lift_is_bitwise_np_kron():
+    rng = np.random.default_rng(13)
+    values = np.array([-0.0, 0.0, -1.5, 2.0, 1e-300, -1e300])
+    for _ in range(200):
+        n, m, d = (int(k) for k in rng.integers(0, 5, size=3))
+        z = np.where(rng.random((n, m)) < 0.5, rng.choice(values, (n, m)), rng.standard_normal((n, m)))
+        got = matlin.kron_lift(z, d + 1)
+        want = np.kron(z, np.eye(d + 1))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_general_eigenvalues_scale_by_powers_of_two_exactly():
+    for seed in (6, 31, 118):
+        a = random_operator(seed).T
+        want = matlin.general_eigenvalues(a)
+        for e in (-300, -40, 60, 900):
+            got = matlin.general_eigenvalues(np.ldexp(a, e))
+            assert got == [complex(math.ldexp(w.real, e), math.ldexp(w.imag, e)) for w in want]
+
+
+def test_general_eigenvalues_of_a_tiny_matrix():
+    # Unscaled, the shift polynomial h^2 underflows here and QR never deflates.
+    for seed in (6, 31, 118):
+        a = 1e-94 * random_operator(seed).T
+        got = matlin.general_eigenvalues(a)
+        assert eig_multiset_close(got, np.linalg.eigvals(a), 1e-12 * (1e-94 + np.linalg.norm(a)))
 
 
 def test_rejects_nonfinite_entries():

@@ -66,3 +66,15 @@ def test_full_spaces_solve_against_the_lifted_update_matrix(config):
     zbar = matlin.kron_lift(op.Z, d)
     expected = zbar.T @ np.linalg.solve(matlin.kron_lift(b, d), zbar)
     assert np.max(np.abs(op.C - expected)) <= 1e-12
+
+
+def test_every_unequal_catalog_pair_has_a_witness():
+    # The whole range the trials draw from: n 3 to 6, d 1 to 3.
+    for _, make in CATALOG:
+        for n in range(3, 7):
+            graph_pair = make(n)
+            if graph_pair.same:
+                continue
+            for d in range(1, 4):
+                result = experiments.witness_search(graph_pair, d)
+                assert result.found and result.defect > experiments.WITNESS_TOL
