@@ -22,3 +22,10 @@ def real(value):
     if isinstance(value, (bool, str)):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
+
+
+def reals(value):
+    """value with every number in it, down nested lists, read by real."""
+    if isinstance(value, list):
+        return [reals(item) for item in value]
+    return real(value)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import experiments, graphs, matlin, splitting, subspaces
-from ._json import integer, real
+from ._json import integer, real, reals
 from ._rng import SplitMix64
 
 MAX_THETAS = 10_000  # values a thetas range may expand to
@@ -118,7 +118,7 @@ def load_config(obj, seed=None, eps=None):
     for idx, fragment in enumerate(fragments, start=1):
         try:
             factors.append(subspaces.from_json(fragment, ambient))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"spaces[{idx}]: {exc}") from exc
 
     thetas = _expand_thetas(obj.get("thetas", []))
@@ -137,8 +137,8 @@ def load_config(obj, seed=None, eps=None):
     v0 = obj.get("v0", "random")
     if v0 != "random":
         try:
-            flat = np.asarray(v0, dtype=float).ravel()
-        except (TypeError, ValueError) as exc:
+            flat = np.asarray(reals(v0), dtype=float).ravel()
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"v0: expected a list of numbers: {exc}") from exc
         if not np.all(np.isfinite(flat)):
             raise ConfigError("v0: entries must be finite")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matlin
-from ._json import integer
+from ._json import integer, reals
 from ._rng import SplitMix64
 
 
@@ -197,9 +197,9 @@ def from_json(obj, ambient):
         raise ValueError('subspace fragment must be an object with a "kind"')
     kind = obj["kind"]
     if kind == "span":
-        return from_generators([np.asarray(v, dtype=float) for v in obj["vectors"]], ambient)
+        return from_generators([np.asarray(reals(v), dtype=float) for v in obj["vectors"]], ambient)
     if kind == "hyperplane":
-        normal = np.asarray(obj["normal"], dtype=float)
+        normal = np.asarray(reals(obj["normal"]), dtype=float)
         if normal.shape[0] != ambient:
             raise ValueError("hyperplane normal does not match the ambient dimension")
         return hyperplane(normal)

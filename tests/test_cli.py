@@ -182,10 +182,45 @@ def test_config_errors(tmp_path, breaker, capsys):
         ("eps", "1e-6"),
         ("thetas", ["1.5", True]),
         ("thetas", [1.5, True]),
+        ("v0", ["1.5", True, 1.0, 2.0]),
+        ("v0", [[1.0, 2.0], [3.0, False]]),
+        ("v0", [10**400, 0.0, 0.0, 1.0]),
     ],
 )
 def test_bad_values_name_their_field(tmp_path, field, value, capsys):
     _assert_config_error(tmp_path, capsys, _config(**{field: value}), field)
+
+
+def _first_space(fragment):
+    return [fragment, {"kind": "full"}, {"kind": "full"}]
+
+
+@pytest.mark.parametrize(
+    "fragment",
+    [
+        {"kind": "hyperplane", "normal": [True, "2"]},
+        {"kind": "hyperplane", "normal": [1.0, "2"]},
+        {"kind": "span", "vectors": [["1", False]]},
+        {"kind": "span", "vectors": [[1.0, 0.0], [0.0, True]]},
+        {"kind": "span", "vectors": [[10**400, 0.0]]},
+    ],
+)
+def test_float_fragment_fields_name_their_field(tmp_path, fragment, capsys):
+    _assert_config_error(tmp_path, capsys, _config(spaces=_first_space(fragment)), "spaces[1]")
+
+
+def test_numeric_vector_fields_load_as_before():
+    nested = cli.load_config(_config(v0=[[1, 2.5], [3, 4]]))
+    assert nested.v0.tolist() == [1.0, 2.5, 3.0, 4.0]
+    as_ints = cli.load_config(
+        _config(spaces=_first_space({"kind": "hyperplane", "normal": [1, 2]}))
+    )
+    as_floats = cli.load_config(
+        _config(spaces=_first_space({"kind": "hyperplane", "normal": [1.0, 2.0]}))
+    )
+    assert np.array_equal(as_ints.spaces.factors[0].basis, as_floats.spaces.factors[0].basis)
+    span = cli.load_config(_config(spaces=_first_space({"kind": "span", "vectors": [[3, 4]]})))
+    assert np.array_equal(span.spaces.factors[0].basis, np.array([[0.6], [0.8]]))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Convergence traces, sweeps, behavioral checks, and the example catalog."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,13 +174,77 @@ def test_stacked_sweep_stops_at_different_iterations():
     assert _assert_sweep_matches_oracle(t, [0.5, 1.5], near, 1e-6, 50) == [0, 0]
 
 
-@pytest.mark.parametrize("k_max", [0, 1, 2, 25])
+@pytest.mark.parametrize("k_max", [0, 1, 2, 25, 31, 32, 33])
 def test_stacked_sweep_budget_edges(k_max):
     op, v0, _, _ = experiments.three_lines_example()
     thetas = [1.0, 0.4, 1.6]
-    assert _assert_sweep_matches_oracle(op.T, thetas, v0, 1e-12, k_max) == [None] * 3
-    trace = experiments.converge(op, 1.0, v0, eps=1e-12, k_max=k_max)
+    assert _assert_sweep_matches_oracle(op.T, thetas, v0, 1e-300, k_max) == [None] * 3
+    trace = experiments.converge(op, 1.0, v0, eps=1e-300, k_max=k_max)
     assert [k for k, _ in trace.points] == list(range(k_max + 1))
+
+
+# On T = diag(1, 0), T_theta = diag(1, 1 - theta): from (3, 1) the distance
+# to the limit (3, 0) is |1 - theta|^k, exactly 2^-k at theta = 1/2.
+HALVING = np.diag([1.0, 0.0])
+HALVING_V0 = np.array([3.0, 1.0])
+
+
+@pytest.mark.parametrize("k_stop", [0, 31, 32, 33, 64])
+def test_stacked_sweep_stops_at_block_edges(k_stop):
+    # 2^-k < eps = 2^(1 - k_stop) first holds at k = k_stop.
+    eps = 2.0 ** (1 - k_stop)
+    for k_max in (k_stop, k_stop + 1, 100):
+        stops = _assert_sweep_matches_oracle(HALVING, [0.5, 1.5], HALVING_V0, eps, k_max)
+        assert stops == [k_stop, k_stop]
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 31, 32, 33, 39])
+def test_stacked_sweep_computes_no_iterate_past_the_budget(k_max):
+    # Each run would stop at k = 40, inside the block that holds k_max + 1.
+    eps = 2.0**-39
+    assert _assert_sweep_matches_oracle(HALVING, [0.5], HALVING_V0, eps, k_max) == [None]
+    assert _assert_sweep_matches_oracle(HALVING, [0.5], HALVING_V0, eps, 40) == [40]
+
+
+def test_stacked_sweep_stops_many_thetas_in_one_block():
+    thetas = [0.5, 0.45, 0.55, 0.4, 1.5, 0.36]
+    stops = _assert_sweep_matches_oracle(HALVING, thetas, HALVING_V0, 1e-12, 200)
+    assert stops == [40, 47, 35, 55, 40, 62]
+    # One theta stops while the others use the whole budget.
+    stops = _assert_sweep_matches_oracle(HALVING, [0.05, 0.5, 1.95], HALVING_V0, 1e-12, 100)
+    assert stops == [None, 40, None]
+
+
+def _sweeps_and_traces():
+    runs = []
+    for seed in range(6):
+        t = experiments.random_operator(seed).T
+        v0 = SplitMix64(2000 + seed).normals(t.shape[0])
+        thetas = [0.2, 0.6, 1.0, 1.3, 1.8]
+        runs.append(experiments.theta_sweep(t, thetas, v0, eps=1e-9, k_max=150))
+        runs.append(experiments.converge(t, thetas[seed % 5], v0, eps=1e-9, k_max=150))
+    runs.append(experiments.theta_sweep(HALVING, [0.5, 0.45, 1.4], HALVING_V0, 1e-12, 70))
+    return runs
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_block_size_leaves_every_record_unchanged(monkeypatch, block):
+    default = _sweeps_and_traces()
+    monkeypatch.setattr(experiments, "_BLOCK", block)
+    assert _sweeps_and_traces() == default
+
+
+def test_a_huge_budget_costs_no_memory_when_the_run_stops_early():
+    tracemalloc.start()
+    try:
+        [(k_stop, dists)] = experiments._relaxed_runs(
+            HALVING, [0.5], HALVING_V0, np.array([[1.0], [0.0]]), 2.0**-19, 10**9
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert k_stop == 20 and len(dists) == 21
+    assert peak < 2**20
 
 
 def test_stacked_sweep_single_and_empty_theta_lists():

@@ -1,6 +1,9 @@
 """Properties of the construction over random graph pairs and node spaces."""
 
+import functools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,13 +71,105 @@ def test_full_spaces_solve_against_the_lifted_update_matrix(config):
     assert np.max(np.abs(op.C - expected)) <= 1e-12
 
 
-def test_every_unequal_catalog_pair_has_a_witness():
-    # The whole range the trials draw from: n 3 to 6, d 1 to 3.
+def _unequal_pairs():
+    """Every catalog pair with G != G' on 3 to 7 nodes, with its node degrees in G and G'."""
     for _, make in CATALOG:
-        for n in range(3, 7):
+        for n in range(3, 8):
             graph_pair = make(n)
-            if graph_pair.same:
-                continue
-            for d in range(1, 4):
-                result = experiments.witness_search(graph_pair, d)
-                assert result.found and result.defect > experiments.WITNESS_TOL
+            if not graph_pair.same:
+                yield graph_pair, graph_pair.g.degrees(), graph_pair.gp.degrees()
+
+
+def test_coordinate_products_have_a_closed_form():
+    # Full only at node i, P Zbar has one nonzero block and M is the identity
+    # but for deg_i I_d on block i, so T = (I - z_i z_i^T / deg_i) (x) I_d for
+    # the row z_i of Z. As |z_i|^2 = Lap(G')_ii = deg'_i, the iso defect is
+    # 2 r (1 - r) with r = deg'_i / deg_i.
+    for graph_pair, deg, deg_sub in _unequal_pairs():
+        n = graph_pair.g.n
+        for d in range(1, 4):
+            for i in range(n):
+                op = splitting.build(graph_pair, subspaces.coordinate_product(n, i + 1, d))
+                z = op.Z[i]
+                closed = matlin.kron_lift(np.eye(n - 1) - np.outer(z, z) / deg[i], d)
+                assert np.max(np.abs(op.T - closed)) <= 1e-13
+                r = deg_sub[i] / deg[i]
+                assert abs(splitting.iso_defect(op.T) - 2.0 * r * (1.0 - r)) <= 1e-13
+
+
+def test_every_unequal_catalog_pair_has_a_witness():
+    # The witness is the first node whose degree in G' is below its degree
+    # in G, with the closed-form defect 2 r (1 - r) (n 3 to 7, d 1 to 3).
+    for graph_pair, deg, deg_sub in _unequal_pairs():
+        first = int(np.flatnonzero(deg_sub < deg)[0])
+        r = deg_sub[first] / deg[first]
+        for d in range(1, 4):
+            result = experiments.witness_search(graph_pair, d)
+            assert result.found and result.defect > experiments.WITNESS_TOL
+            assert result.index == first + 1
+            assert abs(result.defect - 2.0 * r * (1.0 - r)) <= 1e-13
+
+
+GRID = [i / 10.0 for i in range(1, 20)]  # 0.1, ..., 1.9
+
+
+def _radius_off_one(t, fix_dim):
+    """Largest eigenvalue modulus of t once the fix_dim eigenvalues nearest 1 are set aside."""
+    eigs = sorted(matlin.general_eigenvalues(t), key=lambda lam: abs(lam - 1.0))
+    return max((abs(lam) for lam in eigs[fix_dim:]), default=0.0)
+
+
+def _best_theta(t, fix_dim):
+    radii = [_radius_off_one(splitting.relax(t, theta), fix_dim) for theta in GRID]
+    return GRID[radii.index(min(radii))], radii
+
+
+@functools.lru_cache(maxsize=None)
+def _relaxations_of_equal_graph_operators():
+    """(best grid theta, radii over GRID, predicted rates over GRID) of 60 G = G' operators."""
+    runs = []
+    for seed in range(60):
+        t = experiments.random_operator(seed).T
+        report = splitting.spectral_report(t)
+        best, radii = _best_theta(t, report.fix_dim)
+        runs.append((best, radii, [splitting.predicted_rate(report.rho1, th) for th in GRID]))
+    return runs
+
+
+def _worst_relaxation_gap():
+    """Worst gap of the radii to their mirror image under theta -> 2 - theta and to the formula."""
+    worst = 0.0
+    for _, radii, predicted in _relaxations_of_equal_graph_operators():
+        for a, mirrored, rate in zip(radii, radii[::-1], predicted):
+            worst = max(worst, abs(a - mirrored), abs(a - rate))
+    return worst
+
+
+def test_theta_one_is_the_optimal_relaxation():
+    # The eigenvalues of each relaxed map come from the eigensolver, not
+    # from the relaxation formula they are checked against.
+    assert all(best == 1.0 for best, _, _ in _relaxations_of_equal_graph_operators())
+    assert _worst_relaxation_gap() <= 1e-7
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: the 2x2 step of Francis QR computes disc = p^2 - det, "
+    "which cancels for close eigenvalues (worst gap 1.05e-8 on these operators)",
+)
+def test_theta_one_is_the_optimal_relaxation_to_round_off():
+    assert _worst_relaxation_gap() <= 1e-12
+
+
+def test_theta_one_is_not_optimal_for_unequal_graphs():
+    # biparallel over parallel_up with full spaces: T has the eigenvalues
+    # 1/2, 1/2 and 1, so the radius 1 - theta/2 off 1 keeps falling past 1.
+    gp = graphs.pair(graphs.preset("biparallel", 4), graphs.preset("parallel_up", 4))
+    t = splitting.build(gp, subspaces.product([subspaces.full(1)] * 4)).T
+    report = splitting.spectral_report(t)
+    assert not report.is_iso_averaged
+    assert np.allclose(sorted(lam.real for lam in report.eigenvalues), [0.5, 0.5, 1.0], atol=1e-12)
+    assert max(abs(lam.imag) for lam in report.eigenvalues) <= 1e-12
+    best, _ = _best_theta(t, report.fix_dim)
+    assert best == 1.9
