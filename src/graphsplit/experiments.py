@@ -269,6 +269,13 @@ def monotonicity_check(op, theta, x, k_max=DEFAULT_K_MAX):
 
 @dataclass
 class WitnessResult:
+    """Outcome of `witness_search`.
+
+    defect is exact (the `iso_defect` of the node's map) for a found witness,
+    the only one printed; otherwise it is the largest node defect, each exact
+    above the screen at WITNESS_TOL / 2 and the Frobenius bound below it.
+    """
+
     found: bool
     index: object  # 1-based node index or None
     defect: float
@@ -281,12 +288,18 @@ def witness_search(graph_pair, d):
     the full space at i; returns the first index whose defect exceeds the
     witness threshold. When the graph and subgraph coincide no witness
     exists and the maximal defect observed stays at round-off level.
+
+    Each node's defect is screened at WITNESS_TOL (`screened_iso_defect`):
+    a found witness's defect is exact, bit for bit the `iso_defect` of its
+    map, and so is a node's defect above the screen; a node below it
+    reports its Frobenius bound, at most WITNESS_TOL / 2, and takes no
+    spectral norm.
     """
     n = graph_pair.g.n
     worst = 0.0
     for i in range(1, n + 1):
         op = splitting.build(graph_pair, subspaces.coordinate_product(n, i, d))
-        iso = splitting.iso_defect(op.T)
+        iso = splitting.screened_iso_defect(op.T, WITNESS_TOL)
         if iso > WITNESS_TOL:
             return WitnessResult(True, i, iso)
         worst = max(worst, iso)
@@ -343,6 +356,14 @@ def pair_catalog():
 
 @dataclass
 class TrialRecord:
+    """One trial of `graph_equality_trials`.
+
+    For G = G', defect is the iso defect where the Frobenius screen at
+    DEFECT_TOL does not decide the verdict, and the Frobenius bound
+    ||2 T^T T - T - T^T||_F (at most DEFECT_TOL / 2) where it does; for
+    G != G' it is the `WitnessResult` defect. Only the verdicts are printed.
+    """
+
     pair_name: str
     n: int
     d: int
@@ -374,7 +395,7 @@ def graph_equality_trials(seed, trials):
                     for _ in range(n)
                 ]
                 op = splitting.build(gp, subspaces.product(factors))
-                defect, consistent = splitting.iso_verdict(op.T)
+                defect, consistent = splitting.screened_iso_verdict(op.T)
                 records.append(TrialRecord(name, n, d, True, consistent, defect, None))
             else:
                 res = witness_search(gp, d)

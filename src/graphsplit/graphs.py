@@ -131,7 +131,16 @@ def pair(g, gp=None):
 
 
 def matrices(g):
-    """Adjacency, degree, Laplacian and update matrix B = Deg - 2 Adj^T."""
+    """Adjacency, degree, Laplacian and update matrix B = Deg - 2 Adj^T.
+
+    Cached and read-only as `laplacian_factor` is: an equal graph gets the
+    same four arrays.
+    """
+    return _matrices(g)
+
+
+@functools.lru_cache(maxsize=256)
+def _matrices(g):
     n = g.n
     adj = np.zeros((n, n))
     for i, j in g.edges:
@@ -139,6 +148,8 @@ def matrices(g):
     deg = np.diag(g.degrees().astype(float))
     lap = deg - adj - adj.T
     b = deg - 2.0 * adj.T
+    for m in (adj, deg, lap, b):
+        m.flags.writeable = False
     return adj, deg, lap, b
 
 

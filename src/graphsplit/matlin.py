@@ -37,12 +37,13 @@ def _house_vec(x):
     needed (x already has zero tail).
     """
     v = np.array(x, dtype=float)
-    x0 = v[0]
+    x0 = float(v[0])
     sigma = float(np.dot(v[1:], v[1:]))
     v[0] = 1.0
     if sigma == 0.0:
         return v, 0.0
-    mu = np.hypot(x0, np.sqrt(sigma))
+    # Python floats round the scalar steps as numpy scalars do, for less overhead.
+    mu = float(np.hypot(x0, math.sqrt(sigma)))
     if x0 <= 0.0:
         v0 = x0 - mu
     else:
@@ -50,6 +51,20 @@ def _house_vec(x):
     beta = 2.0 * v0 * v0 / (sigma + v0 * v0)
     v[1:] /= v0
     return v, beta
+
+
+def _reflect_rows(x, v, beta):
+    """x <- (I - beta v v^T) x in place, for a view x of the matrix updated.
+
+    v[:, None] * w forms the very products np.outer(v, w) does, without its
+    wrapper, so every update keeps the bits of the outer-product form.
+    """
+    x -= beta * (v[:, None] * (v @ x))
+
+
+def _reflect_cols(x, v, beta):
+    """x <- x (I - beta v v^T) in place, the right-hand twin of _reflect_rows."""
+    x -= beta * ((x @ v)[:, None] * v)
 
 
 def qr(a, pivoting=False):
@@ -75,8 +90,8 @@ def qr(a, pivoting=False):
                 perm[[k, j]] = perm[[j, k]]
         v, beta = _house_vec(r[k:, k])
         if beta != 0.0:
-            r[k:, k:] -= beta * np.outer(v, v @ r[k:, k:])
-            q[:, k:] -= beta * np.outer(q[:, k:] @ v, v)
+            _reflect_rows(r[k:, k:], v, beta)
+            _reflect_cols(q[:, k:], v, beta)
             r[k + 1 :, k] = 0.0
     return q, r, perm
 
@@ -109,8 +124,8 @@ def _hessenberg(a):
         v, beta = _house_vec(h[k + 1 :, k])
         if beta == 0.0:
             continue
-        h[k + 1 :, k:] -= beta * np.outer(v, v @ h[k + 1 :, k:])
-        h[:, k + 1 :] -= beta * np.outer(h[:, k + 1 :] @ v, v)
+        _reflect_rows(h[k + 1 :, k:], v, beta)
+        _reflect_cols(h[:, k + 1 :], v, beta)
         h[k + 2 :, k] = 0.0
     return h
 
@@ -143,20 +158,20 @@ def _francis_sweep(h, lo, hi, exceptional):
     y = h[lo + 1, lo] * (h[lo, lo] + h[lo + 1, lo + 1] - tr)
     z = h[lo + 1, lo] * h[lo + 2, lo + 1]
     for j in range(lo, hi - 1):
-        v, beta = _house_vec(np.array([x, y, z]))
+        v, beta = _house_vec((x, y, z))
         if beta != 0.0:
-            h[j : j + 3, :] -= beta * np.outer(v, v @ h[j : j + 3, :])
-            h[:, j : j + 3] -= beta * np.outer(h[:, j : j + 3] @ v, v)
+            _reflect_rows(h[j : j + 3, :], v, beta)
+            _reflect_cols(h[:, j : j + 3], v, beta)
         if j > lo:
             h[j + 1, j - 1] = 0.0
             h[j + 2, j - 1] = 0.0
         x = h[j + 1, j]
         y = h[j + 2, j]
         z = h[j + 3, j] if j < hi - 2 else 0.0
-    v, beta = _house_vec(np.array([x, y]))
+    v, beta = _house_vec((x, y))
     if beta != 0.0:
-        h[hi - 1 : hi + 1, :] -= beta * np.outer(v, v @ h[hi - 1 : hi + 1, :])
-        h[:, hi - 1 : hi + 1] -= beta * np.outer(h[:, hi - 1 : hi + 1] @ v, v)
+        _reflect_rows(h[hi - 1 : hi + 1, :], v, beta)
+        _reflect_cols(h[:, hi - 1 : hi + 1], v, beta)
     h[hi, hi - 2] = 0.0
 
 

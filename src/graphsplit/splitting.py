@@ -10,8 +10,11 @@ Certificates quantify how far T is from being normal (T^T T = T T^T) and
 from being the average of an isometry and the identity (2 T^T T = T + T^T),
 and one rule turns them into verdicts: a defect counts as zero up to
 DEFECT_TOL (1 + ||T||^2). `certificates` takes every defect and ||T||;
-`iso_defect` and `iso_verdict` take only what the graph-equality trials and
-witnesses read, with the same expressions and so the same bits. The second
+`iso_defect` and `iso_verdict` take only the iso defect and its verdict, with
+the same expressions and so the same bits. The graph-equality trials and
+witnesses read only verdicts: `screened_iso_defect` and `screened_iso_verdict`
+let a Frobenius bound decide them below a screen and take those same bits
+above it. The second
 property is what makes the relaxed map's convergence rate an explicit
 function of the relaxation parameter.
 """
@@ -188,8 +191,13 @@ def _negligible(defect, nrm):
     return defect <= DEFECT_TOL * (1.0 + nrm * nrm)
 
 
+def _iso_matrix(t, gram):
+    """A = 2 T^T T - T - T^T, whose spectral norm is the iso defect."""
+    return 2.0 * gram - t - t.T
+
+
 def _iso(t, gram):
-    return matlin.operator_norm(2.0 * gram - t - t.T)
+    return matlin.operator_norm(_iso_matrix(t, gram))
 
 
 def certificates(t):
@@ -214,6 +222,11 @@ def iso_defect(t):
     return _iso(t, t.T @ t)
 
 
+def _iso_negligible(t, iso):
+    # ||T|| enters only when the defect exceeds DEFECT_TOL.
+    return iso <= DEFECT_TOL or _negligible(iso, matlin.operator_norm(t))
+
+
 def iso_verdict(t):
     """(iso_defect, is_iso_averaged) of `certificates`, bit for bit.
 
@@ -222,7 +235,35 @@ def iso_verdict(t):
     """
     t = np.asarray(t, dtype=float)
     iso = iso_defect(t)
-    return iso, iso <= DEFECT_TOL or _negligible(iso, matlin.operator_norm(t))
+    return iso, _iso_negligible(t, iso)
+
+
+def screened_iso_defect(t, tol):
+    """The iso defect of T where it may exceed tol, else a bound at most tol / 2.
+
+    With A = 2 T^T T - T - T^T, ||A||_2 <= ||A||_F. So when 2 ||A||_F <= tol
+    (the factor 2 covers the rounding of both computed norms, as in
+    `fix_basis`'s band) the defect is at most tol, and the Frobenius bound
+    ||A||_F is returned in its place, with no spectral norm. Otherwise the
+    spectral norm of the same A is returned: `iso_defect`, bit for bit.
+    """
+    t = np.asarray(t, dtype=float)
+    a = _iso_matrix(t, t.T @ t)
+    bound = float(np.linalg.norm(a))
+    return bound if 2.0 * bound <= tol else matlin.operator_norm(a)
+
+
+def screened_iso_verdict(t):
+    """(defect, is_iso_averaged): the verdict of `iso_verdict`, with the
+    defect screened at DEFECT_TOL by `screened_iso_defect`.
+
+    A bound at most DEFECT_TOL / 2 decides "iso-averaged" with no norm, as
+    the exact defect would; above the screen the defect and the verdict are
+    those of `iso_verdict`, bit for bit.
+    """
+    t = np.asarray(t, dtype=float)
+    iso = screened_iso_defect(t, DEFECT_TOL)
+    return iso, _iso_negligible(t, iso)
 
 
 def fix_basis(t):

@@ -187,6 +187,14 @@ def coordinate_product(n, i, ambient):
     )
 
 
+def _vector(value, ambient, what):
+    """A list of `ambient` numbers as a float vector; anything else raises ValueError."""
+    v = np.asarray(reals(value), dtype=float)
+    if v.shape != (ambient,):
+        raise ValueError(f"{what} must be a list of {ambient} numbers, got shape {v.shape}")
+    return v
+
+
 def from_json(obj, ambient):
     """Subspace from a JSON fragment.
 
@@ -197,12 +205,9 @@ def from_json(obj, ambient):
         raise ValueError('subspace fragment must be an object with a "kind"')
     kind = obj["kind"]
     if kind == "span":
-        return from_generators([np.asarray(reals(v), dtype=float) for v in obj["vectors"]], ambient)
+        return from_generators([_vector(v, ambient, "span vector") for v in obj["vectors"]], ambient)
     if kind == "hyperplane":
-        normal = np.asarray(reals(obj["normal"]), dtype=float)
-        if normal.shape[0] != ambient:
-            raise ValueError("hyperplane normal does not match the ambient dimension")
-        return hyperplane(normal)
+        return hyperplane(_vector(obj["normal"], ambient, "hyperplane normal"))
     if kind == "random":
         return random_subspace(ambient, integer(obj["dim"]), integer(obj["seed"]))
     if kind == "full":

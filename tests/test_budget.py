@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from test_properties import SAME, SETTINGS, configurations
 
 from graphsplit import experiments, graphs, matlin, splitting, subspaces
+from graphsplit._rng import SplitMix64
 
 
 @pytest.fixture
@@ -61,12 +62,16 @@ def test_a_near_identity_report_takes_the_exact_identity_test(norm_calls):
     assert len(norm_calls) == 5
 
 
-def test_an_equal_graph_trial_and_a_witness_node_take_one_norm_each(norm_calls):
+def test_an_equal_graph_trial_and_a_non_witness_node_take_no_norm(norm_calls):
     records = experiments.graph_equality_trials(seed=3, trials=4)
-    nodes = sum(r.witness_index or r.n for r in records if not r.same)
     same = [r for r in records if r.same]
-    assert all(r.defect <= splitting.DEFECT_TOL for r in same)
-    assert len(norm_calls) == len(same) + nodes
+    unequal = [r for r in records if not r.same]
+    assert all(r.consistent for r in records)
+    # Every equal-graph trial is decided by its Frobenius screen ...
+    assert all(r.defect <= splitting.DEFECT_TOL / 2 for r in same)
+    # ... and every search finds its witness, whose printed defect takes one norm.
+    assert all(r.witness_index for r in unequal)
+    assert len(norm_calls) == len(unequal)
 
 
 def test_verdict_takes_the_norm_of_t_only_above_defect_tol(norm_calls):
@@ -131,6 +136,118 @@ def test_fix_basis_across_the_band_edge(kind):
     assert 1e-12 < identity_until < screened_until < 1e-7
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_screened_verdict_equals_the_exact_one(seed):
+    t0 = experiments.random_operator(seed).T
+    sides = set()
+    for eta in ETAS:
+        t = (1.0 + eta) * t0
+        iso, verdict = splitting.iso_verdict(t)
+        defect, screened_verdict = splitting.screened_iso_verdict(t)
+        assert screened_verdict is verdict
+        bound = float(np.linalg.norm(2.0 * (t.T @ t) - t - t.T))
+        if 2.0 * bound <= splitting.DEFECT_TOL:
+            sides.add("screened")
+            assert defect.hex() == bound.hex()
+            assert iso <= 2.0 * bound
+        else:
+            sides.add("exact")
+            assert defect.hex() == iso.hex()
+    assert sides == {"screened", "exact"}
+
+
+@SETTINGS
+@given(configurations(), st.sampled_from(ETAS))
+def test_screened_defect_is_exact_above_its_screen(config, eta):
+    t = (1.0 + eta) * splitting.build(*config).T
+    iso = splitting.iso_defect(t)
+    bound = float(np.linalg.norm(2.0 * (t.T @ t) - t - t.T))
+    for tol in (splitting.DEFECT_TOL, experiments.WITNESS_TOL):
+        defect = splitting.screened_iso_defect(t, tol)
+        if 2.0 * bound <= tol:
+            assert defect.hex() == bound.hex() and iso <= 2.0 * bound
+        else:
+            assert defect.hex() == iso.hex()
+    assert splitting.screened_iso_verdict(t)[1] is splitting.iso_verdict(t)[1]
+
+
+# The trials and the witness search as they were before the Frobenius screens:
+# an exact iso defect for every trial and every node.
+
+def _unscreened_witness_search(graph_pair, d):
+    n = graph_pair.g.n
+    worst = 0.0
+    for i in range(1, n + 1):
+        op = splitting.build(graph_pair, subspaces.coordinate_product(n, i, d))
+        iso = splitting.iso_defect(op.T)
+        if iso > experiments.WITNESS_TOL:
+            return experiments.WitnessResult(True, i, iso)
+        worst = max(worst, iso)
+    return experiments.WitnessResult(False, None, worst)
+
+
+def _unscreened_trials(seed, trials):
+    rng = SplitMix64(seed)
+    records = []
+    for name, make in experiments.pair_catalog():
+        for _ in range(trials):
+            n = rng.randint(3, 6)
+            d = rng.randint(1, 3)
+            gp = make(n)
+            if gp.same:
+                factors = [
+                    subspaces.random_subspace(d, rng.randint(0, d), rng.next_uint64())
+                    for _ in range(n)
+                ]
+                op = splitting.build(gp, subspaces.product(factors))
+                defect, consistent = splitting.iso_verdict(op.T)
+                records.append(experiments.TrialRecord(name, n, d, True, consistent, defect, None))
+            else:
+                res = _unscreened_witness_search(gp, d)
+                records.append(
+                    experiments.TrialRecord(name, n, d, False, res.found, res.defect, res.index)
+                )
+    return records
+
+
+def _assert_same_defect(screened, exact, tol):
+    """Exact above the screen at tol / 2, bit for bit; a bound below it."""
+    if 2.0 * screened > tol:
+        assert screened.hex() == exact.hex()
+    else:
+        assert exact <= 2.0 * screened
+
+
+def test_screened_trials_equal_the_unscreened_ones():
+    for seed in range(50):
+        got = experiments.graph_equality_trials(seed, 3)
+        want = _unscreened_trials(seed, 3)
+        assert len(got) == len(want)
+        for new, old in zip(got, want):
+            assert (new.pair_name, new.n, new.d, new.same) == (old.pair_name, old.n, old.d, old.same)
+            assert new.consistent is old.consistent
+            assert new.witness_index == old.witness_index
+            if new.same:
+                _assert_same_defect(new.defect, old.defect, splitting.DEFECT_TOL)
+            else:
+                assert new.consistent and new.defect.hex() == old.defect.hex()
+
+
+def test_screened_witness_search_equals_the_unscreened_one():
+    for name, make in experiments.pair_catalog():
+        for n in range(3, 8):
+            for d in range(1, 4):
+                gp = make(n)
+                got = experiments.witness_search(gp, d)
+                want = _unscreened_witness_search(gp, d)
+                assert got.found is want.found is not gp.same, (name, n, d)
+                assert got.index == want.index
+                if got.found:
+                    assert got.defect.hex() == want.defect.hex()
+                else:
+                    _assert_same_defect(got.defect, want.defect, experiments.WITNESS_TOL)
+
+
 def test_laplacian_factor_is_cached_and_read_only():
     g = graphs.preset("ring", 5)
     z = graphs.laplacian_factor(g)
@@ -139,6 +256,16 @@ def test_laplacian_factor_is_cached_and_read_only():
     assert not z.flags.writeable
     with pytest.raises(ValueError):
         z[0, 0] = 1.0
+
+
+def test_graph_matrices_are_cached_and_read_only():
+    mats = graphs.matrices(graphs.preset("ring", 5))
+    again = graphs.matrices(graphs.preset("ring", 5))
+    assert all(a is b for a, b in zip(mats, again))
+    assert graphs.matrices(graphs.preset("sequential", 5))[3] is not mats[3]
+    assert not any(m.flags.writeable for m in mats)
+    with pytest.raises(ValueError):
+        mats[3][0, 0] = 1.0
 
 
 def test_witness_search_factors_its_subgraph_once(monkeypatch):

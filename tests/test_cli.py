@@ -203,6 +203,10 @@ def _first_space(fragment):
         {"kind": "span", "vectors": [["1", False]]},
         {"kind": "span", "vectors": [[1.0, 0.0], [0.0, True]]},
         {"kind": "span", "vectors": [[10**400, 0.0]]},
+        # A normal or span vector is a flat list of `ambient` numbers.
+        {"kind": "hyperplane", "normal": 3},
+        {"kind": "span", "vectors": [1]},
+        {"kind": "hyperplane", "normal": [[1, 2], [3, 4]]},
     ],
 )
 def test_float_fragment_fields_name_their_field(tmp_path, fragment, capsys):

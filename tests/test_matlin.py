@@ -284,3 +284,147 @@ def test_operator_norm_on_built_operators():
         for m in (t, t - i, t.T @ t - t @ t.T, 2.0 * t.T @ t - t - t.T):
             want = np.linalg.norm(m, 2)
             assert abs(matlin.operator_norm(m) - want) <= 1e-15 * (1.0 + want)
+
+
+# The Householder kernel as it was written with np.outer and numpy scalars,
+# kept as a bitwise oracle: the shared reflection helpers form the same
+# products in the same order, so every factor and spectrum keeps its bits.
+
+def _outer_house_vec(x):
+    v = np.array(x, dtype=float)
+    x0 = v[0]
+    sigma = float(np.dot(v[1:], v[1:]))
+    v[0] = 1.0
+    if sigma == 0.0:
+        return v, 0.0
+    mu = np.hypot(x0, np.sqrt(sigma))
+    if x0 <= 0.0:
+        v0 = x0 - mu
+    else:
+        v0 = -sigma / (x0 + mu)
+    beta = 2.0 * v0 * v0 / (sigma + v0 * v0)
+    v[1:] /= v0
+    return v, beta
+
+
+def _outer_qr(a, pivoting=False):
+    a = np.asarray(a, dtype=float)
+    m, n = a.shape
+    r = a.copy()
+    q = np.eye(m)
+    perm = np.arange(n)
+    for k in range(min(m, n)):
+        if pivoting:
+            lens = np.einsum("ij,ij->j", r[k:, k:], r[k:, k:])
+            j = k + int(np.argmax(lens))
+            if j != k:
+                r[:, [k, j]] = r[:, [j, k]]
+                perm[[k, j]] = perm[[j, k]]
+        v, beta = _outer_house_vec(r[k:, k])
+        if beta != 0.0:
+            r[k:, k:] -= beta * np.outer(v, v @ r[k:, k:])
+            q[:, k:] -= beta * np.outer(q[:, k:] @ v, v)
+            r[k + 1 :, k] = 0.0
+    return q, r, perm
+
+
+def _outer_hessenberg(a):
+    h = a.copy()
+    n = h.shape[0]
+    for k in range(n - 2):
+        v, beta = _outer_house_vec(h[k + 1 :, k])
+        if beta == 0.0:
+            continue
+        h[k + 1 :, k:] -= beta * np.outer(v, v @ h[k + 1 :, k:])
+        h[:, k + 1 :] -= beta * np.outer(h[:, k + 1 :] @ v, v)
+        h[k + 2 :, k] = 0.0
+    return h
+
+
+def _outer_francis_sweep(h, lo, hi, exceptional):
+    if exceptional:
+        s = abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2])
+        tr = 1.5 * s
+        det = -0.4375 * s * s
+    else:
+        tr = h[hi - 1, hi - 1] + h[hi, hi]
+        det = h[hi - 1, hi - 1] * h[hi, hi] - h[hi - 1, hi] * h[hi, hi - 1]
+    x = h[lo, lo] * h[lo, lo] + h[lo, lo + 1] * h[lo + 1, lo] - tr * h[lo, lo] + det
+    y = h[lo + 1, lo] * (h[lo, lo] + h[lo + 1, lo + 1] - tr)
+    z = h[lo + 1, lo] * h[lo + 2, lo + 1]
+    for j in range(lo, hi - 1):
+        v, beta = _outer_house_vec(np.array([x, y, z]))
+        if beta != 0.0:
+            h[j : j + 3, :] -= beta * np.outer(v, v @ h[j : j + 3, :])
+            h[:, j : j + 3] -= beta * np.outer(h[:, j : j + 3] @ v, v)
+        if j > lo:
+            h[j + 1, j - 1] = 0.0
+            h[j + 2, j - 1] = 0.0
+        x = h[j + 1, j]
+        y = h[j + 2, j]
+        z = h[j + 3, j] if j < hi - 2 else 0.0
+    v, beta = _outer_house_vec(np.array([x, y]))
+    if beta != 0.0:
+        h[hi - 1 : hi + 1, :] -= beta * np.outer(v, v @ h[hi - 1 : hi + 1, :])
+        h[:, hi - 1 : hi + 1] -= beta * np.outer(h[:, hi - 1 : hi + 1] @ v, v)
+    h[hi, hi - 2] = 0.0
+
+
+def _outer_kernel(monkeypatch, fn, a):
+    """fn(a) with the np.outer Hessenberg reduction and Francis sweep."""
+    with monkeypatch.context() as m:
+        m.setattr(matlin, "_hessenberg", _outer_hessenberg)
+        m.setattr(matlin, "_francis_sweep", _outer_francis_sweep)
+        return fn(a)
+
+
+def _spectrum_bytes(eigs):
+    return np.array(eigs, dtype=complex).tobytes()
+
+
+def _random_matrices(seed, count, square):
+    """Gaussian matrices of assorted shapes, some with zero columns, signed
+    zeros and exactly triangular parts, so every branch of the reflections runs."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = int(rng.integers(1, 13))
+        n = m if square else int(rng.integers(1, 13))
+        a = rng.standard_normal((m, n))
+        kind = rng.integers(0, 4)
+        if kind == 1:
+            a[:, rng.integers(0, n)] = 0.0
+        elif kind == 2:
+            a = np.triu(a) - 0.0 * a
+        elif kind == 3:
+            a[rng.random((m, n)) < 0.4] = -0.0
+        yield a
+
+
+def _built_matrices(seeds):
+    for seed in seeds:
+        t = random_operator(seed).T
+        yield from (t, t.T @ t, t - np.eye(t.shape[0]), 2.0 * t.T @ t - t - t.T)
+
+
+def test_qr_keeps_the_bits_of_the_outer_product_kernel():
+    cases = [*_random_matrices(21, 300, square=False), *_built_matrices(range(40))]
+    for a in cases:
+        for pivoting in (False, True):
+            got = matlin.qr(a, pivoting)
+            want = _outer_qr(a, pivoting)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_eigenvalues_keep_the_bits_of_the_outer_product_kernel(monkeypatch):
+    cyclic = [np.roll(np.eye(n), 1, axis=0) for n in range(2, 9)]
+    cases = [*_random_matrices(22, 200, square=True), *_built_matrices(range(60)), *cyclic]
+    for a in cases:
+        want = _outer_kernel(monkeypatch, matlin.general_eigenvalues, a)
+        assert _spectrum_bytes(matlin.general_eigenvalues(a)) == _spectrum_bytes(want)
+
+
+def test_operator_norm_keeps_the_bits_of_the_outer_product_kernel(monkeypatch):
+    cases = [*_random_matrices(23, 300, square=False), *_built_matrices(range(60))]
+    for a in cases:
+        want = _outer_kernel(monkeypatch, matlin.operator_norm, a)
+        assert matlin.operator_norm(a).hex() == want.hex()
