@@ -1,4 +1,5 @@
-"""Strict reading of integer and float fields from decoded JSON."""
+"""Strict reading of decoded JSON: integer and float fields, and the field names
+of an object."""
 
 import numbers
 
@@ -29,3 +30,11 @@ def reals(value):
     if isinstance(value, list):
         return [reals(item) for item in value]
     return real(value)
+
+
+def known_fields(obj, fields):
+    """Raise a ValueError naming the first key of the object obj that is not
+    one of fields, so that a misspelled field is not silently ignored."""
+    for key in obj:
+        if key not in fields:
+            raise ValueError(f'unknown field "{key}"')

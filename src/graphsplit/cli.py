@@ -22,10 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import experiments, graphs, matlin, splitting, subspaces
-from ._json import integer, real, reals
+from ._json import integer, known_fields, real, reals
 from ._rng import SplitMix64
 
 MAX_THETAS = 10_000  # values a thetas range may expand to
+_CONFIG_FIELDS = ("graph", "subgraph", "ambient", "spaces", "thetas", "eps", "k_max", "seed", "v0")
+_RANGE_FIELDS = ("start", "stop", "step")
 
 
 class ConfigError(Exception):
@@ -63,14 +65,21 @@ def _number(field, value, kind=real):
     return number
 
 
+def _known_fields(field, obj, fields):
+    """known_fields, with a ConfigError naming the object's field."""
+    try:
+        known_fields(obj, fields)
+    except ValueError as exc:
+        raise ConfigError(f"{field}: {exc}") from None
+
+
 def _expand_thetas(spec):
     if isinstance(spec, dict):
-        for key in ("start", "stop", "step"):
+        _known_fields("thetas", spec, _RANGE_FIELDS)
+        for key in _RANGE_FIELDS:
             if key not in spec:
                 raise ConfigError(f'thetas: missing "{key}" in range form')
-        start, stop, step = (
-            _number(f"thetas.{key}", spec[key]) for key in ("start", "stop", "step")
-        )
+        start, stop, step = (_number(f"thetas.{key}", spec[key]) for key in _RANGE_FIELDS)
         if step <= 0.0:
             raise ConfigError("thetas: step must be positive")
         # Bounded, since start + k * step need not grow: 1.0 + 1e-20 == 1.0.
@@ -93,6 +102,7 @@ def load_config(obj, seed=None, eps=None):
     """
     if not isinstance(obj, dict):
         raise ConfigError("config: top level must be an object")
+    _known_fields("config", obj, _CONFIG_FIELDS)
     if "graph" not in obj:
         raise ConfigError('config: missing "graph"')
     try:

@@ -34,12 +34,6 @@ class UnknownExampleError(KeyError):
     """Requested golden example is not in the catalog."""
 
 
-def _dense(op):
-    if isinstance(op, splitting.SplittingOperator):
-        return op.T
-    return np.asarray(op, dtype=float)
-
-
 fix_basis = splitting.fix_basis
 
 
@@ -69,33 +63,48 @@ def _fit_rate(dists):
 _BLOCK = 32  # iterates per stop test; 32 to 128 run about equally fast
 
 
-def _relaxed_runs(t, thetas, v0, f, eps, k_max):
-    """Iterate every relaxed map T_theta from v0 in one loop.
+def _operands(op, x, op_name, x_name):
+    """The map (an operator's T, or a matrix) and the start as float arrays;
+    a ValueError names a map that is not finite, or a start that is not a
+    finite vector of the map's size."""
+    t = op.T if isinstance(op, splitting.SplittingOperator) else np.asarray(op, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"{op_name} must be finite")
+    if x.shape != t.shape[:1] or not np.all(np.isfinite(x)):
+        raise ValueError(f"{x_name} must be a finite vector of length {len(t)}")
+    return t, x
 
-    The limit is the projection of v0 onto the span of f, the orthonormal
-    basis of the fixed subspace of T (which relaxation keeps). The relaxed
-    matrices are stacked, and each step advances every still-running
-    iterate with one stacked matmul. The stop test runs once per block of
-    _BLOCK iterates: one stacked dot gives the distances of the whole block
-    to the limit, a theta stops at its first distance below eps, and the
-    stopped thetas leave the stack at the end of the block (the iterates
-    they computed past their stop are discarded). Returns one
-    (k_stop, dists) pair per theta: dists[k] is the distance of iterate k,
-    up to k_stop, or up to k_max with k_stop None when the budget runs out.
-    No iterate past k_max is computed. Every input is checked before the
-    first step.
-    """
-    for theta in thetas:
-        if not 0.0 < theta < 2.0:
-            raise splitting.DomainError("relaxation parameter must lie in (0, 2)")
-    if eps <= 0.0:
+
+def _check_run(thetas, eps, k_max):
+    """The checks of a run to a limit, which `converge`, `theta_sweep` and
+    `monotonicity_check` make before the first step."""
+    if not all(0.0 < theta < 2.0 for theta in thetas):
+        raise splitting.DomainError("relaxation parameter must lie in (0, 2)")
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
+
+
+def _relaxed_runs(t, thetas, v0, limit, eps, k_max):
+    """Iterate every relaxed map T_theta from v0 in one loop: the one place
+    that applies a relaxed map repeatedly.
+
+    The relaxed matrices are stacked, and each step advances every
+    still-running iterate with one stacked matmul. The stop test runs once
+    per block of _BLOCK iterates: one stacked dot gives the distances of the
+    whole block to limit, a theta stops at its first distance below eps,
+    and the stopped thetas leave the stack at the end of the block (the
+    iterates they computed past their stop are discarded). Returns one
+    (k_stop, dists) pair per theta: dists[k] is the distance of iterate k,
+    up to k_stop, or up to k_max with k_stop None when the budget runs out.
+    No iterate past k_max is computed. No input is checked: any theta runs
+    (T_0 = I), and eps = 0 stops no run, so with limit 0 the dists are the
+    iterate norms, even where one reaches exactly 0.
+    """
     if not thetas:
         return []
-    v0 = np.asarray(v0, dtype=float)
-    limit = f @ (f.T @ v0)
     stack = np.stack([splitting.relax(t, theta) for theta in thetas])
     active = np.arange(len(thetas))
     buf = np.empty((_BLOCK, len(thetas), v0.shape[0], 1))  # iterates of one block, as columns
@@ -135,12 +144,15 @@ def converge(op, theta, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     unrelaxed map (relaxation does not move fixed points). k_stop is the
     first iteration whose distance drops below eps, or None if the budget
     runs out; the measured rate is a least-squares fit of the log-distance
-    over the last half of the usable trace. This is the one-theta case of
-    the stacked iteration that `theta_sweep` runs: one matmul per step, and
-    the stop test once per block of _BLOCK (32) iterates.
+    over the last half of the usable trace. The run is the one-theta case
+    of `_relaxed_runs`: one matmul per step, and the stop test once per
+    block of _BLOCK (32) iterates. Every input is checked before the first
+    step.
     """
-    t = _dense(op)
-    [(k_stop, dists)] = _relaxed_runs(t, [theta], v0, fix_basis(t), eps, k_max)
+    t, v0 = _operands(op, v0, "op", "v0")
+    _check_run([theta], eps, k_max)
+    f = fix_basis(t)
+    [(k_stop, dists)] = _relaxed_runs(t, [theta], v0, f @ (f.T @ v0), eps, k_max)
     return ConvergenceTrace(theta, list(enumerate(dists.tolist())), k_stop, _fit_rate(dists))
 
 
@@ -157,16 +169,19 @@ def theta_sweep(op, thetas, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
 
     T_theta has the eigenvalues theta lam + 1 - theta and the fixed subspace
     of T, so one report (with its fixed basis) and one limit point of T
-    serve every theta. The runs share one loop: each iteration advances
-    every running theta with one stacked matmul, and the stop test runs
-    once per block of _BLOCK (32) iterates. The predicted rate is the
-    closed-form relaxation formula for iso-averaged maps, else
+    serve every theta. The runs share one `_relaxed_runs` loop: each
+    iteration advances every running theta with one stacked matmul, and the
+    stop test runs once per block of _BLOCK (32) iterates. Every input is
+    checked before the first step. The predicted rate is the closed-form
+    relaxation formula for iso-averaged maps, else
     max |theta lam + 1 - theta| over the eigenvalues lam off 1.
     """
-    t = _dense(op)
+    t, v0 = _operands(op, v0, "op", "v0")
     thetas = list(thetas)
+    _check_run(thetas, eps, k_max)
     report = splitting.spectral_report(t)
-    runs = _relaxed_runs(t, thetas, v0, report.fixed_basis, eps, k_max)
+    f = report.fixed_basis
+    runs = _relaxed_runs(t, thetas, v0, f @ (f.T @ v0), eps, k_max)
     records = []
     for theta, (k_stop, dists) in zip(thetas, runs):
         if report.is_iso_averaged:
@@ -178,24 +193,32 @@ def theta_sweep(op, thetas, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     return records
 
 
+def _norms(t, thetas, x, k_max):
+    """||T_theta^k x|| for k = 0 .. k_max, one row per theta."""
+    runs = _relaxed_runs(t, thetas, x, np.zeros_like(x), 0.0, k_max)
+    return np.array([dists for _, dists in runs])
+
+
+def _finite_points(name, values, least):
+    """values as a list of floats, or a ValueError naming them."""
+    values = [float(v) for v in values]
+    if len(values) < least or not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} must hold {least} or more values, all finite")
+    return values
+
+
 def symmetry_check(t, x, thetas, k_max):
     """Worst gap between iterate norms at parameters theta and 2 - theta.
 
-    Vanishes (to round-off) exactly for iso-averaged maps.
+    Vanishes (to round-off) exactly for iso-averaged maps. Compares the
+    iterates 1 .. k_max of every theta and its mirror, all in one run.
     """
-    t = _dense(t)
-    x = np.asarray(x, dtype=float)
-    worst = 0.0
-    for theta in thetas:
-        ya = x.copy()
-        yb = x.copy()
-        ta = splitting.relax(t, theta)
-        tb = splitting.relax(t, 2.0 - theta)
-        for _ in range(k_max):
-            ya = ta @ ya
-            yb = tb @ yb
-            worst = max(worst, abs(float(np.linalg.norm(ya)) - float(np.linalg.norm(yb))))
-    return worst
+    t, x = _operands(t, x, "t", "x")
+    thetas = _finite_points("thetas", thetas, 1)
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    norms = _norms(t, thetas + [2.0 - theta for theta in thetas], x, k_max)
+    return float(np.max(np.abs(norms[: len(thetas)] - norms[len(thetas) :])))
 
 
 def convexity_check(t, x, k, grid, require_normal=True):
@@ -204,28 +227,25 @@ def convexity_check(t, x, k, grid, require_normal=True):
     For each adjacent grid pair the midpoint value is compared against the
     endpoint average; a positive gap beyond round-off refutes convexity.
     Normality is required (it is what makes the function convex); pass
-    require_normal=False to probe counterexamples.
+    require_normal=False to probe counterexamples. The grid points and the
+    midpoints share one run.
     """
-    t = _dense(t)
-    x = np.asarray(x, dtype=float)
+    t, x = _operands(t, x, "t", "x")
+    grid = sorted(_finite_points("grid", grid, 2))
+    if k < 0:
+        raise ValueError("k must be non-negative")
     if require_normal:
         cert = splitting.certificates(t)
         if not cert.is_normal:
             raise NotNormalError(f"normality defect {cert.normality_defect:.3e} is too large")
+    mids = [0.5 * (lo + hi) for lo, hi in zip(grid, grid[1:])]
+    f = _norms(t, grid + mids, x, k)[:, k]
+    ends, mid = f[: len(grid)], f[len(grid) :]
+    return float(np.max(mid - 0.5 * (ends[:-1] + ends[1:])))
 
-    def f(theta):
-        y = x.copy()
-        t_theta = splitting.relax(t, theta)
-        for _ in range(k):
-            y = t_theta @ y
-        return float(np.linalg.norm(y))
 
-    grid = sorted(float(g) for g in grid)
-    worst = -math.inf
-    for lo, hi in zip(grid, grid[1:]):
-        gap = f(0.5 * (lo + hi)) - 0.5 * (f(lo) + f(hi))
-        worst = max(worst, gap)
-    return worst
+# d <= 1e-12, the round-off floor of `monotonicity_check`, is d < _FLOOR.
+_FLOOR = math.nextafter(1e-12, math.inf)
 
 
 def monotonicity_check(op, theta, x, k_max=DEFAULT_K_MAX):
@@ -233,14 +253,14 @@ def monotonicity_check(op, theta, x, k_max=DEFAULT_K_MAX):
 
     Only meaningful for iso-averaged maps. The start must avoid the
     subspace where the sequence is constant: the fixed subspace for
-    theta != 1, and its sum with the kernel for theta = 1.
+    theta != 1, and its sum with the kernel for theta = 1. One run to the
+    limit finds the first iterate within 1e-12 of it (or stops at k_max);
+    the norms up to that iterate must decrease strictly.
     """
-    t = _dense(op)
+    t, x = _operands(op, x, "op", "x")
     if not splitting.certificates(t).is_iso_averaged:
         raise ValueError("strict decrease is only guaranteed for iso-averaged maps")
-    if not 0.0 < theta < 2.0:
-        raise splitting.DomainError("relaxation parameter must lie in (0, 2)")
-    x = np.asarray(x, dtype=float)
+    _check_run([theta], _FLOOR, k_max)
     f = fix_basis(t)
     if theta == 1.0:
         kernel = matlin.null_space(t)
@@ -252,26 +272,16 @@ def monotonicity_check(op, theta, x, k_max=DEFAULT_K_MAX):
     inside = excluded @ (excluded.T @ x)
     if float(np.linalg.norm(x - inside)) <= 1e-12 * (1.0 + float(np.linalg.norm(x))):
         raise ExcludedInputError("start lies in the excluded subspace")
-    limit = f @ (f.T @ x)
-    t_theta = splitting.relax(t, theta)
-    y = x.copy()
-    prev = float(np.linalg.norm(y))
-    for _ in range(k_max):
-        if float(np.linalg.norm(y - limit)) <= 1e-12:
-            break
-        y = t_theta @ y
-        cur = float(np.linalg.norm(y))
-        if not cur < prev:
-            return False
-        prev = cur
-    return True
+    [(k_stop, _)] = _relaxed_runs(t, [theta], x, f @ (f.T @ x), _FLOOR, k_max)
+    [norms] = _norms(t, [theta], x, k_max if k_stop is None else k_stop)
+    return bool(np.all(norms[1:] < norms[:-1]))
 
 
 @dataclass
 class WitnessResult:
     """Outcome of `witness_search`.
 
-    defect is exact (the `iso_defect` of the node's map) for a found witness,
+    defect is exact (the iso defect of the node's map) for a found witness,
     the only one printed; otherwise it is the largest node defect, each exact
     above the screen at WITNESS_TOL / 2 and the Frobenius bound below it.
     """
@@ -290,10 +300,10 @@ def witness_search(graph_pair, d):
     exists and the maximal defect observed stays at round-off level.
 
     Each node's defect is screened at WITNESS_TOL (`screened_iso_defect`):
-    a found witness's defect is exact, bit for bit the `iso_defect` of its
-    map, and so is a node's defect above the screen; a node below it
-    reports its Frobenius bound, at most WITNESS_TOL / 2, and takes no
-    spectral norm.
+    a found witness's defect is exact, bit for bit the iso defect of its
+    map's `certificates`, and so is a node's defect above the screen; a
+    node below it reports its Frobenius bound, at most WITNESS_TOL / 2, and
+    takes no spectral norm.
     """
     n = graph_pair.g.n
     worst = 0.0
@@ -442,19 +452,15 @@ def _bound(label, measured, relation, bound):
 def _demo_not_normal():
     t = np.array([[0.0, 1.0], [0.0, 0.0]])
     x = np.array([0.0, 1.0])
-
-    def f(theta):
-        tt = splitting.relax(t, theta)
-        return float(np.linalg.norm(tt @ (tt @ x)))
-
+    f0, f_half, f1 = _norms(t, [0.0, 0.5, 1.0], x, 2)[:, 2].tolist()
     target = math.sqrt(5.0) / 4.0
     normality = splitting.certificates(t).normality_defect
     lines = (
-        _close("norm of squared relaxed iterate at 1/2", f(0.5), target, 1e-12),
-        _bound("midpoint value vs endpoint average 1/2", f(0.5), ">", 0.5 * (f(0.0) + f(1.0))),
-        _close("endpoint average", 0.5 * (f(0.0) + f(1.0)), 0.5, 1e-12),
+        _close("norm of squared relaxed iterate at 1/2", f_half, target, 1e-12),
+        _bound("midpoint value vs endpoint average 1/2", f_half, ">", 0.5 * (f0 + f1)),
+        _close("endpoint average", 0.5 * (f0 + f1), 0.5, 1e-12),
         _close("normality defect of the shift block", normality, 1.0, 1e-12),
-        _close("convexity gap at the midpoint", f(0.5) - 0.5, target - 0.5, 1e-12),
+        _close("convexity gap at the midpoint", f_half - 0.5, target - 0.5, 1e-12),
     )
     return DemoReport("not-normal", lines)
 
@@ -517,19 +523,14 @@ def _demo_geometric():
     f = fix_basis(op.T)
     numeric_limit = f @ (f.T @ v0)
 
-    v = v0.copy()
-    for _ in range(5000):
-        v = op.T @ v
-    final_dist = float(np.linalg.norm(v - limit))
+    [(_, dists)] = _relaxed_runs(op.T, [1.0], v0, limit, 0.0, 5000)
+    final_dist = float(dists[5000])
 
     thetas = [i / 5.0 for i in range(1, 10)]
     stops = {r.theta: r.k_stop for r in theta_sweep(op, thetas, v0)}
 
-    sym = 0.0
-    trace_lo = converge(op, 0.2, v0, eps=1e-30, k_max=200)
-    trace_hi = converge(op, 1.8, v0, eps=1e-30, k_max=200)
-    for (_, da), (_, db) in zip(trace_lo.points, trace_hi.points):
-        sym = max(sym, abs(da - db))
+    (_, lo), (_, hi) = _relaxed_runs(op.T, [0.2, 1.8], v0, numeric_limit, 0.0, 200)
+    sym = float(np.max(np.abs(lo - hi)))
 
     lines = (
         _close("line-mixing coefficient", mu, -15.0 / 17.0, 1e-12),

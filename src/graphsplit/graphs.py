@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matlin
-from ._json import integer
+from ._json import integer, known_fields
 
 PRESETS = ("sequential", "ring", "parallel_up", "parallel_down", "biparallel", "complete")
 
@@ -217,13 +217,18 @@ def preset(name, n):
 
 
 def from_json(obj):
-    """Graph from a JSON fragment: {"preset": name, "n": k} or {"n": k, "edges": [...]}."""
+    """Graph from a JSON fragment: {"preset": name, "n": k} or {"n": k, "edges": [...]}.
+
+    Any other field is an error.
+    """
     if not isinstance(obj, dict):
         raise GraphError("graph fragment must be an object")
     if "preset" in obj:
+        known_fields(obj, ("preset", "n"))
         if "n" not in obj:
             raise GraphError('preset graph fragment needs "n"')
         return preset(obj["preset"], integer(obj["n"]))
+    known_fields(obj, ("n", "edges"))
     if "edges" not in obj or "n" not in obj:
         raise GraphError('graph fragment needs either "preset"/"n" or "n"/"edges"')
     return validate(integer(obj["n"]), [tuple(integer(v) for v in e) for e in obj["edges"]])

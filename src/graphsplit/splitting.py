@@ -7,16 +7,16 @@ forward-substitution sweep; the two routes are kept in agreement by tests
 and serve as each other's oracle.
 
 Certificates quantify how far T is from being normal (T^T T = T T^T) and
-from being the average of an isometry and the identity (2 T^T T = T + T^T),
-and one rule turns them into verdicts: a defect counts as zero up to
-DEFECT_TOL (1 + ||T||^2). `certificates` takes every defect and ||T||;
-`iso_defect` and `iso_verdict` take only the iso defect and its verdict, with
-the same expressions and so the same bits. The graph-equality trials and
-witnesses read only verdicts: `screened_iso_defect` and `screened_iso_verdict`
-let a Frobenius bound decide them below a screen and take those same bits
-above it. The second
-property is what makes the relaxed map's convergence rate an explicit
-function of the relaxation parameter.
+from being iso-averaged, the average of an isometry and the identity
+(2 T^T T = T + T^T); one rule turns them into verdicts: a defect counts as
+zero up to DEFECT_TOL (1 + ||T||^2). Iso-averagedness is what makes the
+relaxed map's convergence rate an explicit function of the relaxation
+parameter, and it holds for every choice of node subspaces exactly when
+G = G'. `certificates` takes every defect and ||T||. The graph-equality
+trials and witnesses read only the iso verdict: `screened_iso_defect` and
+`screened_iso_verdict` let a Frobenius bound decide it below a screen, and
+above it take the spectral norm of the matrix `certificates` uses, so the
+same bits.
 """
 
 import math
@@ -196,10 +196,6 @@ def _iso_matrix(t, gram):
     return 2.0 * gram - t - t.T
 
 
-def _iso(t, gram):
-    return matlin.operator_norm(_iso_matrix(t, gram))
-
-
 def certificates(t):
     """Structural defects of a square matrix, its norm, and the verdicts.
 
@@ -211,31 +207,9 @@ def certificates(t):
     t = np.asarray(t, dtype=float)
     gram = t.T @ t
     normality = matlin.operator_norm(gram - t @ t.T)
-    iso = _iso(t, gram)
+    iso = matlin.operator_norm(_iso_matrix(t, gram))
     nrm = matlin.operator_norm(t)
     return Certificates(normality, iso, nrm, _negligible(normality, nrm), _negligible(iso, nrm))
-
-
-def iso_defect(t):
-    """The iso defect of `certificates`, bit for bit, at the cost of one norm."""
-    t = np.asarray(t, dtype=float)
-    return _iso(t, t.T @ t)
-
-
-def _iso_negligible(t, iso):
-    # ||T|| enters only when the defect exceeds DEFECT_TOL.
-    return iso <= DEFECT_TOL or _negligible(iso, matlin.operator_norm(t))
-
-
-def iso_verdict(t):
-    """(iso_defect, is_iso_averaged) of `certificates`, bit for bit.
-
-    ||T|| enters the verdict only when the defect exceeds DEFECT_TOL, so an
-    iso-averaged map costs one norm where `certificates` takes three.
-    """
-    t = np.asarray(t, dtype=float)
-    iso = iso_defect(t)
-    return iso, _iso_negligible(t, iso)
 
 
 def screened_iso_defect(t, tol):
@@ -245,7 +219,8 @@ def screened_iso_defect(t, tol):
     (the factor 2 covers the rounding of both computed norms, as in
     `fix_basis`'s band) the defect is at most tol, and the Frobenius bound
     ||A||_F is returned in its place, with no spectral norm. Otherwise the
-    spectral norm of the same A is returned: `iso_defect`, bit for bit.
+    spectral norm of the same A is returned: the iso defect of
+    `certificates`, bit for bit.
     """
     t = np.asarray(t, dtype=float)
     a = _iso_matrix(t, t.T @ t)
@@ -254,16 +229,17 @@ def screened_iso_defect(t, tol):
 
 
 def screened_iso_verdict(t):
-    """(defect, is_iso_averaged): the verdict of `iso_verdict`, with the
+    """(defect, is_iso_averaged): the iso verdict of `certificates`, with the
     defect screened at DEFECT_TOL by `screened_iso_defect`.
 
     A bound at most DEFECT_TOL / 2 decides "iso-averaged" with no norm, as
-    the exact defect would; above the screen the defect and the verdict are
-    those of `iso_verdict`, bit for bit.
+    the exact defect would. Above the screen the defect is that of
+    `certificates`, bit for bit, and ||T|| enters the verdict only when the
+    defect exceeds DEFECT_TOL, the least value the threshold can have.
     """
     t = np.asarray(t, dtype=float)
     iso = screened_iso_defect(t, DEFECT_TOL)
-    return iso, _iso_negligible(t, iso)
+    return iso, iso <= DEFECT_TOL or _negligible(iso, matlin.operator_norm(t))
 
 
 def fix_basis(t):

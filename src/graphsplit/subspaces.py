@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matlin
-from ._json import integer, reals
+from ._json import integer, known_fields, reals
 from ._rng import SplitMix64
 
 
@@ -195,23 +195,33 @@ def _vector(value, ambient, what):
     return v
 
 
+# The fields of each subspace kind of a JSON fragment, besides "kind".
+_KIND_FIELDS = {
+    "span": ("vectors",),
+    "hyperplane": ("normal",),
+    "random": ("dim", "seed"),
+    "full": (),
+    "trivial": (),
+}
+
+
 def from_json(obj, ambient):
     """Subspace from a JSON fragment.
 
     Recognized kinds: span (list of vectors), hyperplane (normal vector),
-    random (dim and seed), full, trivial.
+    random (dim and seed), full, trivial. A field the kind does not take is
+    an error.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError('subspace fragment must be an object with a "kind"')
     kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _KIND_FIELDS:
+        raise ValueError(f"unknown subspace kind {kind!r}")
+    known_fields(obj, ("kind", *_KIND_FIELDS[kind]))
     if kind == "span":
         return from_generators([_vector(v, ambient, "span vector") for v in obj["vectors"]], ambient)
     if kind == "hyperplane":
         return hyperplane(_vector(obj["normal"], ambient, "hyperplane normal"))
     if kind == "random":
         return random_subspace(ambient, integer(obj["dim"]), integer(obj["seed"]))
-    if kind == "full":
-        return full(ambient)
-    if kind == "trivial":
-        return trivial(ambient)
-    raise ValueError(f"unknown subspace kind {kind!r}")
+    return full(ambient) if kind == "full" else trivial(ambient)

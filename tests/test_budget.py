@@ -36,10 +36,25 @@ def _unscreened_fix_basis(t):
     return matlin.null_space(delta)
 
 
+# The iso defect and verdict of `certificates` with the fewest norms and no
+# screen, by the same expressions, so the same bits: the oracles of the
+# screened defect and verdict.
+
+def _iso_defect(t):
+    t = np.asarray(t, dtype=float)
+    return matlin.operator_norm(2.0 * (t.T @ t) - t - t.T)
+
+
+def _iso_verdict(t):
+    # ||T|| enters only when the defect exceeds DEFECT_TOL.
+    iso = _iso_defect(t)
+    return iso, iso <= splitting.DEFECT_TOL or splitting._negligible(iso, matlin.operator_norm(t))
+
+
 def _assert_same_certificate(t):
     cert = splitting.certificates(t)
-    iso, verdict = splitting.iso_verdict(t)
-    assert splitting.iso_defect(t).hex() == cert.iso_defect.hex()
+    iso, verdict = _iso_verdict(t)
+    assert _iso_defect(t).hex() == cert.iso_defect.hex()
     assert iso.hex() == cert.iso_defect.hex()
     assert verdict is cert.is_iso_averaged
     return cert
@@ -75,12 +90,17 @@ def test_an_equal_graph_trial_and_a_non_witness_node_take_no_norm(norm_calls):
 
 
 def test_verdict_takes_the_norm_of_t_only_above_defect_tol(norm_calls):
-    t = experiments.random_operator(2).T
-    splitting.iso_verdict(t)
-    assert len(norm_calls) == 1
-    iso, verdict = splitting.iso_verdict(1.001 * t)
-    assert iso > splitting.DEFECT_TOL and not verdict
-    assert len(norm_calls) == 3
+    t0 = experiments.random_operator(2).T
+    taken = []
+    for eta in ETAS:
+        t = (1.0 + eta) * t0
+        before = len(norm_calls)
+        defect, _ = splitting.screened_iso_verdict(t)
+        taken.append(len(norm_calls) - before)
+        bound = float(np.linalg.norm(2.0 * (t.T @ t) - t - t.T))
+        # None below the screen, the defect's above it, and ||T|| above DEFECT_TOL.
+        assert taken[-1] == (2.0 * bound > splitting.DEFECT_TOL) + (defect > splitting.DEFECT_TOL)
+    assert set(taken) == {0, 1, 2}
 
 
 @SETTINGS
@@ -142,7 +162,7 @@ def test_screened_verdict_equals_the_exact_one(seed):
     sides = set()
     for eta in ETAS:
         t = (1.0 + eta) * t0
-        iso, verdict = splitting.iso_verdict(t)
+        iso, verdict = _iso_verdict(t)
         defect, screened_verdict = splitting.screened_iso_verdict(t)
         assert screened_verdict is verdict
         bound = float(np.linalg.norm(2.0 * (t.T @ t) - t - t.T))
@@ -160,7 +180,7 @@ def test_screened_verdict_equals_the_exact_one(seed):
 @given(configurations(), st.sampled_from(ETAS))
 def test_screened_defect_is_exact_above_its_screen(config, eta):
     t = (1.0 + eta) * splitting.build(*config).T
-    iso = splitting.iso_defect(t)
+    iso = _iso_defect(t)
     bound = float(np.linalg.norm(2.0 * (t.T @ t) - t - t.T))
     for tol in (splitting.DEFECT_TOL, experiments.WITNESS_TOL):
         defect = splitting.screened_iso_defect(t, tol)
@@ -168,7 +188,7 @@ def test_screened_defect_is_exact_above_its_screen(config, eta):
             assert defect.hex() == bound.hex() and iso <= 2.0 * bound
         else:
             assert defect.hex() == iso.hex()
-    assert splitting.screened_iso_verdict(t)[1] is splitting.iso_verdict(t)[1]
+    assert splitting.screened_iso_verdict(t)[1] is _iso_verdict(t)[1]
 
 
 # The trials and the witness search as they were before the Frobenius screens:
@@ -179,7 +199,7 @@ def _unscreened_witness_search(graph_pair, d):
     worst = 0.0
     for i in range(1, n + 1):
         op = splitting.build(graph_pair, subspaces.coordinate_product(n, i, d))
-        iso = splitting.iso_defect(op.T)
+        iso = _iso_defect(op.T)
         if iso > experiments.WITNESS_TOL:
             return experiments.WitnessResult(True, i, iso)
         worst = max(worst, iso)
@@ -200,7 +220,7 @@ def _unscreened_trials(seed, trials):
                     for _ in range(n)
                 ]
                 op = splitting.build(gp, subspaces.product(factors))
-                defect, consistent = splitting.iso_verdict(op.T)
+                defect, consistent = _iso_verdict(op.T)
                 records.append(experiments.TrialRecord(name, n, d, True, consistent, defect, None))
             else:
                 res = _unscreened_witness_search(gp, d)

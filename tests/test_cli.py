@@ -271,6 +271,25 @@ def test_integer_fragment_fields_name_their_field(tmp_path, field, overrides, ca
     _assert_config_error(tmp_path, capsys, _config(**overrides), field)
 
 
+@pytest.mark.parametrize(
+    "message,overrides",
+    [
+        ('config: unknown field "kmax"', {"kmax": 3}),
+        ('config: unknown field "epsilon"', {"epsilon": 1e-30}),
+        ('config: unknown field "v_0"', {"v_0": [1, 2]}),
+        ('graph: unknown field "edges"', {"graph": {"preset": "sequential", "n": 3, "edges": []}}),
+        ('subgraph: unknown field "m"', {"subgraph": {"n": 3, "edges": [[1, 2], [2, 3]], "m": 2}}),
+        ('spaces[1]: unknown field "dim"', {"spaces": _first_space({"kind": "full", "dim": 1})}),
+        ('spaces[1]: unknown field "vectors"',
+         {"spaces": _first_space({"kind": "hyperplane", "normal": [1, 0], "vectors": []})}),
+        ('thetas: unknown field "stpe"',
+         {"thetas": {"start": 0.5, "stop": 1.5, "step": 0.5, "stpe": 0.1}}),
+    ],
+)
+def test_unknown_fields_are_named(tmp_path, message, overrides, capsys):
+    _assert_config_error(tmp_path, capsys, _config(**overrides), message)
+
+
 def test_integral_floats_load_as_integers():
     exact = cli.load_config(_config(k_max=10000))
     floats = cli.load_config(

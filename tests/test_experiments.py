@@ -238,7 +238,7 @@ def test_a_huge_budget_costs_no_memory_when_the_run_stops_early():
     tracemalloc.start()
     try:
         [(k_stop, dists)] = experiments._relaxed_runs(
-            HALVING, [0.5], HALVING_V0, np.array([[1.0], [0.0]]), 2.0**-19, 10**9
+            HALVING, [0.5], HALVING_V0, np.array([3.0, 0.0]), 2.0**-19, 10**9
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -437,3 +437,191 @@ def test_demo_catalog_all_pass():
 def test_demo_unknown_name():
     with pytest.raises(experiments.UnknownExampleError):
         experiments.run_demo("nonexistent")
+
+
+NAN_MAP = np.full((4, 4), np.nan)
+GOOD_MAP = np.eye(4) - np.diag([0.5, 0.5, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        ("v0", lambda op, v0: experiments.converge(op, 1.0, v0[:2])),
+        ("v0", lambda op, v0: experiments.converge(op, 1.0, np.full(4, np.nan))),
+        ("eps", lambda op, v0: experiments.converge(op, 1.0, v0, eps=np.nan)),
+        ("v0", lambda op, v0: experiments.theta_sweep(op, [0.5, 1.0], v0[:2])),
+        ("v0", lambda op, v0: experiments.theta_sweep(op, [0.5, 1.0], np.full(4, np.nan))),
+        ("op", lambda op, v0: experiments.converge(NAN_MAP, 1.0, v0)),
+        ("t", lambda op, v0: experiments.symmetry_check(NAN_MAP, v0, [0.5], 3)),
+        ("x", lambda op, v0: experiments.symmetry_check(GOOD_MAP, np.full(4, np.nan), [0.5], 3)),
+        ("thetas", lambda op, v0: experiments.symmetry_check(GOOD_MAP, v0, [], 3)),
+        ("thetas", lambda op, v0: experiments.symmetry_check(GOOD_MAP, v0, [np.nan], 3)),
+        ("k_max", lambda op, v0: experiments.symmetry_check(GOOD_MAP, v0, [0.5], 0)),
+        ("x", lambda op, v0: experiments.convexity_check(np.eye(4), np.full(4, np.nan), 2, [0, 1])),
+        ("grid", lambda op, v0: experiments.convexity_check(np.eye(4), v0, 2, [])),
+        ("grid", lambda op, v0: experiments.convexity_check(np.eye(4), v0, 2, [1.0])),
+        ("grid", lambda op, v0: experiments.convexity_check(np.eye(4), v0, 2, [0.0, np.nan])),
+    ],
+)
+def test_bad_inputs_name_their_argument(name, call):
+    op, v0, _, _ = experiments.three_lines_example()
+    with pytest.raises(ValueError, match=f"^{name} "):
+        call(op, v0)
+
+
+def test_overflowing_norms_give_no_convexity_verdict():
+    # (1 + theta)^2000 overflows: the gaps are inf - inf, which must not
+    # read as convex (a loop of Python max over the gaps returned -inf).
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = experiments.convexity_check(2.0 * np.eye(2), np.ones(2), 2000, [0.5, 1.0, 1.5],
+                                          require_normal=False)
+    assert math.isnan(gap)
+
+
+# The relaxed-map loops of the checks and demos as they were before
+# `_relaxed_runs` ran them: one theta at a time, one 2-d matvec per step and
+# np.linalg.norm per iterate. The routed checks must keep their bits.
+
+def _loop_symmetry(t, x, thetas, k_max):
+    worst = 0.0
+    for theta in thetas:
+        ya = x.copy()
+        yb = x.copy()
+        ta = splitting.relax(t, theta)
+        tb = splitting.relax(t, 2.0 - theta)
+        for _ in range(k_max):
+            ya = ta @ ya
+            yb = tb @ yb
+            worst = max(worst, abs(float(np.linalg.norm(ya)) - float(np.linalg.norm(yb))))
+    return worst
+
+
+def _loop_norm(t, theta, x, k):
+    y = x.copy()
+    t_theta = splitting.relax(t, theta)
+    for _ in range(k):
+        y = t_theta @ y
+    return float(np.linalg.norm(y))
+
+
+def _loop_convexity(t, x, k, grid):
+    grid = sorted(float(g) for g in grid)
+    worst = -math.inf
+    for lo, hi in zip(grid, grid[1:]):
+        gap = _loop_norm(t, 0.5 * (lo + hi), x, k) - 0.5 * (
+            _loop_norm(t, lo, x, k) + _loop_norm(t, hi, x, k)
+        )
+        worst = max(worst, gap)
+    return worst
+
+
+def _loop_monotonicity(t, theta, x, k_max):
+    f = experiments.fix_basis(t)
+    limit = f @ (f.T @ x)
+    t_theta = splitting.relax(t, theta)
+    y = x.copy()
+    prev = float(np.linalg.norm(y))
+    for _ in range(k_max):
+        if float(np.linalg.norm(y - limit)) <= 1e-12:
+            break
+        y = t_theta @ y
+        cur = float(np.linalg.norm(y))
+        if not cur < prev:
+            return False
+        prev = cur
+    return True
+
+
+def _zero_map():
+    # Orthogonal lines: the pairwise operator is the zero map, so iterates at
+    # theta = 1 have norm exactly 0.
+    u1 = subspaces.from_generators([np.array([1.0, 0.0])])
+    u2 = subspaces.from_generators([np.array([0.0, 1.0])])
+    return splitting.build(graphs.pair(graphs.preset("sequential", 2)), subspaces.product([u1, u2]))
+
+
+def _subjects():
+    for seed in range(8):
+        op = experiments.random_operator(seed)
+        yield op.T, SplitMix64(5000 + seed).normals(op.size)
+    yield _zero_map().T, np.array([0.6, -0.8])
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 31, 32, 33, 70])
+def test_symmetry_check_keeps_the_loop_bits(k_max):
+    thetas = [0.1, 0.5, 1.0, 1.3]
+    for t, x in _subjects():
+        got = experiments.symmetry_check(t, x, thetas, k_max)
+        assert got.hex() == _loop_symmetry(t, x, thetas, k_max).hex()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 31, 32, 33])
+def test_convexity_check_keeps_the_loop_bits(k):
+    grid = [0.0, 0.25, 0.5, 1.0, 1.4, 2.0]  # theta = 0 (T_0 = I) and theta = 2
+    shift = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for t, x in [*_subjects(), (shift, np.array([0.0, 1.0]))]:
+        got = experiments.convexity_check(t, x, k, grid, require_normal=False)
+        assert got.hex() == _loop_convexity(t, x, k, grid).hex()
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 31, 32, 33, 10000])
+def test_monotonicity_check_keeps_the_loop_verdict(k_max):
+    cases = []
+    for seed in range(8):
+        op = experiments.random_operator(400 + seed)
+        f = experiments.fix_basis(op.T)
+        rng = SplitMix64(7000 + seed)
+        for theta in (0.3, 1.0, 1.7):
+            x = rng.normals(op.size)  # with a fixed component, so a nonzero limit
+            cases.append((op.T, theta, x if theta != 1.0 else x - f @ (f.T @ x)))
+    # The zero map halves at theta = 1/2: the floor arrives at k = 40, inside
+    # the block 32 .. 63, and the norms decrease to the end.
+    cases.append((_zero_map().T, 0.5, np.array([0.6, -0.8])))
+    # diag(1, 0) at theta = 1/2 from (3, 1): the norms flatten at round-off
+    # before the distance 2^-k reaches the floor at k = 40.
+    cases.append((HALVING, 0.5, HALVING_V0))
+    # From (c, 2^40 * 1e-12) the distance reaches the floor exactly at k = 40
+    # (2^-k * 2^40 * 1e-12 is exact), so the norms up to k = 40 count. They
+    # stop decreasing at round-off from k = 40 to 41 for c = 1e-4 (true) and
+    # from k = 39 to 40 for c = 2e-4 (false).
+    cases += [(HALVING, 0.5, np.array([c, 2.0**40 * 1e-12])) for c in (1e-4, 2e-4)]
+    verdicts = set()
+    for t, theta, x in cases:
+        try:
+            want = _loop_monotonicity(t, theta, x, k_max)
+        except ValueError:
+            continue
+        try:
+            got = experiments.monotonicity_check(t, theta, x, k_max)
+        except experiments.ExcludedInputError:
+            continue
+        assert got is want, theta
+        verdicts.add(got)
+    assert True in verdicts and (k_max < 31 or False in verdicts)
+
+
+def test_demos_keep_the_loop_bits():
+    shift = np.array([[0.0, 1.0], [0.0, 0.0]])
+    x = np.array([0.0, 1.0])
+    f0, f_half, f1 = (_loop_norm(shift, theta, x, 2) for theta in (0.0, 0.5, 1.0))
+    got = experiments._norms(shift, [0.0, 0.5, 1.0], x, 2)[:, 2].tolist()
+    assert [v.hex() for v in got] == [v.hex() for v in (f0, f_half, f1)]
+    lines = experiments.run_demo("not-normal").lines
+    assert [line.measured for line in lines[:3]] == [f"{v:.12g}" for v in (f_half, f_half, 0.5 * (f0 + f1))]
+
+    op, v0, _, limit = experiments.three_lines_example()
+    v = v0.copy()
+    for _ in range(5000):
+        v = op.T @ v
+    final_dist = float(np.linalg.norm(v - limit))
+    [(_, dists)] = experiments._relaxed_runs(op.T, [1.0], v0, limit, 0.0, 5000)
+    assert dists[5000].hex() == final_dist.hex()
+    lo = experiments.converge(op, 0.2, v0, eps=1e-30, k_max=200).points
+    hi = experiments.converge(op, 1.8, v0, eps=1e-30, k_max=200).points
+    sym = max(abs(da - db) for (_, da), (_, db) in zip(lo, hi))
+    f = experiments.fix_basis(op.T)
+    (_, a), (_, b) = experiments._relaxed_runs(op.T, [0.2, 1.8], v0, f @ (f.T @ v0), 0.0, 200)
+    assert float(np.max(np.abs(a - b))).hex() == sym.hex()
+    lines = {line.label: line.measured for line in experiments.run_demo("geometric").lines}
+    assert lines["distance to closed-form limit after 5000 steps"] == f"{final_dist:.12g}"
+    assert lines["distance symmetry of 0.2 and 1.8 over 200 steps"] == f"{sym:.12g}"

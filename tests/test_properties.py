@@ -94,7 +94,7 @@ def test_coordinate_products_have_a_closed_form():
                 closed = matlin.kron_lift(np.eye(n - 1) - np.outer(z, z) / deg[i], d)
                 assert np.max(np.abs(op.T - closed)) <= 1e-13
                 r = deg_sub[i] / deg[i]
-                assert abs(splitting.iso_defect(op.T) - 2.0 * r * (1.0 - r)) <= 1e-13
+                assert abs(splitting.certificates(op.T).iso_defect - 2.0 * r * (1.0 - r)) <= 1e-13
 
 
 def test_every_unequal_catalog_pair_has_a_witness():
