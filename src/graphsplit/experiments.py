@@ -8,12 +8,14 @@ decrease, and the coordinate-subspace witnesses that separate graph pairs
 with unequal graph and subgraph.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import graphs, matlin, splitting, subspaces
+from ._json import whole
 from ._rng import SplitMix64
 
 DEFAULT_EPS = 1e-6
@@ -83,6 +85,8 @@ def _check_run(thetas, eps, k_max):
         raise splitting.DomainError("relaxation parameter must lie in (0, 2)")
     if not eps > 0.0:
         raise ValueError("eps must be positive")
+    if not whole(k_max):
+        raise ValueError(f"k_max must be an integer, got {k_max!r}")
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
 
@@ -277,9 +281,9 @@ def monotonicity_check(op, theta, x, k_max=DEFAULT_K_MAX):
     return bool(np.all(norms[1:] < norms[:-1]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class WitnessResult:
-    """Outcome of `witness_search`.
+    """Outcome of `witness_search`, frozen since equal searches share one.
 
     defect is exact (the iso defect of the node's map) for a found witness,
     the only one printed; otherwise it is the largest node defect, each exact
@@ -304,7 +308,21 @@ def witness_search(graph_pair, d):
     map's `certificates`, and so is a node's defect above the screen; a
     node below it reports its Frobenius bound, at most WITNESS_TOL / 2, and
     takes no spectral norm.
+
+    The result depends on nothing but the frozen graph pair and d, so a
+    search runs once per (pair, d) (the last 256 are kept) and an equal
+    call gets the same frozen record. d must be an integer of at least 1.
     """
+    if not whole(d) or d < 1:
+        raise ValueError(f"d must be an integer of at least 1, got {d!r}")
+    # A plain function in front of the cache, since the span tracer of
+    # perfbench/tracer.py wraps plain functions only; d goes positionally,
+    # so d=3 and 3 share one entry.
+    return _witness_search(graph_pair, int(d))
+
+
+@functools.lru_cache(maxsize=256)
+def _witness_search(graph_pair, d):
     n = graph_pair.g.n
     worst = 0.0
     for i in range(1, n + 1):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matlin
-from ._json import integer, known_fields
+from ._json import integer, known_fields, whole
 
 PRESETS = ("sequential", "ring", "parallel_up", "parallel_down", "biparallel", "complete")
 
@@ -194,13 +194,29 @@ def _laplacian_factor(g):
 
 
 def preset(name, n):
-    """One of the named graph families on n nodes."""
-    if name not in PRESETS:
+    """One of the named graph families on n nodes.
+
+    The graph is frozen, so it is built once per (name, n) (the last 256
+    are kept) and an equal call gets the same object. The name and size
+    are checked before the cache is consulted, so an unknown or unhashable
+    name raises a GraphError and a size that is not an integer a
+    BadSizeError.
+    """
+    if not isinstance(name, str) or name not in PRESETS:
         raise GraphError(f"unknown preset {name!r}, expected one of {PRESETS}")
+    if not whole(n):
+        raise BadSizeError(f"preset size must be an integer, got {n!r}")
     if n < 2:
         raise BadSizeError("presets need at least two nodes")
     if name in ("ring", "biparallel") and n < 3:
         raise BadSizeError(f"{name} needs at least three nodes")
+    # The checks run ahead of the cache, which could not hash a list name
+    # and would answer for 5.0 or True with the graph of 5 or 1.
+    return _preset(name, int(n))
+
+
+@functools.lru_cache(maxsize=256)
+def _preset(name, n):
     if name == "sequential":
         edges = [(i, i + 1) for i in range(1, n)]
     elif name == "ring":

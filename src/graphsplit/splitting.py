@@ -79,12 +79,14 @@ def build(graph_pair, spaces, z=None):
     orthogonal complement and is invertible thanks to the forward
     orientation of the graph edges.
 
-    The dense matrix is produced by columnwise linear solves against the
-    block map (never an explicit inverse), followed by a build-time check
-    of the two algebraic identities the construction relies on: the block
-    map's inverse commutes with the product projector, and it inverts the
-    projected lift on the product subspace. A failure of either beyond
-    1e-9 signals a kernel bug, not bad input.
+    One LU factorization of the block map serves both the dense matrix and
+    a build-time check: a single solve against [P Zbar, I] gives
+    X = M^{-1} P Zbar, from which C = Zbar^T X, and the inverse M^{-1},
+    which the check reads. The check covers the two algebraic identities
+    the construction relies on: the block map's inverse commutes with the
+    product projector, and it inverts the projected lift on the product
+    subspace. A failure of either beyond 1e-9 signals a kernel bug, not
+    bad input.
 
     z defaults to the QR-based Laplacian factor of the subgraph; a custom
     factor (for instance a tree incidence matrix) may be supplied as long
@@ -113,11 +115,12 @@ def build(graph_pair, spaces, z=None):
     pbp = p @ bbar @ p
     m = pbp + (np.eye(p.shape[0]) - p)
 
-    x = np.linalg.solve(m, p @ zbar)
+    cols = zbar.shape[1]
+    sol = np.linalg.solve(m, np.hstack([p @ zbar, np.eye(n * d)]))
+    x, minv = sol[:, :cols], sol[:, cols:]
     c = zbar.T @ x
     t = np.eye((n - 1) * d) - c
 
-    minv = np.linalg.solve(m, np.eye(n * d))
     scale = 1.0 + np.linalg.norm(minv)
     if np.linalg.norm(minv @ p - p @ minv) > 1e-9 * scale:
         raise SelfCheckFailedError("block-map inverse does not commute with the projector")

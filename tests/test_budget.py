@@ -1,6 +1,7 @@
 """The norm budget: callers take only the norms and factors they read, with
 the same expressions, so the same bits, as the full certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -78,15 +79,17 @@ def test_a_near_identity_report_takes_the_exact_identity_test(norm_calls):
 
 
 def test_an_equal_graph_trial_and_a_non_witness_node_take_no_norm(norm_calls):
+    experiments._witness_search.cache_clear()
     records = experiments.graph_equality_trials(seed=3, trials=4)
     same = [r for r in records if r.same]
     unequal = [r for r in records if not r.same]
     assert all(r.consistent for r in records)
     # Every equal-graph trial is decided by its Frobenius screen ...
     assert all(r.defect <= splitting.DEFECT_TOL / 2 for r in same)
-    # ... and every search finds its witness, whose printed defect takes one norm.
+    # ... and every search finds its witness, whose printed defect takes one
+    # norm, once per distinct search: a repeated (pair, n, d) takes none.
     assert all(r.witness_index for r in unequal)
-    assert len(norm_calls) == len(unequal)
+    assert len(norm_calls) == len({(r.pair_name, r.n, r.d) for r in unequal})
 
 
 def test_verdict_takes_the_norm_of_t_only_above_defect_tol(norm_calls):
@@ -268,6 +271,35 @@ def test_screened_witness_search_equals_the_unscreened_one():
                     _assert_same_defect(got.defect, want.defect, experiments.WITNESS_TOL)
 
 
+def test_witness_search_is_cached_and_frozen(norm_calls):
+    experiments._witness_search.cache_clear()
+    gp = graphs.pair(graphs.preset("ring", 5), graphs.preset("sequential", 5))
+    result = experiments.witness_search(gp, 2)
+    assert result.found and len(norm_calls) == 1
+    # An equal pair of distinct objects and d as a keyword share the entry:
+    # no second search.
+    equal = graphs.pair(graphs.validate(5, gp.g.edges), graphs.validate(5, gp.gp.edges))
+    assert equal is not gp and equal.g is not gp.g
+    assert experiments.witness_search(equal, d=2) is result
+    assert experiments.witness_search(gp, 2) is result
+    assert experiments.witness_search(gp, np.int64(2)) is result
+    assert len(norm_calls) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.defect = 0.0
+    want = _unscreened_witness_search(gp, 2)
+    assert (result.found, result.index) == (want.found, want.index)
+    assert result.defect.hex() == want.defect.hex()
+
+
+def test_repeated_trials_search_once(norm_calls):
+    experiments._witness_search.cache_clear()
+    first = experiments.graph_equality_trials(seed=5, trials=3)
+    taken = len(norm_calls)
+    assert taken
+    assert experiments.graph_equality_trials(seed=5, trials=3) == first
+    assert len(norm_calls) == taken
+
+
 def test_laplacian_factor_is_cached_and_read_only():
     g = graphs.preset("ring", 5)
     z = graphs.laplacian_factor(g)
@@ -298,6 +330,7 @@ def test_witness_search_factors_its_subgraph_once(monkeypatch):
 
     monkeypatch.setattr(matlin, "qr", counting)
     graphs._laplacian_factor.cache_clear()
+    experiments._witness_search.cache_clear()
     # G = G' has no witness, so the search builds once per node.
     result = experiments.witness_search(graphs.pair(graphs.preset("complete", 6)), 2)
     assert not result.found

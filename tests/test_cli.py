@@ -241,6 +241,13 @@ def test_a_preset_without_n_says_so(tmp_path, field, capsys):
     _assert_config_error(tmp_path, capsys, cfg, f'{field}: preset graph fragment needs "n"')
 
 
+@pytest.mark.parametrize("name", [["ring"], {"ring": 1}, 3])
+def test_an_unhashable_or_unknown_preset_names_its_field(tmp_path, name, capsys):
+    # The preset cache is consulted only after the name is checked.
+    cfg = _config(graph={"preset": name, "n": 3})
+    _assert_config_error(tmp_path, capsys, cfg, "graph: unknown preset")
+
+
 def _assert_config_error(tmp_path, capsys, cfg, field):
     with pytest.raises(cli.ConfigError, match=f"^{re.escape(field)}"):
         cli.load_config(json.loads(json.dumps(cfg)))

@@ -36,6 +36,20 @@ def test_converge_rejects_bad_parameters():
         experiments.converge(op, 2.0, v0)
     with pytest.raises(ValueError):
         experiments.converge(op, 1.0, v0, eps=0.0)
+    for k_max in (10.5, True):
+        with pytest.raises(ValueError, match="^k_max "):
+            experiments.converge(op, 1.0, v0, k_max=k_max)
+        with pytest.raises(ValueError, match="^k_max "):
+            experiments.theta_sweep(op, [0.5, 1.0], v0, k_max=k_max)
+
+
+@pytest.mark.parametrize("d", [1.0, True, 0, -1, "2", None])
+def test_witness_search_rejects_a_bad_dimension(d):
+    gp = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
+    # A cached d = 1 result must not answer for 1.0 or True, which hash alike.
+    assert experiments.witness_search(gp, 1).found
+    with pytest.raises(ValueError, match="^d must be an integer of at least 1"):
+        experiments.witness_search(gp, d)
 
 
 def test_geometric_limit_matches_closed_form():

@@ -165,6 +165,21 @@ def test_degrees_and_in_neighbors():
     assert g.in_neighbors() == [(), (0,), (0,), (0, 1, 2)]
 
 
+def test_presets_are_cached_and_checked_first():
+    g = graphs.preset("ring", 5)
+    assert graphs.preset("ring", 5) is g
+    assert graphs.preset("ring", np.int64(5)) is g
+    assert graphs.preset("sequential", 5) is not g
+    with pytest.raises(graphs.GraphError, match="unknown preset"):
+        graphs.from_json({"preset": ["ring"], "n": 4})
+    with pytest.raises(graphs.GraphError, match="unknown preset"):
+        graphs.preset({"ring": 1}, 4)
+    # 5.0 and True would share a cache entry with 5 and 1.
+    for n in (5.0, True, "5"):
+        with pytest.raises(graphs.BadSizeError, match="integer"):
+            graphs.preset("ring", n)
+
+
 def test_from_json_forms():
     g = graphs.from_json({"preset": "ring", "n": 4})
     assert set(g.edges) == {(1, 2), (2, 3), (3, 4), (1, 4)}

@@ -41,6 +41,52 @@ def test_build_forms_the_projector_once_and_lifts_twice(monkeypatch):
     assert counts == {"projector": 1, "kron_lift": 2}
 
 
+def _two_solve_t(graph_pair, spaces):
+    """T as `build` formed it with two solves against M, one for X = M^{-1} P Zbar
+    and one for M^{-1}: the bitwise oracle of its single solve."""
+    n, d = graph_pair.g.n, spaces.ambient
+    _, _, _, b = graphs.matrices(graph_pair.g)
+    z = graphs.laplacian_factor(graph_pair.gp)
+    p = spaces.projector()
+    zbar = matlin.kron_lift(z, d)
+    m = p @ matlin.kron_lift(b, d) @ p + (np.eye(p.shape[0]) - p)
+    x = np.linalg.solve(m, p @ zbar)
+    return np.eye((n - 1) * d) - zbar.T @ x
+
+
+def test_build_solves_once(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(b.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    gp = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
+    splitting.build(gp, subspaces.product([subspaces.random_subspace(3, 2, k) for k in range(4)]))
+    # [P Zbar, I]: 3 (n - 1) columns, then 3 n.
+    assert calls == [(12, 9 + 12)]
+
+
+def test_one_solve_keeps_the_bits_of_two():
+    for _, make in experiments.pair_catalog():
+        for n in range(3, 7):
+            gp = make(n)
+            for d in range(1, 4):
+                cases = [subspaces.coordinate_product(n, i, d) for i in range(1, n + 1)]
+                cases.append(subspaces.product(
+                    [subspaces.random_subspace(d, (n + k) % (d + 1), 97 * n + 7 * d + k)
+                     for k in range(n)]
+                ))
+                for spaces in cases:
+                    got = splitting.build(gp, spaces).T
+                    want = _two_solve_t(gp, spaces)
+                    assert list(map(float.hex, got.ravel().tolist())) == list(
+                        map(float.hex, want.ravel().tolist())
+                    ), (n, d)
+
+
 def test_build_two_nodes_is_douglas_rachford():
     op, u1, u2 = _dr_pair(60.0)
     p1, p2 = u1.projector(), u2.projector()
