@@ -30,7 +30,7 @@ _CONFIG_FIELDS = ("graph", "subgraph", "ambient", "spaces", "thetas", "eps", "k_
 _RANGE_FIELDS = ("start", "stop", "step")
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Configuration file is malformed; the message names the bad field."""
 
 
@@ -107,12 +107,12 @@ def load_config(obj, seed=None, eps=None):
         raise ConfigError('config: missing "graph"')
     try:
         g = graphs.from_json(obj["graph"])
-    except (graphs.GraphError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"graph: {exc}") from exc
     try:
         gp = graphs.from_json(obj["subgraph"]) if "subgraph" in obj else None
         pair = graphs.pair(g, gp)
-    except (graphs.GraphError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"subgraph: {exc}") from exc
 
     if "ambient" not in obj:
@@ -323,16 +323,11 @@ def main(argv=None):
         text, ok = cmd_verify(args.seed, args.trials)
         _emit(text, args.out)
         return 0 if ok else 1
-    except experiments.UnknownExampleError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (
         matlin.NoConvergenceError, splitting.SelfCheckFailedError, np.linalg.LinAlgError
     ) as exc:
-        # LinAlgError is a ValueError, but a numerical failure, not bad input.
+        # LinAlgError is a ValueError, but a numerical failure, not bad input,
+        # so this clause comes before the one for config and input errors.
         print(f"error: internal numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

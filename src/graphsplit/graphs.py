@@ -101,11 +101,6 @@ def _connected(n, edges):
     return len(seen) == n
 
 
-def validate(n, edges):
-    """Check orientation, duplicates and connectivity; return the graph."""
-    return AlgorithmicGraph(n, tuple(tuple(e) for e in edges))
-
-
 @dataclass(frozen=True)
 class GraphPair:
     """A graph together with a connected spanning subgraph."""
@@ -130,17 +125,13 @@ def pair(g, gp=None):
     return GraphPair(g, g if gp is None else gp)
 
 
+@functools.lru_cache(maxsize=256)
 def matrices(g):
     """Adjacency, degree, Laplacian and update matrix B = Deg - 2 Adj^T.
 
     Cached and read-only as `laplacian_factor` is: an equal graph gets the
     same four arrays.
     """
-    return _matrices(g)
-
-
-@functools.lru_cache(maxsize=256)
-def _matrices(g):
     n = g.n
     adj = np.zeros((n, n))
     for i, j in g.edges:
@@ -247,4 +238,4 @@ def from_json(obj):
     known_fields(obj, ("n", "edges"))
     if "edges" not in obj or "n" not in obj:
         raise GraphError('graph fragment needs either "preset"/"n" or "n"/"edges"')
-    return validate(integer(obj["n"]), [tuple(integer(v) for v in e) for e in obj["edges"]])
+    return AlgorithmicGraph(integer(obj["n"]), [[integer(v) for v in e] for e in obj["edges"]])

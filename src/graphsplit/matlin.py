@@ -96,24 +96,31 @@ def qr(a, pivoting=False):
     return q, r, perm
 
 
-def null_space(a, tol=RANK_TOL):
-    """Orthonormal basis (as columns) of the kernel of a.
-
-    The numerical rank is read off the pivoted-QR diagonal of a.T at the
-    relative threshold tol; the trailing columns of the corresponding q
-    span the kernel.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    a = _as_matrix(a)
-    n = a.shape[1]
-    q, r, _ = qr(a.T, pivoting=True)
+def _rank(r):
+    """Numerical rank read off the diagonal of a pivoted-QR factor r: the
+    count of entries above RANK_TOL times the largest, the one rank rule of
+    the package."""
     diag = np.abs(np.diagonal(r))
     if diag.size == 0 or diag[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(diag > tol * diag[0]))
-    return q[:, rank:].copy() if rank < n else np.zeros((n, 0))
+        return 0
+    return int(np.count_nonzero(diag > RANK_TOL * diag[0]))
+
+
+def null_space(a):
+    """Orthonormal basis (as columns) of the kernel of a.
+
+    The numerical rank is read off the pivoted-QR diagonal of a.T by
+    _rank; the trailing columns of the corresponding q span the kernel.
+    """
+    q, r, _ = qr(np.transpose(a), pivoting=True)
+    return q[:, _rank(r) :].copy()
+
+
+def column_space(a):
+    """Orthonormal basis (as columns) of the range of a: the leading columns
+    of the pivoted QR of a, as many as _rank gives."""
+    q, r, _ = qr(a, pivoting=True)
+    return q[:, : _rank(r)].copy()
 
 
 def _hessenberg(a):

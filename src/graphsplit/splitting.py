@@ -36,10 +36,6 @@ class SelfCheckFailedError(RuntimeError):
     """An internal algebraic identity failed beyond tolerance (kernel bug)."""
 
 
-class NotOrthogonalError(ValueError):
-    """Rebase matrix is not orthogonal."""
-
-
 class DomainError(ValueError):
     """Relaxation parameter outside the open interval (0, 2)."""
 
@@ -58,8 +54,6 @@ class SplittingOperator:
     Z: np.ndarray
     graph_pair: graphs.GraphPair
     spaces: object  # ProductSubspace
-    degrees: tuple
-    in_neighbors: tuple
 
     @property
     def size(self):
@@ -90,7 +84,9 @@ def build(graph_pair, spaces, z=None):
 
     z defaults to the QR-based Laplacian factor of the subgraph; a custom
     factor (for instance a tree incidence matrix) may be supplied as long
-    as z z^T reproduces the subgraph Laplacian.
+    as z z^T reproduces the subgraph Laplacian. Z O for an orthogonal O is
+    one, and its C is Obar^T C Obar with Obar = O (x) I_d, so spectra and
+    defects do not depend on the factorization of the Laplacian.
     """
     n = graph_pair.g.n
     d = spaces.ambient
@@ -131,16 +127,7 @@ def build(graph_pair, spaces, z=None):
     ):
         raise SelfCheckFailedError("block-map inverse does not invert the projected lift")
 
-    return SplittingOperator(
-        n=n,
-        d=d,
-        T=t,
-        Z=z,
-        graph_pair=graph_pair,
-        spaces=spaces,
-        degrees=tuple(int(k) for k in graph_pair.g.degrees()),
-        in_neighbors=graph_pair.g.in_neighbors(),
-    )
+    return SplittingOperator(n=n, d=d, T=t, Z=z, graph_pair=graph_pair, spaces=spaces)
 
 
 def apply_iterative(op, v):
@@ -156,11 +143,13 @@ def apply_iterative(op, v):
         raise ValueError(f"expected a vector of length {op.size}")
     vmat = v.reshape(op.n - 1, op.d)
     zv = op.Z @ vmat
+    g = op.graph_pair.g
+    degrees, in_neighbors = g.degrees().tolist(), g.in_neighbors()
     xs = []
     for i in range(op.n):
-        deg = op.degrees[i]
+        deg = degrees[i]
         acc = zv[i] / deg
-        for h in op.in_neighbors[i]:
+        for h in in_neighbors[i]:
             acc = acc + (2.0 / deg) * xs[h]
         xs.append(op.spaces.factors[i].project(acc))
     xmat = np.stack(xs)
@@ -332,18 +321,3 @@ def predicted_rate(rho1, theta):
 def dr_rate(u1, u2, theta):
     """Douglas-Rachford rate for two subspaces: the Friedrichs cosine relaxed."""
     return predicted_rate(subspaces.friedrichs_cosine(u1, u2), theta)
-
-
-def rebase(op, o):
-    """Rebuild the operator with the Laplacian factor Z O (O orthogonal).
-
-    The new C matrix is the O-lift conjugate of the old one, so spectra and
-    structural defects are unchanged; this realizes the independence of the
-    construction from the particular factorization of the Laplacian.
-    """
-    o = np.asarray(o, dtype=float)
-    if o.shape != (op.n - 1, op.n - 1):
-        raise NotOrthogonalError(f"O must be {op.n - 1} x {op.n - 1}")
-    if np.linalg.norm(o.T @ o - np.eye(op.n - 1)) > 1e-10:
-        raise NotOrthogonalError("O^T O deviates from the identity beyond 1e-10")
-    return build(op.graph_pair, op.spaces, z=op.Z @ o)

@@ -48,10 +48,6 @@ class Subspace:
     def project(self, x):
         return self.basis @ (self.basis.T @ np.asarray(x, dtype=float))
 
-    def contains(self, x, tol=1e-10):
-        x = np.asarray(x, dtype=float)
-        return float(np.linalg.norm(x - self.project(x))) <= tol * (1.0 + float(np.linalg.norm(x)))
-
 
 def trivial(ambient):
     return Subspace(np.zeros((ambient, 0)))
@@ -75,13 +71,7 @@ def from_generators(vectors, ambient=None):
     d = vectors[0].shape[0]
     if ambient is not None and ambient != d:
         raise ValueError("generators do not match the ambient dimension")
-    a = np.column_stack(vectors)
-    q, r, _ = matlin.qr(a, pivoting=True)
-    diag = np.abs(np.diagonal(r))
-    if diag.size == 0 or diag[0] == 0.0:
-        return trivial(d)
-    rank = int(np.count_nonzero(diag > matlin.RANK_TOL * diag[0]))
-    return Subspace(q[:, :rank].copy())
+    return Subspace(matlin.column_space(np.column_stack(vectors)))
 
 
 def hyperplane(normal):
@@ -94,8 +84,6 @@ def hyperplane(normal):
 
 def complement(u):
     """Orthogonal complement: projectors of u and of the result sum to I."""
-    if u.dim == 0:
-        return full(u.ambient)
     return Subspace(matlin.null_space(u.basis.T))
 
 

@@ -5,9 +5,11 @@ generators of `perfbench/workloads.py` (loaded by path, read only), plus
 `demo all` and `verify --seed 1 --trials 20`. Each runs through
 `graphsplit.cli.main` with its config and `--out` file in a scratch
 directory; its record is the exit code and the sha256 of its stdout and
-of its `--out` file. `manifest.json` beside this file holds the records,
-with the numpy version and the platform they were made under, and
-`tests/test_golden.py` checks every op against it.
+of its `--out` file. Each `demos/0*.py` script is recorded too: it runs
+in-process as `__main__`, and its record is its exit code and the sha256
+of its stdout. `manifest.json` beside this file holds the records, with
+the numpy version and the platform they were made under, and
+`tests/test_golden.py` checks every op and script against it.
 
 Regenerate the manifest only for a change that moves printed output on
 purpose, and say in the change which ops moved and why. From the
@@ -22,6 +24,7 @@ import importlib.util
 import io
 import json
 import platform
+import runpy
 import sys
 import tempfile
 import warnings
@@ -33,7 +36,9 @@ from graphsplit import cli
 
 HERE = Path(__file__).resolve().parent
 MANIFEST = HERE / "manifest.json"
-WORKLOADS = HERE.parent.parent / "perfbench" / "workloads.py"
+ROOT = HERE.parent.parent
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+DEMOS = ROOT / "demos"
 SEED = 1
 
 
@@ -75,9 +80,25 @@ def record(op, workdir):
     return {"exit": code, "stdout": _sha256(stdout.getvalue().encode()), "out": _sha256(out)}
 
 
+def script_record(path):
+    """Exit code and stdout digest of one demo script run in-process."""
+    stdout = io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            runpy.run_path(str(path), run_name="__main__")
+        except SystemExit as exc:
+            code = exc.code
+    return {"exit": code, "stdout": _sha256(stdout.getvalue().encode())}
+
+
 def records(workdir):
-    """label -> record of every golden op."""
-    return {label: record(op, workdir) for label, op in golden_ops()}
+    """label -> record of every golden op, then of every demo script."""
+    ops = {label: record(op, workdir) for label, op in golden_ops()}
+    for path in sorted(DEMOS.glob("0*.py")):
+        ops[f"demos/{path.name}"] = script_record(path)
+    return ops
 
 
 def main():
@@ -87,7 +108,7 @@ def main():
     lines = ",\n".join(f"  {json.dumps(label)}: {json.dumps(rec)}" for label, rec in ops.items())
     text = f'{{\n "environment": {json.dumps(environment())},\n "ops": {{\n{lines}\n }}\n}}\n'
     MANIFEST.write_text(text, encoding="utf-8")
-    print(f"{MANIFEST}: {len(ops)} ops under {environment()}")
+    print(f"{MANIFEST}: {len(ops)} records under {environment()}")
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ captured output on failure)."""
 
 import numpy as np
 import pytest
+from conftest import random_operator
 
 from graphsplit import experiments, graphs, matlin, splitting, subspaces
 from graphsplit._rng import SplitMix64
@@ -40,7 +41,7 @@ def test_criterion_02_relaxed_projector():
 def test_criterion_03_rate_formula():
     worst = 0.0
     for seed in range(1, 21):
-        op = experiments.random_operator(seed)
+        op = random_operator(seed)
         report = splitting.spectral_report(op.T)
         assert report.is_iso_averaged
         for i in range(1, 20):
@@ -54,7 +55,7 @@ def test_criterion_03_rate_formula():
 def test_criterion_04_norm_symmetry():
     worst_excess = 0.0
     for seed in range(1, 21):
-        op = experiments.random_operator(seed)
+        op = random_operator(seed)
         x = SplitMix64(9000 + seed).normals(op.size)
         defect = experiments.symmetry_check(op.T, x, [i / 10.0 for i in range(1, 10)], 200)
         worst_excess = max(worst_excess, defect / (1.0 + float(np.linalg.norm(x))))
@@ -129,7 +130,7 @@ def test_criterion_08_geometric_example():
 def test_criterion_09_build_equivalence():
     worst = 0.0
     for k in range(50):
-        op = experiments.random_operator(seed=300 + k)
+        op = random_operator(seed=300 + k)
         rng = SplitMix64(1300 + k)
         for _ in range(10):
             v = rng.normals(op.size)
@@ -144,7 +145,7 @@ def test_criterion_09_build_equivalence():
 def test_criterion_10_strict_decrease():
     ok = True
     for seed in range(1, 11):
-        op = experiments.random_operator(seed=400 + seed)
+        op = random_operator(seed=400 + seed)
         f = splitting.fix_basis(op.T)
         kernel = matlin.null_space(op.T)
         rng = SplitMix64(1400 + seed)
@@ -163,7 +164,7 @@ def test_criterion_11_midpoint_convexity():
     worst = -np.inf
     grid = [0.05 * i for i in range(1, 40)]
     for seed in range(41, 51):
-        op = experiments.random_operator(seed=seed)
+        op = random_operator(seed=seed)
         x = SplitMix64(2000 + seed).normals(op.size)
         for k in (1, 2, 5):
             worst = max(worst, experiments.convexity_check(op.T, x, k, grid))

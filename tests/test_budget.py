@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import eig_multiset_close
+from conftest import eig_multiset_close, random_operator
 from hypothesis import given
 from hypothesis import strategies as st
 from test_properties import SAME, SETTINGS, configurations
@@ -68,7 +68,7 @@ ETAS = [0.0, *np.geomspace(1e-11, 1e-6, 51).tolist()]
 
 @pytest.mark.parametrize("seed", range(6))
 def test_report_takes_three_norms(norm_calls, seed):
-    splitting.spectral_report(experiments.random_operator(seed).T)
+    splitting.spectral_report(random_operator(seed).T)
     assert len(norm_calls) == 3
 
 
@@ -93,7 +93,7 @@ def test_an_equal_graph_trial_and_a_non_witness_node_take_no_norm(norm_calls):
 
 
 def test_verdict_takes_the_norm_of_t_only_above_defect_tol(norm_calls):
-    t0 = experiments.random_operator(2).T
+    t0 = random_operator(2).T
     taken = []
     for eta in ETAS:
         t = (1.0 + eta) * t0
@@ -115,7 +115,7 @@ def test_narrow_certificates_equal_the_full_ones(config, eta):
 def test_scaled_maps_run_every_branch_of_the_verdict():
     branches = set()
     for seed in range(4):
-        t = experiments.random_operator(seed).T
+        t = random_operator(seed).T
         for eta in ETAS:
             cert = _assert_same_certificate((1.0 + eta) * t)
             if cert.iso_defect <= splitting.DEFECT_TOL:
@@ -161,7 +161,7 @@ def test_fix_basis_across_the_band_edge(kind):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_screened_verdict_equals_the_exact_one(seed):
-    t0 = experiments.random_operator(seed).T
+    t0 = random_operator(seed).T
     sides = set()
     for eta in ETAS:
         t = (1.0 + eta) * t0
@@ -278,7 +278,9 @@ def test_witness_search_is_cached_and_frozen(norm_calls):
     assert result.found and len(norm_calls) == 1
     # An equal pair of distinct objects and d as a keyword share the entry:
     # no second search.
-    equal = graphs.pair(graphs.validate(5, gp.g.edges), graphs.validate(5, gp.gp.edges))
+    equal = graphs.pair(
+        graphs.AlgorithmicGraph(5, gp.g.edges), graphs.AlgorithmicGraph(5, gp.gp.edges)
+    )
     assert equal is not gp and equal.g is not gp.g
     assert experiments.witness_search(equal, d=2) is result
     assert experiments.witness_search(gp, 2) is result
@@ -344,7 +346,7 @@ def test_cached_factor_still_rebases_and_yields_to_a_supplied_z():
     assert op.Z is graphs.laplacian_factor(gp.gp)
     c, s = math.cos(0.3), math.sin(0.3)
     o = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    turned = splitting.rebase(op, o)
+    turned = splitting.build(gp, spaces, z=op.Z @ o)
     assert turned.Z.flags.writeable
     assert np.array_equal(turned.Z, op.Z @ o)
     want = np.linalg.eigvals(op.T)

@@ -126,6 +126,8 @@ def test_demo_all_passes(capsys):
 
 def test_demo_unknown_is_config_error(capsys):
     assert cli.main(["demo", "does-not-exist"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown example 'does-not-exist'; available: not-normal, ")
 
 
 def test_verify_deterministic(capsys):
@@ -364,14 +366,24 @@ def _singular(*args, **kwargs):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+_SOLVE = np.linalg.solve
+
+
+def _perturbed_solve(a, b):
+    # A solution off by 1e-3 in every entry: build's own checks of the
+    # block-map inverse must fail.
+    return _SOLVE(a, b) + 1e-3
+
+
 @pytest.mark.parametrize(
     "target,replacement,command,message",
     [
         ((matlin, "general_eigenvalues"), _no_convergence, "analyze", "no deflation"),
         ((matlin, "general_eigenvalues"), _off_circle, "sweep", "off the half-circle"),
         ((np.linalg, "solve"), _singular, "analyze", "Singular matrix"),
+        ((np.linalg, "solve"), _perturbed_solve, "analyze", "block-map inverse"),
     ],
-    ids=["no-convergence", "self-check", "linalg-error"],
+    ids=["no-convergence", "self-check", "linalg-error", "build-self-check"],
 )
 def test_numerical_failures_exit_3(tmp_path, monkeypatch, capsys, target, replacement, command,
                                    message):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import random_operator
 
 from graphsplit import experiments, graphs, matlin, splitting, subspaces
 from graphsplit._rng import SplitMix64
@@ -154,7 +155,7 @@ def test_stacked_sweep_matches_oracle_on_random_operators():
     thetas = [0.2, 0.6, 1.0, 1.3, 1.8]
     stops = []
     for seed in range(50):
-        t = experiments.random_operator(seed).T
+        t = random_operator(seed).T
         v0 = SplitMix64(1000 + seed).normals(t.shape[0])
         order = thetas[seed % 5 :] + thetas[: seed % 5]  # converge checks order[0]
         stops += _assert_sweep_matches_oracle(t, order, v0, 1e-9, 300)
@@ -232,7 +233,7 @@ def test_stacked_sweep_stops_many_thetas_in_one_block():
 def _sweeps_and_traces():
     runs = []
     for seed in range(6):
-        t = experiments.random_operator(seed).T
+        t = random_operator(seed).T
         v0 = SplitMix64(2000 + seed).normals(t.shape[0])
         thetas = [0.2, 0.6, 1.0, 1.3, 1.8]
         runs.append(experiments.theta_sweep(t, thetas, v0, eps=1e-9, k_max=150))
@@ -315,7 +316,7 @@ def test_sweep_takes_the_fixed_basis_from_its_report(monkeypatch):
 
 
 def test_measured_rate_tracks_prediction():
-    op = experiments.random_operator(seed=31)
+    op = random_operator(seed=31)
     report = splitting.spectral_report(op.T)
     v0 = SplitMix64(32).normals(op.size)
     for theta in (0.7, 1.0, 1.3):
@@ -345,7 +346,7 @@ def test_symmetry_check_iso_vs_not():
 
 
 def test_convexity_check_normal_map():
-    op = experiments.random_operator(seed=51)
+    op = random_operator(seed=51)
     x = SplitMix64(52).normals(op.size)
     grid = [0.05 * i for i in range(1, 40)]
     assert experiments.convexity_check(op.T, x, 2, grid) <= 1e-9
@@ -366,7 +367,7 @@ def test_convexity_check_identity_flat():
 
 
 def test_monotonicity_check_strict_decrease():
-    op = experiments.random_operator(seed=61)
+    op = random_operator(seed=61)
     rng = SplitMix64(62)
     f = experiments.fix_basis(op.T)
     for theta in (0.5, 1.0, 1.5):
@@ -436,8 +437,8 @@ def test_graph_equality_trials_consistent():
 
 
 def test_random_operator_deterministic():
-    a = experiments.random_operator(seed=5)
-    b = experiments.random_operator(seed=5)
+    a = random_operator(seed=5)
+    b = random_operator(seed=5)
     assert np.array_equal(a.T, b.T)
 
 
@@ -471,6 +472,14 @@ GOOD_MAP = np.eye(4) - np.diag([0.5, 0.5, 0.0, 0.0])
         ("thetas", lambda op, v0: experiments.symmetry_check(GOOD_MAP, v0, [], 3)),
         ("thetas", lambda op, v0: experiments.symmetry_check(GOOD_MAP, v0, [np.nan], 3)),
         ("k_max", lambda op, v0: experiments.symmetry_check(GOOD_MAP, v0, [0.5], 0)),
+        pytest.param("k_max", lambda op, v0: experiments.symmetry_check(GOOD_MAP, v0, [0.5], 2.5),
+                     id="k_max-fraction"),
+        pytest.param("k_max", lambda op, v0: experiments.symmetry_check(GOOD_MAP, v0, [0.5], True),
+                     id="k_max-bool"),
+        pytest.param("k", lambda op, v0: experiments.convexity_check(np.eye(4), v0, 2.5, [0, 1]),
+                     id="k-fraction"),
+        pytest.param("k", lambda op, v0: experiments.convexity_check(np.eye(4), v0, True, [0, 1]),
+                     id="k-bool"),
         ("x", lambda op, v0: experiments.convexity_check(np.eye(4), np.full(4, np.nan), 2, [0, 1])),
         ("grid", lambda op, v0: experiments.convexity_check(np.eye(4), v0, 2, [])),
         ("grid", lambda op, v0: experiments.convexity_check(np.eye(4), v0, 2, [1.0])),
@@ -556,7 +565,7 @@ def _zero_map():
 
 def _subjects():
     for seed in range(8):
-        op = experiments.random_operator(seed)
+        op = random_operator(seed)
         yield op.T, SplitMix64(5000 + seed).normals(op.size)
     yield _zero_map().T, np.array([0.6, -0.8])
 
@@ -582,7 +591,7 @@ def test_convexity_check_keeps_the_loop_bits(k):
 def test_monotonicity_check_keeps_the_loop_verdict(k_max):
     cases = []
     for seed in range(8):
-        op = experiments.random_operator(400 + seed)
+        op = random_operator(400 + seed)
         f = experiments.fix_basis(op.T)
         rng = SplitMix64(7000 + seed)
         for theta in (0.3, 1.0, 1.7):

@@ -1,4 +1,4 @@
-"""Byte-identity gate: every golden command-line output keeps its digest.
+"""Byte-identity gate: every golden command-line output and demo script keeps its digest.
 
 The ops, their records and the regeneration script are in
 `tests/golden/regenerate.py`; the digests are in `tests/golden/manifest.json`.
@@ -31,4 +31,4 @@ def test_every_golden_output_keeps_its_bytes(tmp_path):
     got = golden.records(tmp_path)
     assert list(got) == list(manifest["ops"])
     moved = [label for label, rec in got.items() if rec != manifest["ops"][label]]
-    assert not moved, f"{len(moved)} of {len(got)} ops moved: {', '.join(moved[:10])}"
+    assert not moved, f"{len(moved)} of {len(got)} records moved: {', '.join(moved[:10])}"

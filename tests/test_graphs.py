@@ -7,29 +7,29 @@ from graphsplit import graphs, matlin
 
 
 def test_validate_sequential():
-    g = graphs.validate(3, [(1, 2), (2, 3)])
+    g = graphs.AlgorithmicGraph(3, [(1, 2), (2, 3)])
     assert g.n == 3
     assert g.edges == ((1, 2), (2, 3))
 
 
 def test_validate_bad_orientation():
     with pytest.raises(graphs.BadOrientationError):
-        graphs.validate(3, [(2, 1)])
+        graphs.AlgorithmicGraph(3, [(2, 1)])
 
 
 def test_validate_out_of_range_edge():
     with pytest.raises(graphs.BadOrientationError):
-        graphs.validate(3, [(1, 2), (2, 3), (1, 4)])
+        graphs.AlgorithmicGraph(3, [(1, 2), (2, 3), (1, 4)])
 
 
 def test_validate_disconnected():
     with pytest.raises(graphs.DisconnectedError):
-        graphs.validate(4, [(1, 2), (3, 4)])
+        graphs.AlgorithmicGraph(4, [(1, 2), (3, 4)])
 
 
 def test_validate_duplicate_edge():
     with pytest.raises(graphs.DuplicateEdgeError):
-        graphs.validate(3, [(1, 2), (1, 2), (2, 3)])
+        graphs.AlgorithmicGraph(3, [(1, 2), (1, 2), (2, 3)])
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,12 @@ import functools
 
 import numpy as np
 import pytest
+from conftest import random_operator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphsplit import experiments, graphs, matlin, splitting, subspaces
+from graphsplit._rng import SplitMix64
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
 
@@ -71,6 +73,21 @@ def test_full_spaces_solve_against_the_lifted_update_matrix(config):
     assert np.max(np.abs(op.C - expected)) <= 1e-12
 
 
+@SETTINGS
+@given(configurations(), st.integers(0, 2**32 - 1))
+def test_rebased_factor_conjugates_c(config, seed):
+    # Z O factors the same Laplacian for an orthogonal O, and the C it gives
+    # is Obar^T C Obar with Obar = O (x) I_d: the construction does not
+    # depend on the factorization of the Laplacian.
+    op = splitting.build(*config)
+    o, _, _ = matlin.qr(SplitMix64(seed).normal_matrix(op.n - 1, op.n - 1))
+    turned = splitting.build(op.graph_pair, op.spaces, z=op.Z @ o)
+    obar = matlin.kron_lift(o, op.d)
+    assert np.max(np.abs(turned.C - obar.T @ op.C @ obar)) <= 1e-9
+    before, after = splitting.certificates(op.T), splitting.certificates(turned.T)
+    assert (before.is_normal, before.is_iso_averaged) == (after.is_normal, after.is_iso_averaged)
+
+
 def _unequal_pairs():
     """Every catalog pair with G != G' on 3 to 7 nodes, with its node degrees in G and G'."""
     for _, make in CATALOG:
@@ -129,7 +146,7 @@ def _relaxations_of_equal_graph_operators():
     """(best grid theta, radii over GRID, predicted rates over GRID) of 60 G = G' operators."""
     runs = []
     for seed in range(60):
-        t = experiments.random_operator(seed).T
+        t = random_operator(seed).T
         report = splitting.spectral_report(t)
         best, radii = _best_theta(t, report.fix_dim)
         runs.append((best, radii, [splitting.predicted_rate(report.rho1, th) for th in GRID]))

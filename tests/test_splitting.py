@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import eig_multiset_close
+from conftest import eig_multiset_close, random_operator
 
 from graphsplit import experiments, graphs, matlin, splitting, subspaces
 from graphsplit._rng import SplitMix64
@@ -129,7 +129,7 @@ def test_build_ring_over_sequential_c():
 
 
 def test_apply_iterative_zero_is_zero():
-    op = experiments.random_operator(seed=77)
+    op = random_operator(seed=77)
     v_next, xs = splitting.apply_iterative(op, np.zeros(op.size))
     assert np.array_equal(v_next, np.zeros(op.size))
     assert all(np.array_equal(x, np.zeros(op.d)) for x in xs)
@@ -156,7 +156,7 @@ def test_apply_iterative_three_node_substitution():
 def test_apply_iterative_matches_dense():
     rng = SplitMix64(11)
     for k in range(10):
-        op = experiments.random_operator(seed=500 + k)
+        op = random_operator(seed=500 + k)
         for _ in range(5):
             v = rng.normals(op.size)
             v_next, _ = splitting.apply_iterative(op, v)
@@ -197,7 +197,7 @@ def test_certificates_isometry_defect_is_twice_iso_and_norm_matches_numpy():
     for t in (
         np.array([[0.0, 1.0], [0.0, 0.0]]),
         np.diag([1.0, 0.0]),
-        experiments.random_operator(seed=901).T,
+        random_operator(seed=901).T,
         splitting.build(ring_seq, spaces).T,
     ):
         cert = splitting.certificates(t)
@@ -276,17 +276,22 @@ def test_dr_rate():
     assert splitting.dr_rate(u1, u1, 1.0) == 0.0
 
 
+def _rebase(op, o):
+    """The operator built from the factor Z O in place of Z."""
+    return splitting.build(op.graph_pair, op.spaces, z=op.Z @ o)
+
+
 def test_rebase_identity_is_noop():
-    op = experiments.random_operator(seed=21)
-    re = splitting.rebase(op, np.eye(op.n - 1))
+    op = random_operator(seed=21)
+    re = _rebase(op, np.eye(op.n - 1))
     assert np.allclose(re.T, op.T, atol=1e-12)
 
 
 def test_rebase_rotation_preserves_defects():
-    op = experiments.random_operator(seed=22, n_lo=3, n_hi=3)
+    op = random_operator(seed=22, n_lo=3, n_hi=3)
     angle = np.deg2rad(30.0)
     o = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
-    re = splitting.rebase(op, o)
+    re = _rebase(op, o)
     n0 = splitting.certificates(op.T)
     n1 = splitting.certificates(re.T)
     assert abs(n0.normality_defect - n1.normality_defect) <= 1e-9
@@ -296,22 +301,23 @@ def test_rebase_rotation_preserves_defects():
 
 
 def test_rebase_reflection_preserves_spectrum():
-    op = experiments.random_operator(seed=23, n_lo=3, n_hi=3)
-    re = splitting.rebase(op, np.diag([1.0, -1.0]))
+    op = random_operator(seed=23, n_lo=3, n_hi=3)
+    re = _rebase(op, np.diag([1.0, -1.0]))
     got = matlin.general_eigenvalues(re.T)
     want = matlin.general_eigenvalues(op.T)
     assert eig_multiset_close(got, want, 1e-7 * (1 + matlin.operator_norm(op.T)))
 
 
 def test_rebase_rejects_non_orthogonal():
-    op = experiments.random_operator(seed=24, n_lo=3, n_hi=3)
-    with pytest.raises(splitting.NotOrthogonalError):
-        splitting.rebase(op, np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # Z O factors the Laplacian only for an orthogonal O.
+    op = random_operator(seed=24, n_lo=3, n_hi=3)
+    with pytest.raises(splitting.BadFactorError):
+        _rebase(op, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_lift_range_is_orthogonal_to_diagonal():
     for k in range(5):
-        op = experiments.random_operator(seed=600 + k)
+        op = random_operator(seed=600 + k)
         zbar = matlin.kron_lift(op.Z, op.d)
         diag = matlin.kron_lift(np.ones((op.n, 1)), op.d)
         assert np.max(np.abs(diag.T @ zbar)) <= 1e-12
@@ -319,7 +325,7 @@ def test_lift_range_is_orthogonal_to_diagonal():
 
 def test_iso_operators_are_firmly_nonexpansive():
     for k in range(5):
-        op = experiments.random_operator(seed=700 + k)
+        op = random_operator(seed=700 + k)
         s = 2.0 * op.T - np.eye(op.size)
         assert matlin.operator_norm(s) == pytest.approx(1.0, abs=1e-9)
 
@@ -337,7 +343,7 @@ def test_relaxation_scales_normality_defect_quadratically():
 
 def test_iso_circle_for_iso_operators():
     for k in range(5):
-        op = experiments.random_operator(seed=800 + k)
+        op = random_operator(seed=800 + k)
         report = splitting.spectral_report(op.T)
         assert report.is_iso_averaged
         assert 0.0 <= report.rho1 <= 1.0
