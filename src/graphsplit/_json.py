@@ -1,5 +1,5 @@
 """Strict reading of decoded JSON: integer and float fields, and the field names
-of an object."""
+of an object; and the integer check of a count argument."""
 
 import numbers
 
@@ -7,6 +7,13 @@ import numbers
 def whole(value):
     """Whether value is an integer and not a bool, which Python counts as one."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_count(name, value, least):
+    """Raise a ValueError naming the argument unless value is an integer,
+    not a bool, of at least `least`."""
+    if not whole(value) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def integer(value):

@@ -30,10 +30,6 @@ _CONFIG_FIELDS = ("graph", "subgraph", "ambient", "spaces", "thetas", "eps", "k_
 _RANGE_FIELDS = ("start", "stop", "step")
 
 
-class ConfigError(ValueError):
-    """Configuration file is malformed; the message names the bad field."""
-
-
 def _fmt(x):
     return f"{float(x):.12g}"
 
@@ -54,23 +50,23 @@ class ExperimentConfig:
 
 
 def _number(field, value, kind=real):
-    """value as a finite float (an int when kind is integer), or a ConfigError naming field."""
+    """value as a finite float (an int when kind is integer), or a ValueError naming field."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         expected = "an integer" if kind is integer else "a finite number"
-        raise ConfigError(f"{field}: expected {expected}, got {value!r}") from exc
+        raise ValueError(f"{field}: expected {expected}, got {value!r}") from exc
     if kind is real and not math.isfinite(number):  # an int of 400 digits overflows isfinite
-        raise ConfigError(f"{field}: expected a finite number, got {value!r}")
+        raise ValueError(f"{field}: expected a finite number, got {value!r}")
     return number
 
 
 def _known_fields(field, obj, fields):
-    """known_fields, with a ConfigError naming the object's field."""
+    """known_fields, with a ValueError naming the object's field."""
     try:
         known_fields(obj, fields)
     except ValueError as exc:
-        raise ConfigError(f"{field}: {exc}") from None
+        raise ValueError(f"{field}: {exc}") from None
 
 
 def _expand_thetas(spec):
@@ -78,10 +74,10 @@ def _expand_thetas(spec):
         _known_fields("thetas", spec, _RANGE_FIELDS)
         for key in _RANGE_FIELDS:
             if key not in spec:
-                raise ConfigError(f'thetas: missing "{key}" in range form')
+                raise ValueError(f'thetas: missing "{key}" in range form')
         start, stop, step = (_number(f"thetas.{key}", spec[key]) for key in _RANGE_FIELDS)
         if step <= 0.0:
-            raise ConfigError("thetas: step must be positive")
+            raise ValueError("thetas: step must be positive")
         # Bounded, since start + k * step need not grow: 1.0 + 1e-20 == 1.0.
         values = []
         for k in range(MAX_THETAS + 1):
@@ -89,10 +85,10 @@ def _expand_thetas(spec):
             if theta > stop + 1e-9:
                 return values
             values.append(theta)
-        raise ConfigError(f"thetas: range gives more than {MAX_THETAS} values")
+        raise ValueError(f"thetas: range gives more than {MAX_THETAS} values")
     if isinstance(spec, list):
         return [_number("thetas", t) for t in spec]
-    raise ConfigError("thetas: expected a list or {start, stop, step}")
+    raise ValueError("thetas: expected a list or {start, stop, step}")
 
 
 def load_config(obj, seed=None, eps=None):
@@ -101,47 +97,47 @@ def load_config(obj, seed=None, eps=None):
     Command-line --seed and --eps take precedence over the file values.
     """
     if not isinstance(obj, dict):
-        raise ConfigError("config: top level must be an object")
+        raise ValueError("config: top level must be an object")
     _known_fields("config", obj, _CONFIG_FIELDS)
     if "graph" not in obj:
-        raise ConfigError('config: missing "graph"')
+        raise ValueError('config: missing "graph"')
     try:
         g = graphs.from_json(obj["graph"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"graph: {exc}") from exc
+        raise ValueError(f"graph: {exc}") from exc
     try:
         gp = graphs.from_json(obj["subgraph"]) if "subgraph" in obj else None
         pair = graphs.pair(g, gp)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"subgraph: {exc}") from exc
+        raise ValueError(f"subgraph: {exc}") from exc
 
     if "ambient" not in obj:
-        raise ConfigError('config: missing "ambient"')
+        raise ValueError('config: missing "ambient"')
     ambient = _number("ambient", obj["ambient"], integer)
     if ambient < 1:
-        raise ConfigError("ambient: must be at least 1")
+        raise ValueError("ambient: must be at least 1")
 
     fragments = obj.get("spaces")
     if not isinstance(fragments, list) or len(fragments) != g.n:
-        raise ConfigError(f"spaces: need a list of exactly {g.n} subspace fragments")
+        raise ValueError(f"spaces: need a list of exactly {g.n} subspace fragments")
     factors = []
     for idx, fragment in enumerate(fragments, start=1):
         try:
             factors.append(subspaces.from_json(fragment, ambient))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"spaces[{idx}]: {exc}") from exc
+            raise ValueError(f"spaces[{idx}]: {exc}") from exc
 
     thetas = _expand_thetas(obj.get("thetas", []))
     for theta in thetas:
         if not 0.0 < theta < 2.0:
-            raise ConfigError(f"thetas: {theta} outside the open interval (0, 2)")
+            raise ValueError(f"thetas: {theta} outside the open interval (0, 2)")
 
     eps_value = _number("eps", eps if eps is not None else obj.get("eps", experiments.DEFAULT_EPS))
     if eps_value <= 0.0:
-        raise ConfigError("eps: must be positive")
+        raise ValueError("eps: must be positive")
     k_max = _number("k_max", obj.get("k_max", experiments.DEFAULT_K_MAX), integer)
     if k_max < 1:
-        raise ConfigError("k_max: must be at least 1")
+        raise ValueError("k_max: must be at least 1")
     seed_value = _number("seed", seed if seed is not None else obj.get("seed", 0), integer)
 
     v0 = obj.get("v0", "random")
@@ -149,11 +145,11 @@ def load_config(obj, seed=None, eps=None):
         try:
             flat = np.asarray(reals(v0), dtype=float).ravel()
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"v0: expected a list of numbers: {exc}") from exc
+            raise ValueError(f"v0: expected a list of numbers: {exc}") from exc
         if not np.all(np.isfinite(flat)):
-            raise ConfigError("v0: entries must be finite")
+            raise ValueError("v0: entries must be finite")
         if flat.shape[0] != (g.n - 1) * ambient:
-            raise ConfigError(f"v0: expected {(g.n - 1) * ambient} numbers, got {flat.shape[0]}")
+            raise ValueError(f"v0: expected {(g.n - 1) * ambient} numbers, got {flat.shape[0]}")
         v0 = flat
 
     return ExperimentConfig(
@@ -257,11 +253,11 @@ def _read_config(path, seed=None, eps=None):
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
     except OSError as exc:
-        raise ConfigError(f"config: cannot read {path!r}: {exc}") from exc
+        raise ValueError(f"config: cannot read {path!r}: {exc}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+        raise ValueError(f"config: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     return load_config(obj, seed=seed, eps=eps)
 
 

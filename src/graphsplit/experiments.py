@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graphs, matlin, splitting, subspaces
-from ._json import whole
+from ._json import check_count
 from ._rng import SplitMix64
 
 DEFAULT_EPS = 1e-6
@@ -26,14 +26,6 @@ RATE_FLOOR = 1e-13
 
 class ExcludedInputError(ValueError):
     """Start point lies in the subspace where strict decrease cannot hold."""
-
-
-class NotNormalError(ValueError):
-    """Convexity check demands a normal map."""
-
-
-class UnknownExampleError(ValueError):
-    """Requested golden example is not in the catalog."""
 
 
 fix_basis = splitting.fix_basis
@@ -78,21 +70,14 @@ def _operands(op, x, op_name, x_name):
     return t, x
 
 
-def _check_count(name, value, least):
-    """Raise a ValueError naming the argument unless value is an integer,
-    not a bool, of at least `least`."""
-    if not whole(value) or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-
-
 def _check_run(thetas, eps, k_max):
     """The checks of a run to a limit, which `converge`, `theta_sweep` and
     `monotonicity_check` make before the first step."""
     if not all(0.0 < theta < 2.0 for theta in thetas):
-        raise splitting.DomainError("relaxation parameter must lie in (0, 2)")
+        raise ValueError("relaxation parameter must lie in (0, 2)")
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    _check_count("k_max", k_max, 0)
+    check_count("k_max", k_max, 0)
 
 
 def _relaxed_runs(t, thetas, v0, limit, eps, k_max):
@@ -223,7 +208,7 @@ def symmetry_check(t, x, thetas, k_max):
     """
     t, x = _operands(t, x, "t", "x")
     thetas = _finite_points("thetas", thetas, 1)
-    _check_count("k_max", k_max, 1)
+    check_count("k_max", k_max, 1)
     norms = _norms(t, thetas + [2.0 - theta for theta in thetas], x, k_max)
     return float(np.max(np.abs(norms[: len(thetas)] - norms[len(thetas) :])))
 
@@ -239,11 +224,11 @@ def convexity_check(t, x, k, grid, require_normal=True):
     """
     t, x = _operands(t, x, "t", "x")
     grid = sorted(_finite_points("grid", grid, 2))
-    _check_count("k", k, 0)
+    check_count("k", k, 0)
     if require_normal:
         cert = splitting.certificates(t)
         if not cert.is_normal:
-            raise NotNormalError(f"normality defect {cert.normality_defect:.3e} is too large")
+            raise ValueError(f"normality defect {cert.normality_defect:.3e} is too large")
     mids = [0.5 * (lo + hi) for lo, hi in zip(grid, grid[1:])]
     f = _norms(t, grid + mids, x, k)[:, k]
     ends, mid = f[: len(grid)], f[len(grid) :]
@@ -312,7 +297,7 @@ def witness_search(graph_pair, d):
     search runs once per (pair, d) (the last 256 are kept) and an equal
     call gets the same frozen record. d must be an integer of at least 1.
     """
-    _check_count("d", d, 1)
+    check_count("d", d, 1)
     # A plain function in front of the cache, since the span tracer of
     # perfbench/tracer.py wraps plain functions only; d goes positionally,
     # so d=3 and 3 share one entry.
@@ -381,8 +366,7 @@ def graph_equality_trials(seed, trials):
     iso-averaged operator; for pairs with G != G', the coordinate-product
     witness search must succeed. Every trial is deterministic in the seed.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    check_count("trials", trials, 1)
     rng = SplitMix64(seed)
     records = []
     for name, make in pair_catalog():
@@ -625,7 +609,5 @@ def run_demo(name):
     try:
         fn = _DEMOS[name]
     except KeyError:
-        raise UnknownExampleError(
-            f"unknown example {name!r}; available: {', '.join(_DEMOS)}"
-        ) from None
+        raise ValueError(f"unknown example {name!r}; available: {', '.join(_DEMOS)}") from None
     return fn()

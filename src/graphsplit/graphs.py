@@ -22,30 +22,6 @@ from ._json import integer, known_fields, whole
 PRESETS = ("sequential", "ring", "parallel_up", "parallel_down", "biparallel", "complete")
 
 
-class GraphError(ValueError):
-    """Base class for graph construction problems."""
-
-
-class BadOrientationError(GraphError):
-    """An edge (i, j) violates i < j or leaves the node range."""
-
-
-class DisconnectedError(GraphError):
-    """The underlying undirected graph is not connected."""
-
-
-class DuplicateEdgeError(GraphError):
-    """The same edge appears twice."""
-
-
-class BadSizeError(GraphError):
-    """Preset requested with too few nodes."""
-
-
-class NotSubgraphError(GraphError):
-    """Subgraph edges are not a subset of the graph edges."""
-
-
 @dataclass(frozen=True)
 class AlgorithmicGraph:
     """Directed graph on nodes 1..n with every edge (i, j) satisfying i < j."""
@@ -56,16 +32,16 @@ class AlgorithmicGraph:
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple((int(i), int(j)) for i, j in self.edges))
         if self.n < 1:
-            raise BadSizeError("need at least one node")
+            raise ValueError("need at least one node")
         seen = set()
         for i, j in self.edges:
             if not (1 <= i < j <= self.n):
-                raise BadOrientationError(f"edge ({i}, {j}) must satisfy 1 <= i < j <= {self.n}")
+                raise ValueError(f"edge ({i}, {j}) must satisfy 1 <= i < j <= {self.n}")
             if (i, j) in seen:
-                raise DuplicateEdgeError(f"edge ({i}, {j}) appears twice")
+                raise ValueError(f"edge ({i}, {j}) appears twice")
             seen.add((i, j))
         if not _connected(self.n, self.edges):
-            raise DisconnectedError("underlying undirected graph is not connected")
+            raise ValueError("underlying undirected graph is not connected")
 
     def degrees(self):
         """Undirected degree of every node (in-edges plus out-edges)."""
@@ -110,10 +86,10 @@ class GraphPair:
 
     def __post_init__(self):
         if self.g.n != self.gp.n:
-            raise NotSubgraphError("graph and subgraph must share the node set")
+            raise ValueError("graph and subgraph must share the node set")
         missing = set(self.gp.edges) - set(self.g.edges)
         if missing:
-            raise NotSubgraphError(f"subgraph edges not in graph: {sorted(missing)}")
+            raise ValueError(f"subgraph edges not in graph: {sorted(missing)}")
 
     @property
     def same(self):
@@ -190,17 +166,16 @@ def preset(name, n):
     The graph is frozen, so it is built once per (name, n) (the last 256
     are kept) and an equal call gets the same object. The name and size
     are checked before the cache is consulted, so an unknown or unhashable
-    name raises a GraphError and a size that is not an integer a
-    BadSizeError.
+    name, or a size that is not an integer, raises a ValueError.
     """
     if not isinstance(name, str) or name not in PRESETS:
-        raise GraphError(f"unknown preset {name!r}, expected one of {PRESETS}")
+        raise ValueError(f"unknown preset {name!r}, expected one of {PRESETS}")
     if not whole(n):
-        raise BadSizeError(f"preset size must be an integer, got {n!r}")
+        raise ValueError(f"preset size must be an integer, got {n!r}")
     if n < 2:
-        raise BadSizeError("presets need at least two nodes")
+        raise ValueError("presets need at least two nodes")
     if name in ("ring", "biparallel") and n < 3:
-        raise BadSizeError(f"{name} needs at least three nodes")
+        raise ValueError(f"{name} needs at least three nodes")
     # The checks run ahead of the cache, which could not hash a list name
     # and would answer for 5.0 or True with the graph of 5 or 1.
     return _preset(name, int(n))
@@ -229,13 +204,13 @@ def from_json(obj):
     Any other field is an error.
     """
     if not isinstance(obj, dict):
-        raise GraphError("graph fragment must be an object")
+        raise ValueError("graph fragment must be an object")
     if "preset" in obj:
         known_fields(obj, ("preset", "n"))
         if "n" not in obj:
-            raise GraphError('preset graph fragment needs "n"')
+            raise ValueError('preset graph fragment needs "n"')
         return preset(obj["preset"], integer(obj["n"]))
     known_fields(obj, ("n", "edges"))
     if "edges" not in obj or "n" not in obj:
-        raise GraphError('graph fragment needs either "preset"/"n" or "n"/"edges"')
+        raise ValueError('graph fragment needs either "preset"/"n" or "n"/"edges"')
     return AlgorithmicGraph(integer(obj["n"]), [[integer(v) for v in e] for e in obj["edges"]])

@@ -11,12 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matlin
-from ._json import integer, known_fields, reals
+from ._json import check_count, integer, known_fields, reals
 from ._rng import SplitMix64
-
-
-class ZeroNormalError(ValueError):
-    """Hyperplane requested for the zero normal vector."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +74,7 @@ def hyperplane(normal):
     """The (d-1)-dimensional subspace orthogonal to a nonzero vector."""
     normal = np.asarray(normal, dtype=float)
     if not normal.any():
-        raise ZeroNormalError("hyperplane normal must be nonzero")
+        raise ValueError("hyperplane normal must be nonzero")
     return Subspace(matlin.null_space(normal.reshape(1, -1)))
 
 
@@ -122,7 +118,8 @@ def random_subspace(ambient, dim, seed):
     Deterministic for a given seed; the construction has full support on
     the set of dim-dimensional subspaces.
     """
-    if not 0 <= dim <= ambient:
+    check_count("dim", dim, 0)
+    if dim > ambient:
         raise ValueError("dimension must lie between 0 and the ambient dimension")
     if dim == 0:
         return trivial(ambient)
@@ -168,7 +165,8 @@ def product(factors):
 
 def coordinate_product(n, i, ambient):
     """All factors trivial except the i-th (1-based), which is the full space."""
-    if not 1 <= i <= n:
+    check_count("i", i, 1)
+    if i > n:
         raise ValueError("factor index out of range")
     return ProductSubspace(
         tuple(full(ambient) if j == i else trivial(ambient) for j in range(1, n + 1))

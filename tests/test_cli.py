@@ -1,7 +1,9 @@
 """CLI surface: config ingestion, output formats, determinism, exit codes."""
 
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -10,7 +12,8 @@ import pytest
 
 import numpy as np
 
-from graphsplit import cli, matlin
+import graphsplit
+from graphsplit import cli, experiments, matlin, splitting
 
 
 def _config(**overrides):
@@ -251,7 +254,7 @@ def test_an_unhashable_or_unknown_preset_names_its_field(tmp_path, name, capsys)
 
 
 def _assert_config_error(tmp_path, capsys, cfg, field):
-    with pytest.raises(cli.ConfigError, match=f"^{re.escape(field)}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(field)}"):
         cli.load_config(json.loads(json.dumps(cfg)))
     assert cli.main(["analyze", "--config", _write(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}")
@@ -333,7 +336,7 @@ def test_a_long_integer_seed_loads():
     ],
 )
 def test_theta_range_is_bounded(spec):
-    with pytest.raises(cli.ConfigError, match="^thetas: range gives more than 10000 values$"):
+    with pytest.raises(ValueError, match="^thetas: range gives more than 10000 values$"):
         cli.load_config(_config(thetas=spec))
 
 
@@ -394,6 +397,33 @@ def test_numerical_failures_exit_3(tmp_path, monkeypatch, capsys, target, replac
     assert err.startswith("error: internal numerical failure: ")
     assert message in err
     assert err.count("\n") == 1
+
+
+def test_the_package_defines_three_exception_classes():
+    # Bad input is a plain ValueError (exit 2); only these three are told apart.
+    modules = [graphsplit] + [
+        importlib.import_module(f"graphsplit.{info.name}")
+        for info in pkgutil.iter_modules(graphsplit.__path__) if info.name != "__main__"
+    ]
+    defined = {
+        obj for module in modules for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+        and obj.__module__ == module.__name__
+    }
+    assert defined == {
+        experiments.ExcludedInputError, matlin.NoConvergenceError, splitting.SelfCheckFailedError
+    }
+
+
+@pytest.mark.parametrize("error", [matlin.NoConvergenceError, splitting.SelfCheckFailedError])
+def test_each_runtime_error_exits_3(monkeypatch, capsys, error):
+    def fail(seed, trials):
+        raise error("failed")
+
+    assert issubclass(error, RuntimeError)
+    monkeypatch.setattr(experiments, "graph_equality_trials", fail)
+    assert cli.main(["verify"]) == 3
+    assert capsys.readouterr().err == "error: internal numerical failure: failed\n"
 
 
 def test_linalg_error_is_not_a_config_error(tmp_path, monkeypatch, capsys):

@@ -33,7 +33,7 @@ def test_converge_dr_rate_sixty_degrees():
 
 def test_converge_rejects_bad_parameters():
     op, v0, _, _ = experiments.three_lines_example()
-    with pytest.raises(splitting.DomainError):
+    with pytest.raises(ValueError, match=r"^relaxation parameter must lie in \(0, 2\)$"):
         experiments.converge(op, 2.0, v0)
     with pytest.raises(ValueError):
         experiments.converge(op, 1.0, v0, eps=0.0)
@@ -280,7 +280,7 @@ def test_sweep_checks_inputs_before_iterating(monkeypatch):
     # Relaxing T is the first step of any run, and matmul advances it.
     monkeypatch.setattr(splitting, "relax", no_step)
     monkeypatch.setattr(np, "matmul", no_step)
-    with pytest.raises(splitting.DomainError):
+    with pytest.raises(ValueError, match=r"^relaxation parameter must lie in \(0, 2\)$"):
         experiments.theta_sweep(op, [0.5, 2.0], v0)
     with pytest.raises(ValueError, match="eps"):
         experiments.theta_sweep(op, [0.5, 1.0], v0, eps=0.0)
@@ -355,7 +355,7 @@ def test_convexity_check_normal_map():
 def test_convexity_check_counterexample():
     t = np.array([[0.0, 1.0], [0.0, 0.0]])
     x = np.array([0.0, 1.0])
-    with pytest.raises(experiments.NotNormalError):
+    with pytest.raises(ValueError, match="^normality defect 1.000e[+]00 is too large$"):
         experiments.convexity_check(t, x, 2, [0.0, 1.0])
     gap = experiments.convexity_check(t, x, 2, [0.0, 1.0], require_normal=False)
     assert gap == pytest.approx(np.sqrt(5.0) / 4.0 - 0.5, abs=1e-12)
@@ -450,7 +450,7 @@ def test_demo_catalog_all_pass():
 
 
 def test_demo_unknown_name():
-    with pytest.raises(experiments.UnknownExampleError):
+    with pytest.raises(ValueError, match="^unknown example 'nonexistent'; available: not-normal, "):
         experiments.run_demo("nonexistent")
 
 
@@ -484,6 +484,11 @@ GOOD_MAP = np.eye(4) - np.diag([0.5, 0.5, 0.0, 0.0])
         ("grid", lambda op, v0: experiments.convexity_check(np.eye(4), v0, 2, [])),
         ("grid", lambda op, v0: experiments.convexity_check(np.eye(4), v0, 2, [1.0])),
         ("grid", lambda op, v0: experiments.convexity_check(np.eye(4), v0, 2, [0.0, np.nan])),
+        ("trials", lambda op, v0: experiments.graph_equality_trials(1, 2.5)),
+        ("trials", lambda op, v0: experiments.graph_equality_trials(1, True)),
+        ("i", lambda op, v0: subspaces.coordinate_product(3, 1.5, 2)),
+        ("dim", lambda op, v0: subspaces.random_subspace(3, 1.5, 1)),
+        ("dim", lambda op, v0: subspaces.random_subspace(3, True, 1)),
     ],
 )
 def test_bad_inputs_name_their_argument(name, call):

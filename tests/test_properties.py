@@ -4,7 +4,7 @@ import functools
 
 import numpy as np
 import pytest
-from conftest import random_operator
+from conftest import eig_multiset_close, random_operator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,6 +50,34 @@ def test_dense_matches_matrix_free(config):
 @given(configurations(catalog=SAME))
 def test_equal_graphs_give_iso_averaged_maps(config):
     assert splitting.certificates(splitting.build(*config).T).is_iso_averaged
+
+
+@SETTINGS
+@given(configurations(catalog=SAME))
+def test_equal_graphs_put_every_eigenvalue_on_the_half_circle(config):
+    eigs = np.linalg.eigvals(splitting.build(*config).T)
+    assert np.max(np.abs(np.abs(eigs - 0.5) - 0.5)) <= 1e-12
+
+
+@SETTINGS
+@given(configurations())
+def test_the_isometry_defect_of_2t_minus_i_is_twice_the_iso_defect(config):
+    t = splitting.build(*config).T
+    r = 2.0 * t - np.eye(len(t))
+    iso = splitting.certificates(t).iso_defect
+    assert abs(np.linalg.norm(r.T @ r - np.eye(len(t)), 2) - 2.0 * iso) <= 1e-12 * (1.0 + iso)
+
+
+@SETTINGS
+@given(configurations(catalog=SAME), st.floats(0.01, 1.99))
+def test_relaxing_maps_the_spectrum_affinely(config, theta):
+    # G = G' keeps T normal, so its eigenvalues are well conditioned; for
+    # G != G' an eigenvalue at 1 may be defective, and its computed value
+    # moves by up to 1e-4 under the relaxation's rounding.
+    t = splitting.build(*config).T
+    got = np.linalg.eigvals(splitting.relax(t, theta))
+    want = theta * np.linalg.eigvals(t) + 1.0 - theta
+    assert eig_multiset_close(got, want, 1e-12)
 
 
 @SETTINGS

@@ -41,19 +41,6 @@ def test_build_forms_the_projector_once_and_lifts_twice(monkeypatch):
     assert counts == {"projector": 1, "kron_lift": 2}
 
 
-def _two_solve_t(graph_pair, spaces):
-    """T as `build` formed it with two solves against M, one for X = M^{-1} P Zbar
-    and one for M^{-1}: the bitwise oracle of its single solve."""
-    n, d = graph_pair.g.n, spaces.ambient
-    _, _, _, b = graphs.matrices(graph_pair.g)
-    z = graphs.laplacian_factor(graph_pair.gp)
-    p = spaces.projector()
-    zbar = matlin.kron_lift(z, d)
-    m = p @ matlin.kron_lift(b, d) @ p + (np.eye(p.shape[0]) - p)
-    x = np.linalg.solve(m, p @ zbar)
-    return np.eye((n - 1) * d) - zbar.T @ x
-
-
 def test_build_solves_once(monkeypatch):
     calls = []
     solve = np.linalg.solve
@@ -65,26 +52,31 @@ def test_build_solves_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counting)
     gp = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
     splitting.build(gp, subspaces.product([subspaces.random_subspace(3, 2, k) for k in range(4)]))
-    # [P Zbar, I]: 3 (n - 1) columns, then 3 n.
-    assert calls == [(12, 9 + 12)]
+    # P Zbar alone: 3 (n - 1) columns, and no inverse.
+    assert calls == [(12, 9)]
 
 
-def test_one_solve_keeps_the_bits_of_two():
-    for _, make in experiments.pair_catalog():
-        for n in range(3, 7):
-            gp = make(n)
-            for d in range(1, 4):
-                cases = [subspaces.coordinate_product(n, i, d) for i in range(1, n + 1)]
-                cases.append(subspaces.product(
-                    [subspaces.random_subspace(d, (n + k) % (d + 1), 97 * n + 7 * d + k)
-                     for k in range(n)]
-                ))
-                for spaces in cases:
-                    got = splitting.build(gp, spaces).T
-                    want = _two_solve_t(gp, spaces)
-                    assert list(map(float.hex, got.ravel().tolist())) == list(
-                        map(float.hex, want.ravel().tolist())
-                    ), (n, d)
+def _build_with_solve_moved(monkeypatch, move):
+    """Build with a solve whose answer X is shifted by move(P) @ ones."""
+    gp = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
+    spaces = subspaces.product([subspaces.random_subspace(3, 2, k) for k in range(4)])
+    shift = move(spaces.projector()) @ np.ones((12, 9))
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + shift)
+    return splitting.build(gp, spaces)
+
+
+def test_a_solve_off_inside_the_subspace_trips_the_residual_check(monkeypatch):
+    # The move lies in range(P), so only the residual ||M X - P Zbar|| sees it.
+    with pytest.raises(splitting.SelfCheckFailedError, match="^block-map inverse misses P Zbar"):
+        _build_with_solve_moved(monkeypatch, lambda p: 1e-6 * p)
+
+
+def test_a_solve_off_the_subspace_trips_the_range_check(monkeypatch):
+    with pytest.raises(
+        splitting.SelfCheckFailedError, match="^block-map inverse leaves the product subspace"
+    ):
+        _build_with_solve_moved(monkeypatch, lambda p: 1e-6 * (np.eye(12) - p))
 
 
 def test_build_two_nodes_is_douglas_rachford():
@@ -106,7 +98,7 @@ def test_build_requires_matching_spaces():
 def test_build_rejects_bad_factor():
     gp = graphs.pair(graphs.preset("sequential", 3))
     spaces = subspaces.product([subspaces.full(1)] * 3)
-    with pytest.raises(splitting.BadFactorError):
+    with pytest.raises(ValueError, match="^Z Z\\^T does not reproduce the subgraph Laplacian$"):
         splitting.build(gp, spaces, z=np.ones((3, 2)))
 
 
@@ -260,9 +252,9 @@ def test_predicted_rate_values():
 
 
 def test_predicted_rate_domain():
-    with pytest.raises(splitting.DomainError):
+    with pytest.raises(ValueError, match=r"^relaxation parameter must lie in \(0, 2\)$"):
         splitting.predicted_rate(0.5, 0.0)
-    with pytest.raises(splitting.DomainError):
+    with pytest.raises(ValueError, match=r"^relaxation parameter must lie in \(0, 2\)$"):
         splitting.predicted_rate(0.5, 2.0)
     with pytest.raises(ValueError):
         splitting.predicted_rate(1.0, 1.0)
@@ -311,7 +303,7 @@ def test_rebase_reflection_preserves_spectrum():
 def test_rebase_rejects_non_orthogonal():
     # Z O factors the Laplacian only for an orthogonal O.
     op = random_operator(seed=24, n_lo=3, n_hi=3)
-    with pytest.raises(splitting.BadFactorError):
+    with pytest.raises(ValueError, match="^Z Z\\^T does not reproduce the subgraph Laplacian$"):
         _rebase(op, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 

@@ -80,7 +80,7 @@ def test_hyperplane_example():
 
 
 def test_hyperplane_zero_normal():
-    with pytest.raises(subspaces.ZeroNormalError):
+    with pytest.raises(ValueError, match="^hyperplane normal must be nonzero$"):
         hyperplane(np.zeros(3))
 
 
