@@ -8,15 +8,18 @@ and serve as each other's oracle.
 
 Certificates quantify how far T is from being normal (T^T T = T T^T) and
 from being iso-averaged, the average of an isometry and the identity
-(2 T^T T = T + T^T); one rule turns them into verdicts: a defect counts as
-zero up to DEFECT_TOL (1 + ||T||^2). Iso-averagedness is what makes the
-relaxed map's convergence rate an explicit function of the relaxation
-parameter, and it holds for every choice of node subspaces exactly when
-G = G'. `certificates` takes every defect and ||T||. The graph-equality
-trials and witnesses read only the iso verdict: `screened_iso_defect` and
-`screened_iso_verdict` let a Frobenius bound decide it below a screen, and
-above it take the spectral norm of the matrix `certificates` uses, so the
-same bits.
+(2 T^T T = T + T^T). Iso-averagedness is what makes the relaxed map's
+convergence rate an explicit function of the relaxation parameter, and it
+holds for every choice of node subspaces exactly when G = G'.
+
+One rule turns a quantity into a verdict against ||T||: a defect counts as
+zero up to DEFECT_TOL (1 + ||T||^2), and an eigenvalue sits at 1 up to
+EIGENVALUE_ONE_TOL (1 + ||T||). ||T|| is taken only where the bounds
+0 <= ||T|| <= 2 ||T||_F cannot decide (`_NormOfT`), with the verdicts of the
+exact norm. The graph-equality trials and witnesses read only the iso
+verdict: `screened_iso_defect` and `screened_iso_verdict` let a Frobenius
+bound decide it below a screen, and above it take the spectral norm of the
+matrix `certificates` uses, so the same bits.
 """
 
 import math
@@ -141,9 +144,19 @@ def apply_iterative(op, v):
     return v_next.ravel(), xs
 
 
+def _checked(t):
+    """t as a float matrix, checked at entry: 2-d, square and finite."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        raise ValueError(f"t must be a square 2-d array, got shape {t.shape}")
+    if not np.isfinite(t).all():
+        raise ValueError("t must have finite entries")
+    return t
+
+
 def relax(t, theta):
     """theta t + (1 - theta) I; fixed points are preserved for theta != 0."""
-    t = np.asarray(t, dtype=float)
+    t = _checked(t)
     return theta * t + (1.0 - theta) * np.eye(t.shape[0])
 
 
@@ -151,20 +164,51 @@ def relax(t, theta):
 class Certificates:
     normality_defect: float
     iso_defect: float
-    norm: float
     is_normal: bool
     is_iso_averaged: bool
 
 
-def _negligible(defect, nrm):
-    """Whether a defect counts as zero next to ||T|| = nrm: the one
-    classification rule of the package.
+class _NormOfT:
+    """||T||_2 as the classification rule reads it: bounded by 0 and
+    2 ||T||_F, and taken at most once, only where the bounds cannot decide.
 
-    Rounding is monotone, so the computed threshold is never below
-    DEFECT_TOL, and a defect at most DEFECT_TOL is negligible whatever ||T||
-    is.
+    The bounds hold for the computed norms: ||T||_2 <= ||T||_F, and the
+    factor 2 covers the rounding of both, as in `fix_basis`'s band. Where
+    ||T||_F underflows, ||T||_2 is far below machine epsilon, so 1 + ||T||_2
+    rounds to 1 as 1 + 0 does.
     """
-    return defect <= DEFECT_TOL * (1.0 + nrm * nrm)
+
+    def __init__(self, t):
+        self._t = t
+        self._upper = 2.0 * float(np.linalg.norm(t))
+        self._exact = None
+
+    def within(self, x, tol, squared):
+        """Whether x <= tol (1 + ||T||^2) if squared, else x <= tol (1 + ||T||):
+        the one classification rule of the package.
+
+        Rounding is monotone, so the computed threshold lies between tol and
+        its value at 2 ||T||_F. An x at most tol is within and an x above
+        that value is not, with no spectral norm; only in between is ||T||_2
+        taken. Either way the verdict is that of the exact norm.
+        """
+        if x <= tol:
+            return True
+        if x > _threshold(tol, self._upper, squared):
+            return False
+        if self._exact is None:
+            self._exact = matlin.operator_norm(self._t)
+        return x <= _threshold(tol, self._exact, squared)
+
+
+def _threshold(tol, nrm, squared):
+    return tol * (1.0 + (nrm * nrm if squared else nrm))
+
+
+def _negligible(defect, norm):
+    """Whether a defect counts as zero: at most DEFECT_TOL (1 + ||T||^2),
+    decided by `norm`, the `_NormOfT` of T."""
+    return norm.within(defect, DEFECT_TOL, squared=True)
 
 
 def _iso_matrix(t, gram):
@@ -173,19 +217,20 @@ def _iso_matrix(t, gram):
 
 
 def certificates(t):
-    """Structural defects of a square matrix, its norm, and the verdicts.
+    """Structural defects of a square matrix and their verdicts.
 
     The defects are the spectral norms of T^T T - T T^T and of
-    2 T^T T - T - T^T; each counts as zero up to DEFECT_TOL (1 + ||T||^2).
+    2 T^T T - T - T^T; each counts as zero up to DEFECT_TOL (1 + ||T||^2),
+    with ||T|| taken only where its bounds cannot decide (`_NormOfT`).
     The isometry defect of 2T - I is 2 iso_defect, since
     (2T - I)^T (2T - I) - I = 2 (2 T^T T - T - T^T).
     """
-    t = np.asarray(t, dtype=float)
+    t = _checked(t)
     gram = t.T @ t
     normality = matlin.operator_norm(gram - t @ t.T)
     iso = matlin.operator_norm(_iso_matrix(t, gram))
-    nrm = matlin.operator_norm(t)
-    return Certificates(normality, iso, nrm, _negligible(normality, nrm), _negligible(iso, nrm))
+    norm = _NormOfT(t)
+    return Certificates(normality, iso, _negligible(normality, norm), _negligible(iso, norm))
 
 
 def screened_iso_defect(t, tol):
@@ -198,7 +243,7 @@ def screened_iso_defect(t, tol):
     spectral norm of the same A is returned: the iso defect of
     `certificates`, bit for bit.
     """
-    t = np.asarray(t, dtype=float)
+    t = _checked(t)
     a = _iso_matrix(t, t.T @ t)
     bound = float(np.linalg.norm(a))
     return bound if 2.0 * bound <= tol else matlin.operator_norm(a)
@@ -210,12 +255,11 @@ def screened_iso_verdict(t):
 
     A bound at most DEFECT_TOL / 2 decides "iso-averaged" with no norm, as
     the exact defect would. Above the screen the defect is that of
-    `certificates`, bit for bit, and ||T|| enters the verdict only when the
-    defect exceeds DEFECT_TOL, the least value the threshold can have.
+    `certificates`, bit for bit, and so is its verdict.
     """
-    t = np.asarray(t, dtype=float)
+    t = _checked(t)
     iso = screened_iso_defect(t, DEFECT_TOL)
-    return iso, iso <= DEFECT_TOL or _negligible(iso, matlin.operator_norm(t))
+    return iso, _negligible(iso, _NormOfT(t))
 
 
 def fix_basis(t):
@@ -232,7 +276,7 @@ def fix_basis(t):
     inside that band, widened by a factor 2 for the rounding of the computed
     norms; outside it T - I goes straight to the null-space routine.
     """
-    t = np.asarray(t, dtype=float)
+    t = _checked(t)
     n = t.shape[0]
     delta = t - np.eye(n)
     band = 2.0 * math.sqrt(n) * matlin.RANK_TOL * (1.0 + np.linalg.norm(t))
@@ -256,19 +300,21 @@ def spectral_report(t):
     """Eigenvalues, fixed-subspace dimension, subdominant radius, and flags.
 
     Extends the `certificates` record. The subdominant radius is the largest
-    modulus of the eigenvalues off 1 (farther than 1e-7 (1 + ||T||)), with
-    0 as the floor when none remain. When the map is classified iso-averaged
-    every eigenvalue must sit on the circle of radius 1/2 centered at 1/2;
-    a violation means the eigensolver and the certificate disagree, which
-    is reported as a self-check failure.
+    modulus of the eigenvalues off 1 (farther than 1e-7 (1 + ||T||), by the
+    rule of `_NormOfT`), with 0 as the floor when none remain. When the map
+    is classified iso-averaged every eigenvalue must sit on the circle of
+    radius 1/2 centered at 1/2; a violation means the eigensolver and the
+    certificate disagree, which is reported as a self-check failure.
     """
-    t = np.asarray(t, dtype=float)
+    t = _checked(t)
     eigs = sorted(matlin.general_eigenvalues(t), key=lambda lam: (lam.real, lam.imag))
     cert = certificates(t)
     basis = fix_basis(t)
     fix_dim = basis.shape[1]
-    one_band = EIGENVALUE_ONE_TOL * (1.0 + cert.norm)
-    off_one = tuple(lam for lam in eigs if abs(lam - 1.0) > one_band)
+    norm = _NormOfT(t)
+    off_one = tuple(
+        lam for lam in eigs if not norm.within(abs(lam - 1.0), EIGENVALUE_ONE_TOL, squared=False)
+    )
     at_one = len(eigs) - len(off_one)
     if at_one != fix_dim:
         warnings.warn(
@@ -278,7 +324,7 @@ def spectral_report(t):
             stacklevel=2,
         )
     if cert.is_iso_averaged:
-        worst = max(abs(abs(lam - 0.5) - 0.5) for lam in eigs)
+        worst = max((abs(abs(lam - 0.5) - 0.5) for lam in eigs), default=0.0)
         if worst > EIGENVALUE_ONE_TOL:
             raise SelfCheckFailedError(
                 f"iso-averaged map has an eigenvalue off the half-circle (distance {worst:.3e})"

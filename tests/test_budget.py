@@ -2,7 +2,10 @@
 the same expressions, so the same bits, as the full certificates."""
 
 import dataclasses
+import importlib.util
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +14,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_properties import SAME, SETTINGS, configurations
 
-from graphsplit import experiments, graphs, matlin, splitting, subspaces
+from graphsplit import cli, experiments, graphs, matlin, splitting, subspaces
 from graphsplit._rng import SplitMix64
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 @pytest.fixture
@@ -37,9 +42,15 @@ def _unscreened_fix_basis(t):
     return matlin.null_space(delta)
 
 
-# The iso defect and verdict of `certificates` with the fewest norms and no
-# screen, by the same expressions, so the same bits: the oracles of the
-# screened defect and verdict.
+# The classification rule with the exact ||T||, always taken: the oracle of
+# the rule that bounds ||T|| and takes it only where the bounds cannot decide.
+
+def _exact_within(x, tol, nrm, squared):
+    return x <= tol * (1.0 + (nrm * nrm if squared else nrm))
+
+
+# The iso defect and verdict of `certificates` with no screen, by the same
+# expressions, so the same bits: the oracles of the screened defect and verdict.
 
 def _iso_defect(t):
     t = np.asarray(t, dtype=float)
@@ -47,9 +58,8 @@ def _iso_defect(t):
 
 
 def _iso_verdict(t):
-    # ||T|| enters only when the defect exceeds DEFECT_TOL.
     iso = _iso_defect(t)
-    return iso, iso <= splitting.DEFECT_TOL or splitting._negligible(iso, matlin.operator_norm(t))
+    return iso, _exact_within(iso, splitting.DEFECT_TOL, matlin.operator_norm(t), squared=True)
 
 
 def _assert_same_certificate(t):
@@ -67,15 +77,33 @@ ETAS = [0.0, *np.geomspace(1e-11, 1e-6, 51).tolist()]
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_report_takes_three_norms(norm_calls, seed):
+def test_report_takes_two_norms(norm_calls, seed):
     splitting.spectral_report(random_operator(seed).T)
-    assert len(norm_calls) == 3
+    assert len(norm_calls) == 2
 
 
 def test_a_near_identity_report_takes_the_exact_identity_test(norm_calls):
     report = splitting.spectral_report(np.eye(4) + 1e-13 * np.ones((4, 4)))
     assert report.fix_dim == 4
-    assert len(norm_calls) == 5
+    # Both defects are at most DEFECT_TOL and every eigenvalue within
+    # EIGENVALUE_ONE_TOL of 1: only `fix_basis`'s identity test takes norms.
+    assert len(norm_calls) == 4
+
+
+def test_every_certify_report_takes_two_norms(norm_calls):
+    """The benchmark's seed-1 certify configs: each report takes its two
+    defects, and no bound leaves the verdicts or the at-one band to ||T||."""
+    spec = importlib.util.spec_from_file_location("budget_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ops = workloads.certify_ops(1)
+    assert ops
+    for op in ops:
+        config = cli.load_config(op.config)
+        t = splitting.build(config.graph_pair, config.spaces).T
+        before = len(norm_calls)
+        splitting.spectral_report(t)
+        assert len(norm_calls) - before == 2, op.config
 
 
 def test_an_equal_graph_trial_and_a_non_witness_node_take_no_norm(norm_calls):
@@ -101,8 +129,11 @@ def test_verdict_takes_the_norm_of_t_only_above_defect_tol(norm_calls):
         defect, _ = splitting.screened_iso_verdict(t)
         taken.append(len(norm_calls) - before)
         bound = float(np.linalg.norm(2.0 * (t.T @ t) - t - t.T))
-        # None below the screen, the defect's above it, and ||T|| above DEFECT_TOL.
-        assert taken[-1] == (2.0 * bound > splitting.DEFECT_TOL) + (defect > splitting.DEFECT_TOL)
+        upper = 2.0 * float(np.linalg.norm(t))
+        window = splitting.DEFECT_TOL < defect <= splitting.DEFECT_TOL * (1.0 + upper * upper)
+        # None below the screen, the defect's above it, and ||T|| only for a
+        # defect above DEFECT_TOL that 2 ||T||_F cannot classify.
+        assert taken[-1] == (2.0 * bound > splitting.DEFECT_TOL) + window
     assert set(taken) == {0, 1, 2}
 
 
@@ -157,6 +188,92 @@ def test_fix_basis_across_the_band_edge(kind):
             screened_until = delta
     # The sweep passes the identity test's edge inside the band, then the band's edge.
     assert 1e-12 < identity_until < screened_until < 1e-7
+
+
+def _assert_exact_norm_verdicts(t):
+    """The verdicts, eigenvalues off 1 and rho1 of a report are those of the
+    rule with the exact ||T||."""
+    report = splitting.spectral_report(t)
+    nrm = matlin.operator_norm(t)
+    off_one = tuple(
+        lam
+        for lam in report.eigenvalues
+        if not _exact_within(abs(lam - 1.0), splitting.EIGENVALUE_ONE_TOL, nrm, squared=False)
+    )
+    assert report.is_normal is _exact_within(
+        report.normality_defect, splitting.DEFECT_TOL, nrm, squared=True
+    )
+    assert report.is_iso_averaged is _exact_within(
+        report.iso_defect, splitting.DEFECT_TOL, nrm, squared=True
+    )
+    assert report.eigenvalues_off_one == off_one
+    assert report.rho1.hex() == max((abs(lam) for lam in off_one), default=0.0).hex()
+
+
+@pytest.mark.filterwarnings("ignore:eigenvalues at 1:RuntimeWarning")
+@SETTINGS
+@given(configurations(), st.sampled_from(ETAS))
+def test_bounded_rule_equals_the_exact_norm_rule(config, eta):
+    _assert_exact_norm_verdicts((1.0 + eta) * splitting.build(*config).T)
+
+
+# Hand-built maps for each branch of the rule, with the extra norms each
+# takes: P = diag(1, 0) scaled by c has iso defect 2 c (c - 1), and ||T||_F = c,
+# so the window of the verdict is (DEFECT_TOL, DEFECT_TOL (1 + 4 c^2)].
+VERDICT_CASES = {
+    "at most DEFECT_TOL": (np.diag([1.0, 0.0]), True, 0),
+    "window, negligible": ((1.0 + 7.5e-10) * np.diag([1.0, 0.0]), True, 1),
+    "window, not negligible": ((1.0 + 1.5e-9) * np.diag([1.0, 0.0]), False, 1),
+    "above the window": (np.array([[0.0, 1.0], [0.0, 0.0]]), False, 0),
+}
+
+
+@pytest.mark.parametrize("case", VERDICT_CASES)
+def test_each_branch_of_the_verdict(norm_calls, case):
+    t, iso_averaged, extra = VERDICT_CASES[case]
+    cert = splitting.certificates(t)
+    assert cert.is_iso_averaged is iso_averaged
+    assert len(norm_calls) == 2 + extra
+    iso, verdict = _iso_verdict(t)
+    assert iso.hex() == cert.iso_defect.hex() and verdict is iso_averaged
+    assert cert.is_normal is _exact_within(
+        cert.normality_defect, splitting.DEFECT_TOL, matlin.operator_norm(t), squared=True
+    )
+
+
+# diag(1 + e, 1/2) has ||T||_F about 1.118 and ||T|| = 1 + e: the band's window
+# is (1e-7, 3.236e-7], and its exact edge 1e-7 (2 + e).
+BAND_CASES = {
+    "at most EIGENVALUE_ONE_TOL": (5e-8, True, 0),
+    "window, at one": (2e-7, True, 1),
+    "window, off one": (2.5e-7, False, 1),
+    "above the window": (1e-6, False, 0),
+}
+
+
+@pytest.mark.parametrize("case", BAND_CASES)
+def test_each_branch_of_the_at_one_band(norm_calls, case):
+    e, at_one, extra = BAND_CASES[case]
+    t = np.diag([1.0 + e, 0.5])
+    with warnings.catch_warnings():
+        # fix_basis ranks T - I at RANK_TOL, finer than the band.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = splitting.spectral_report(t)
+        assert len(norm_calls) == 2 + extra
+        assert (report.eigenvalues[-1] not in report.eigenvalues_off_one) is at_one
+        _assert_exact_norm_verdicts(t)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-170])
+def test_a_tiny_map_keeps_the_exact_norm_verdicts(scale):
+    # np.linalg.norm squares the entries and loses them to underflow, while
+    # operator_norm scales first: the bound 2 ||T||_F can fall below ||T||,
+    # where 1 + ||T|| rounds to 1 either way.
+    t = scale * random_operator(1).T
+    assert abs(matlin.operator_norm(t) - scale) <= 1e-12 * scale
+    frobenius = float(np.linalg.norm(t / scale)) * scale
+    assert abs(float(np.linalg.norm(t)) - frobenius) > 1e-6 * frobenius
+    _assert_exact_norm_verdicts(t)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,5 +1,7 @@
 """Operator assembly, matrix-free application, and spectral certificates."""
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import eig_multiset_close, random_operator
@@ -196,7 +198,7 @@ def test_certificates_isometry_defect_is_twice_iso_and_norm_matches_numpy():
         s = 2.0 * t - np.eye(t.shape[0])
         isometry = np.linalg.norm(s.T @ s - np.eye(t.shape[0]), 2)
         assert isometry == pytest.approx(2.0 * cert.iso_defect, rel=1e-12, abs=1e-15)
-        assert cert.norm == pytest.approx(np.linalg.norm(t, 2), rel=1e-12)
+        assert matlin.operator_norm(t) == pytest.approx(np.linalg.norm(t, 2), rel=1e-12)
 
 
 def test_certificates_half_shifted_permutation():
@@ -213,6 +215,43 @@ def test_spectral_report_identity():
     assert report.rho1 == 0.0
     assert report.fix_dim == 3
     assert report.is_normal and report.is_iso_averaged
+
+
+def test_spectral_report_of_the_empty_map():
+    report = splitting.spectral_report(np.zeros((0, 0)))
+    assert report.is_normal and report.is_iso_averaged
+    assert report.eigenvalues == report.eigenvalues_off_one == ()
+    assert report.fix_dim == 0 and report.rho1 == 0.0
+    assert report.fixed_basis.shape == (0, 0)
+
+
+ENTRY_POINTS = {
+    "certificates": splitting.certificates,
+    "fix_basis": splitting.fix_basis,
+    "screened_iso_defect": lambda t: splitting.screened_iso_defect(t, splitting.DEFECT_TOL),
+    "screened_iso_verdict": splitting.screened_iso_verdict,
+    "relax": lambda t: splitting.relax(t, 0.5),
+    "spectral_report": splitting.spectral_report,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.ones(3), r"^t must be a square 2-d array, got shape \(3,\)$"),
+        (np.ones((3, 2)), r"^t must be a square 2-d array, got shape \(3, 2\)$"),
+        (np.ones((2, 2, 2)), r"^t must be a square 2-d array, got shape \(2, 2, 2\)$"),
+        (np.array([[1.0, np.inf], [0.0, 1.0]]), "^t must have finite entries$"),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), "^t must have finite entries$"),
+    ],
+)
+def test_bad_t_is_one_value_error_that_names_t(entry, bad, message):
+    with warnings.catch_warnings():
+        # The check comes before any arithmetic on t: no RuntimeWarning.
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            ENTRY_POINTS[entry](bad)
 
 
 def test_spectral_report_dr_sixty_degrees():
