@@ -22,6 +22,7 @@ bound decide it below a screen, and above it take the spectral norm of the
 matrix `certificates` uses, so the same bits.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import astuple, dataclass, field
@@ -78,7 +79,9 @@ def build(graph_pair, spaces, z=None):
     factor (for instance a tree incidence matrix) may be supplied as long
     as z z^T reproduces the subgraph Laplacian. Z O for an orthogonal O is
     one, and its C is Obar^T C Obar with Obar = O (x) I_d, so spectra and
-    defects do not depend on the factorization of the Laplacian.
+    defects do not depend on the factorization of the Laplacian. With the
+    default factor the lifts Bbar and Zbar come from a cache keyed on
+    (graph pair, d); a supplied z is lifted on every call.
     """
     n = graph_pair.g.n
     d = spaces.ambient
@@ -86,9 +89,9 @@ def build(graph_pair, spaces, z=None):
         raise ValueError("need exactly one subspace per node")
     if n < 2:
         raise ValueError("need at least two nodes")
-    _, _, _, b = graphs.matrices(graph_pair.g)
     if z is None:
         z = graphs.laplacian_factor(graph_pair.gp)
+        bbar, zbar = _lifts(graph_pair, d)
     else:
         z = np.asarray(z, dtype=float)
         if z.shape != (n, n - 1):
@@ -96,10 +99,11 @@ def build(graph_pair, spaces, z=None):
         _, _, lap_sub, _ = graphs.matrices(graph_pair.gp)
         if np.linalg.norm(z @ z.T - lap_sub) > 1e-9 * (1.0 + np.linalg.norm(lap_sub)):
             raise ValueError("Z Z^T does not reproduce the subgraph Laplacian")
+        zbar = matlin.kron_lift(z, d)
+        bbar = matlin.kron_lift(graphs.matrices(graph_pair.g)[3], d)
 
     p = spaces.projector()
-    zbar = matlin.kron_lift(z, d)
-    m = p @ matlin.kron_lift(b, d) @ p + (np.eye(p.shape[0]) - p)
+    m = p @ bbar @ p + (np.eye(p.shape[0]) - p)
     pz = p @ zbar
     x = np.linalg.solve(m, pz)
     t = np.eye((n - 1) * d) - zbar.T @ x
@@ -115,6 +119,21 @@ def build(graph_pair, spaces, z=None):
         raise SelfCheckFailedError(f"block-map inverse misses P Zbar (residual {residual:.3e})")
 
     return SplittingOperator(n=n, d=d, T=t, Z=z, graph_pair=graph_pair, spaces=spaces)
+
+
+@functools.lru_cache(maxsize=256)
+def _lifts(graph_pair, d):
+    """Bbar = B (x) I_d and Zbar = Z (x) I_d for the default factor Z.
+
+    A pure function of the frozen pair and d, so lifted once per (pair, d)
+    (the last 256 are kept) and read-only, as `graphs.laplacian_factor` is.
+    """
+    _, _, _, b = graphs.matrices(graph_pair.g)
+    bbar = matlin.kron_lift(b, d)
+    zbar = matlin.kron_lift(graphs.laplacian_factor(graph_pair.gp), d)
+    bbar.flags.writeable = False
+    zbar.flags.writeable = False
+    return bbar, zbar
 
 
 def apply_iterative(op, v):

@@ -45,12 +45,23 @@ class Subspace:
         return self.basis @ (self.basis.T @ np.asarray(x, dtype=float))
 
 
+def _trusted(basis):
+    """Subspace of a float basis whose columns are orthonormal by construction.
+
+    Skips the orthonormality check of `Subspace`, which a caller's basis
+    still gets; the property tests keep the invariant for every use.
+    """
+    s = object.__new__(Subspace)
+    object.__setattr__(s, "basis", basis)
+    return s
+
+
 def trivial(ambient):
-    return Subspace(np.zeros((ambient, 0)))
+    return _trusted(np.zeros((ambient, 0)))
 
 
 def full(ambient):
-    return Subspace(np.eye(ambient))
+    return _trusted(np.eye(ambient))
 
 
 def from_generators(vectors, ambient=None):
@@ -116,16 +127,21 @@ def random_subspace(ambient, dim, seed):
     """Seeded random subspace: Gaussian matrix, then QR.
 
     Deterministic for a given seed; the construction has full support on
-    the set of dim-dimensional subspaces.
+    the set of dim-dimensional subspaces. dim 0 and dim == ambient have one
+    subspace each, `trivial` and `full`, and draw nothing. The columns of
+    the Householder Q are orthonormal by construction, so they are taken
+    without the check a caller's basis gets.
     """
     check_count("dim", dim, 0)
     if dim > ambient:
         raise ValueError("dimension must lie between 0 and the ambient dimension")
     if dim == 0:
         return trivial(ambient)
+    if dim == ambient:
+        return full(ambient)
     g = SplitMix64(seed).normal_matrix(ambient, dim)
     q, _, _ = matlin.qr(g)
-    return Subspace(q[:, :dim].copy())
+    return _trusted(q[:, :dim].copy())
 
 
 @dataclass(frozen=True)

@@ -471,3 +471,38 @@ def test_cached_factor_still_rebases_and_yields_to_a_supplied_z():
     tree = splitting.build(gp, spaces, z=graphs.incidence(gp.gp))
     assert np.array_equal(tree.Z, graphs.incidence(gp.gp))
     assert eig_multiset_close(np.linalg.eigvals(tree.T), want, 1e-10)
+
+
+def test_a_verify_draw_takes_a_qr_only_for_a_proper_subspace_and_no_check(monkeypatch, capsys):
+    qrs, checks, draws = [], [], []
+    qr, check, draw = matlin.qr, subspaces.Subspace.__post_init__, subspaces.random_subspace
+
+    def counting_qr(a, pivoting=False):
+        qrs.append("factor" if pivoting else "draw")
+        return qr(a, pivoting)
+
+    def counting_check(self):
+        checks.append(self)
+        check(self)
+
+    def recording_draw(ambient, dim, seed):
+        draws.append((ambient, dim))
+        return draw(ambient, dim, seed)
+
+    monkeypatch.setattr(matlin, "qr", counting_qr)
+    monkeypatch.setattr(subspaces.Subspace, "__post_init__", counting_check)
+    monkeypatch.setattr(subspaces, "random_subspace", recording_draw)
+    graphs._laplacian_factor.cache_clear()
+    experiments._witness_search.cache_clear()
+    splitting._lifts.cache_clear()
+    assert cli.main(["verify", "--seed", "1", "--trials", "1"]) == 0
+    assert "summary: 9/9" in capsys.readouterr().out
+    # 29 draws: 11 of dim 0 and 10 of dim d take no QR; the 8 others take one
+    # each. The 8 pivoted QRs factor the distinct subgraph Laplacians.
+    assert len(draws) == 29
+    assert sum(dim == 0 for _, dim in draws) == 11
+    assert sum(dim == ambient for ambient, dim in draws) == 10
+    assert qrs.count("draw") == sum(0 < dim < ambient for ambient, dim in draws) == 8
+    assert qrs.count("factor") == 8
+    # No draw, and no full or trivial factor of a witness, runs the check.
+    assert checks == []

@@ -463,3 +463,30 @@ def test_stdin_config_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("theta,k_stop,")
+
+
+# The two certify configs (biparallel over parallel_up, n = 3, ambient 5) on
+# which Francis QR stalls on a cluster: (dim, seed) of each node space.
+_FRANCIS_STALLS = [
+    [(3, 2832112859), (4, 1455162260), (1, 3801847808)],
+    [(3, 4242862471), (4, 235042638), (2, 1939700341)],
+]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: Francis QR finds no deflation after 1000 sweeps on "
+    "these clusters, and analyze exits 3",
+)
+@pytest.mark.parametrize("spaces", _FRANCIS_STALLS)
+def test_analyze_converges_on_clustered_biparallel_maps(tmp_path, capsys, spaces):
+    cfg = {
+        "graph": {"preset": "biparallel", "n": 3},
+        "subgraph": {"preset": "parallel_up", "n": 3},
+        "ambient": 5,
+        "spaces": [{"kind": "random", "dim": dim, "seed": seed} for dim, seed in spaces],
+    }
+    code = cli.main(["analyze", "--config", _write(tmp_path, cfg)])
+    capsys.readouterr()
+    assert code == 0

@@ -429,9 +429,12 @@ def test_witness_search_malitsky_tam_full_spaces_stay_iso():
 
 
 def test_graph_equality_trials_consistent():
-    records = experiments.graph_equality_trials(seed=7, trials=3)
-    assert len(records) == 3 * len(experiments.pair_catalog())
-    assert all(r.consistent for r in records)
+    # Draws with dim == d take the full space I in place of Q Q^T, so a
+    # trial's T moves at round-off; its verdict must not.
+    for seed in range(30):
+        records = experiments.graph_equality_trials(seed, 3)
+        assert len(records) == 3 * len(experiments.pair_catalog())
+        assert all(r.consistent for r in records), seed
     with pytest.raises(ValueError):
         experiments.graph_equality_trials(seed=1, trials=0)
 

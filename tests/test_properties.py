@@ -36,6 +36,23 @@ def configurations(draw, catalog=CATALOG, kind="random"):
 
 
 @SETTINGS
+@given(st.integers(1, 8).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d))),
+       st.integers(0, 2**64 - 1))
+def test_random_subspace_is_orthonormal_without_the_check(shape, seed):
+    # random_subspace takes the Householder Q unchecked: the invariant that
+    # Subspace checks for a caller's basis is held here instead.
+    ambient, dim = shape
+    u = subspaces.random_subspace(ambient, dim, seed)
+    assert u.basis.shape == (ambient, dim)
+    if dim:
+        assert np.max(np.abs(u.basis.T @ u.basis - np.eye(dim))) <= 1e-12
+        with pytest.raises(ValueError):
+            subspaces.Subspace(2.0 * u.basis)
+    if dim == ambient:
+        assert np.array_equal(u.projector(), np.eye(ambient))
+
+
+@SETTINGS
 @given(configurations())
 def test_dense_matches_matrix_free(config):
     op = splitting.build(*config)
@@ -71,9 +88,10 @@ def test_the_isometry_defect_of_2t_minus_i_is_twice_the_iso_defect(config):
 @SETTINGS
 @given(configurations(catalog=SAME), st.floats(0.01, 1.99))
 def test_relaxing_maps_the_spectrum_affinely(config, theta):
-    # G = G' keeps T normal, so its eigenvalues are well conditioned; for
-    # G != G' an eigenvalue at 1 may be defective, and its computed value
-    # moves by up to 1e-4 under the relaxation's rounding.
+    # G = G' keeps T normal, so its eigenvalues are well conditioned. For
+    # G != G' a near-defective cluster at 1/2 (ring/sequential) is not: its
+    # computed members move by up to 1.7e-4 under the relaxation's rounding,
+    # while the eigenvalue 1 stays simple.
     t = splitting.build(*config).T
     got = np.linalg.eigvals(splitting.relax(t, theta))
     want = theta * np.linalg.eigvals(t) + 1.0 - theta

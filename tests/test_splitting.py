@@ -38,9 +38,31 @@ def test_build_forms_the_projector_once_and_lifts_twice(monkeypatch):
 
     monkeypatch.setattr(subspaces.ProductSubspace, "projector", counting_projector)
     monkeypatch.setattr(matlin, "kron_lift", counting_kron_lift)
+    splitting._lifts.cache_clear()
     gp = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
-    splitting.build(gp, subspaces.product([subspaces.random_subspace(3, 2, k) for k in range(4)]))
+    spaces = subspaces.product([subspaces.random_subspace(3, 2, k) for k in range(4)])
+    # The first build of a (pair, d) lifts B and Z ...
+    first = splitting.build(gp, spaces)
     assert counts == {"projector": 1, "kron_lift": 2}
+    # ... and an equal pair of distinct objects with the same d lifts nothing.
+    equal = graphs.pair(
+        graphs.AlgorithmicGraph(4, gp.g.edges), graphs.AlgorithmicGraph(4, gp.gp.edges)
+    )
+    assert equal is not gp
+    again = splitting.build(equal, spaces)
+    assert counts == {"projector": 2, "kron_lift": 2}
+    assert np.array_equal(again.T, first.T)
+    # A supplied z is lifted, with B, on every call.
+    for calls in (1, 2):
+        splitting.build(gp, spaces, z=graphs.incidence(gp.gp))
+        assert counts == {"projector": 2 + calls, "kron_lift": 2 + 2 * calls}
+    # The cached lifts are shared and read-only.
+    bbar, zbar = splitting._lifts(gp, 3)
+    assert splitting._lifts(equal, 3)[0] is bbar and splitting._lifts(equal, 3)[1] is zbar
+    assert counts["kron_lift"] == 6
+    assert not bbar.flags.writeable and not zbar.flags.writeable
+    with pytest.raises(ValueError):
+        zbar[0, 0] = 1.0
 
 
 def test_build_solves_once(monkeypatch):

@@ -147,7 +147,7 @@ def test_friedrichs_against_svd_oracle():
 def test_random_subspace_endpoints():
     assert random_subspace(3, 0, 1).dim == 0
     r3 = random_subspace(3, 3, 1)
-    assert np.allclose(r3.projector(), np.eye(3), atol=1e-12)
+    assert np.array_equal(r3.projector(), np.eye(3))
 
 
 def test_random_subspace_deterministic():
