@@ -49,7 +49,7 @@ def _fit_rate(dists):
     tail = usable[len(usable) // 2 :]
     if len(tail) < 2:
         return None
-    logs = np.array(list(map(math.log, dists[tail].tolist())))
+    logs = np.fromiter(map(math.log, dists[tail].tolist()), float, len(tail))
     slope = np.polyfit(tail.astype(float), logs, 1)[0]
     return float(np.exp(slope))
 
@@ -108,8 +108,9 @@ def _relaxed_runs(t, thetas, v0, limit, eps, k_max):
     while True:
         b = min(_BLOCK, k_max + 1 - k0)
         block = buf[:b, : len(active)]
-        for j in range(1, b):
-            np.matmul(stack, block[j - 1], out=block[j])
+        steps = list(block)  # the views of the block's iterates, made once
+        for prev, step in zip(steps, steps[1:]):
+            np.matmul(stack, prev, out=step)
         d = block[..., 0] - limit
         dist = np.sqrt(np.matmul(d[..., None, :], d[..., :, None]))[..., 0, 0]
         while len(dists) < k0 + b:
@@ -161,8 +162,8 @@ def theta_sweep(op, thetas, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     """One convergence run per relaxation parameter, from one analysis of T.
 
     T_theta has the eigenvalues theta lam + 1 - theta and the fixed subspace
-    of T, so one report (with its fixed basis) and one limit point of T
-    serve every theta. The runs share one `_relaxed_runs` loop: each
+    of T, so one report, one fixed basis and one limit point of T serve
+    every theta. The runs share one `_relaxed_runs` loop: each
     iteration advances every running theta with one stacked matmul, and the
     stop test runs once per block of _BLOCK (32) iterates. Every input is
     checked before the first step. The predicted rate is the closed-form
@@ -173,7 +174,7 @@ def theta_sweep(op, thetas, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     thetas = list(thetas)
     _check_run(thetas, eps, k_max)
     report = splitting.spectral_report(t)
-    f = report.fixed_basis
+    f = fix_basis(t)
     runs = _relaxed_runs(t, thetas, v0, f @ (f.T @ v0), eps, k_max)
     records = []
     for theta, (k_stop, dists) in zip(thetas, runs):

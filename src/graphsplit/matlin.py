@@ -25,7 +25,7 @@ def _as_matrix(a):
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -37,8 +37,9 @@ def _house_vec(x):
     needed (x already has zero tail).
     """
     v = np.array(x, dtype=float)
-    x0 = float(v[0])
-    sigma = float(np.dot(v[1:], v[1:]))
+    x0 = v.item(0)
+    tail = v[1:]
+    sigma = float(np.dot(tail, tail))
     v[0] = 1.0
     if sigma == 0.0:
         return v, 0.0
@@ -49,7 +50,7 @@ def _house_vec(x):
     else:
         v0 = -sigma / (x0 + mu)
     beta = 2.0 * v0 * v0 / (sigma + v0 * v0)
-    v[1:] /= v0
+    tail /= v0
     return v, beta
 
 
@@ -67,19 +68,17 @@ def _reflect_cols(x, v, beta):
     x -= beta * ((x @ v)[:, None] * v)
 
 
-def qr(a, pivoting=False):
-    """Householder QR factorization, optionally with column pivoting.
+def _householder(a, pivoting, q):
+    """The one Householder loop: reduce a copy r of a to upper trapezoidal
+    form, with column pivoting if asked, and return (r, perm).
 
-    Returns (q, r, perm) with q orthogonal (full, m x m), r upper
-    trapezoidal, and q @ r == a[:, perm]. Without pivoting perm is the
-    identity. With pivoting the diagonal of r has non-increasing magnitude,
-    which makes the factorization rank-revealing for the matrices handled
-    here.
+    Each reflection is applied to q from the right when q is given (the
+    orthogonal factor, accumulated in place), and to r alone when q is None:
+    r gets the same reflections on the same views either way, so its bits
+    do not depend on q.
     """
-    a = _as_matrix(a)
     m, n = a.shape
     r = a.copy()
-    q = np.eye(m)
     perm = np.arange(n)
     for k in range(min(m, n)):
         if pivoting:
@@ -91,8 +90,24 @@ def qr(a, pivoting=False):
         v, beta = _house_vec(r[k:, k])
         if beta != 0.0:
             _reflect_rows(r[k:, k:], v, beta)
-            _reflect_cols(q[:, k:], v, beta)
+            if q is not None:
+                _reflect_cols(q[:, k:], v, beta)
             r[k + 1 :, k] = 0.0
+    return r, perm
+
+
+def qr(a, pivoting=False):
+    """Householder QR factorization, optionally with column pivoting.
+
+    Returns (q, r, perm) with q orthogonal (full, m x m), r upper
+    trapezoidal, and q @ r == a[:, perm]. Without pivoting perm is the
+    identity. With pivoting the diagonal of r has non-increasing magnitude,
+    which makes the factorization rank-revealing for the matrices handled
+    here.
+    """
+    a = _as_matrix(a)
+    q = np.eye(a.shape[0])
+    r, perm = _householder(a, pivoting, q)
     return q, r, perm
 
 
@@ -114,6 +129,18 @@ def null_space(a):
     """
     q, r, _ = qr(np.transpose(a), pivoting=True)
     return q[:, _rank(r) :].copy()
+
+
+def nullity(a):
+    """Dimension of the kernel of a, as null_space counts its columns.
+
+    The rank comes from the pivoted R of a.T alone (Golub and Van Loan,
+    QR with column pivoting): no orthogonal factor is accumulated, and R
+    and its rank keep the bits they have in null_space.
+    """
+    at = _as_matrix(np.transpose(a))
+    r, _ = _householder(at, True, None)
+    return at.shape[0] - _rank(r)
 
 
 def column_space(a):
@@ -152,18 +179,26 @@ def _eig2x2(a, b, c, d):
 
 
 def _francis_sweep(h, lo, hi, exceptional):
-    """One implicit double-shift QR sweep on the active block h[lo:hi+1]."""
+    """One implicit double-shift QR sweep on the active block h[lo:hi+1].
+
+    The shift and bulge scalars are Python floats read with h.item: the same
+    IEEE double operations as on numpy scalars, for less overhead.
+    """
     if exceptional:
         # Ad-hoc shift pair to break stalled symmetric cycles.
-        s = abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2])
+        s = abs(h.item(hi, hi - 1)) + abs(h.item(hi - 1, hi - 2))
         tr = 1.5 * s
         det = -0.4375 * s * s
     else:
-        tr = h[hi - 1, hi - 1] + h[hi, hi]
-        det = h[hi - 1, hi - 1] * h[hi, hi] - h[hi - 1, hi] * h[hi, hi - 1]
-    x = h[lo, lo] * h[lo, lo] + h[lo, lo + 1] * h[lo + 1, lo] - tr * h[lo, lo] + det
-    y = h[lo + 1, lo] * (h[lo, lo] + h[lo + 1, lo + 1] - tr)
-    z = h[lo + 1, lo] * h[lo + 2, lo + 1]
+        a, b = h.item(hi - 1, hi - 1), h.item(hi - 1, hi)
+        c, d = h.item(hi, hi - 1), h.item(hi, hi)
+        tr = a + d
+        det = a * d - b * c
+    h00, h01 = h.item(lo, lo), h.item(lo, lo + 1)
+    h10, h11, h21 = h.item(lo + 1, lo), h.item(lo + 1, lo + 1), h.item(lo + 2, lo + 1)
+    x = h00 * h00 + h01 * h10 - tr * h00 + det
+    y = h10 * (h00 + h11 - tr)
+    z = h10 * h21
     for j in range(lo, hi - 1):
         v, beta = _house_vec((x, y, z))
         if beta != 0.0:
@@ -172,9 +207,9 @@ def _francis_sweep(h, lo, hi, exceptional):
         if j > lo:
             h[j + 1, j - 1] = 0.0
             h[j + 2, j - 1] = 0.0
-        x = h[j + 1, j]
-        y = h[j + 2, j]
-        z = h[j + 3, j] if j < hi - 2 else 0.0
+        x = h.item(j + 1, j)
+        y = h.item(j + 2, j)
+        z = h.item(j + 3, j) if j < hi - 2 else 0.0
     v, beta = _house_vec((x, y))
     if beta != 0.0:
         _reflect_rows(h[hi - 1 : hi + 1, :], v, beta)
@@ -221,8 +256,8 @@ def general_eigenvalues(a):
             # perturbation (the Frobenius norm is invariant across sweeps),
             # and the norm floor is what lets clusters of close eigenvalues
             # deflate once they have converged to round-off level.
-            small = eps * max(abs(h[lo - 1, lo - 1]) + abs(h[lo, lo]), scale)
-            if abs(h[lo, lo - 1]) <= small:
+            small = eps * max(abs(h.item(lo - 1, lo - 1)) + abs(h.item(lo, lo)), scale)
+            if abs(h.item(lo, lo - 1)) <= small:
                 h[lo, lo - 1] = 0.0
                 break
             lo -= 1
@@ -243,23 +278,23 @@ def general_eigenvalues(a):
     return [complex(math.ldexp(lam.real, e), math.ldexp(lam.imag, e)) for lam in eigs]
 
 
-def _count_below(d, e2, x, pivmin):
-    """Sturm count: eigenvalues below x of the symmetric tridiagonal (d, e).
+def _all_below(d, e2, x, pivmin):
+    """Whether every eigenvalue of the symmetric tridiagonal (d, e) lies
+    below x: Sturm's test, with e2 the squared off-diagonal.
 
-    Counts the negative pivots of the LDL^T factorization of T - x I, with
-    e2 the squared off-diagonal. A pivot of magnitude at most pivmin is
-    replaced by -pivmin, as in LAPACK's dstebz, so the count never divides
-    by zero.
+    True when every pivot of the LDL^T factorization of T - x I is negative;
+    it stops at the first pivot that is not. A pivot of magnitude at most
+    pivmin is replaced by -pivmin, as in LAPACK's dstebz, so the recurrence
+    never divides by zero.
     """
-    count = 0
     q = 1.0
     for di, ei2 in zip(d, e2):
         q = di - x - ei2 / q
         if abs(q) <= pivmin:
             q = -pivmin
-        if q < 0.0:
-            count += 1
-    return count
+        if q >= 0.0:
+            return False
+    return True
 
 
 def _largest_eigenvalue(t):
@@ -284,7 +319,7 @@ def _largest_eigenvalue(t):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi or hi - lo <= 2.0 * eps * max(abs(lo), abs(hi)):
             return mid
-        if _count_below(d, e2, mid, pivmin) == n:
+        if _all_below(d, e2, mid, pivmin):
             hi = mid
         else:
             lo = mid

@@ -13,7 +13,7 @@ convergence rate an explicit function of the relaxation parameter, and it
 holds for every choice of node subspaces exactly when G = G'.
 
 One rule turns a quantity into a verdict against ||T||: a defect counts as
-zero up to DEFECT_TOL (1 + ||T||^2), and an eigenvalue sits at 1 up to
+zero up to DEFECT_TOL (1 + ||T||^2), and an eigenvalue at 1 must lie within
 EIGENVALUE_ONE_TOL (1 + ||T||). ||T|| is taken only where the bounds
 0 <= ||T|| <= 2 ||T||_F cannot decide (`_NormOfT`), with the verdicts of the
 exact norm. The graph-equality trials and witnesses read only the iso
@@ -24,8 +24,7 @@ matrix `certificates` uses, so the same bits.
 
 import functools
 import math
-import warnings
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -191,16 +190,24 @@ class _NormOfT:
     """||T||_2 as the classification rule reads it: bounded by 0 and
     2 ||T||_F, and taken at most once, only where the bounds cannot decide.
 
-    The bounds hold for the computed norms: ||T||_2 <= ||T||_F, and the
-    factor 2 covers the rounding of both, as in `fix_basis`'s band. Where
-    ||T||_F underflows, ||T||_2 is far below machine epsilon, so 1 + ||T||_2
-    rounds to 1 as 1 + 0 does.
+    One instance serves a whole report: ||T||_F is formed once, and the
+    verdicts, the at-one band and the identity test of `_off_identity` share
+    the one ||T||_2. The bounds hold for the computed norms: ||T||_2 <= ||T||_F,
+    and the factor 2 covers the rounding of both, as in `_off_identity`'s band.
+    Where ||T||_F underflows, ||T||_2 is far below machine epsilon, so
+    1 + ||T||_2 rounds to 1 as 1 + 0 does.
     """
 
     def __init__(self, t):
         self._t = t
-        self._upper = 2.0 * float(np.linalg.norm(t))
+        self.frobenius = float(np.linalg.norm(t))
         self._exact = None
+
+    def exact(self):
+        """||T||_2, taken on the first call only."""
+        if self._exact is None:
+            self._exact = matlin.operator_norm(self._t)
+        return self._exact
 
     def within(self, x, tol, squared):
         """Whether x <= tol (1 + ||T||^2) if squared, else x <= tol (1 + ||T||):
@@ -213,11 +220,9 @@ class _NormOfT:
         """
         if x <= tol:
             return True
-        if x > _threshold(tol, self._upper, squared):
+        if x > _threshold(tol, 2.0 * self.frobenius, squared):
             return False
-        if self._exact is None:
-            self._exact = matlin.operator_norm(self._t)
-        return x <= _threshold(tol, self._exact, squared)
+        return x <= _threshold(tol, self.exact(), squared)
 
 
 def _threshold(tol, nrm, squared):
@@ -245,10 +250,14 @@ def certificates(t):
     (2T - I)^T (2T - I) - I = 2 (2 T^T T - T - T^T).
     """
     t = _checked(t)
+    return _certificates(t, _NormOfT(t))
+
+
+def _certificates(t, norm):
+    """The certificates of a checked t, with the verdicts decided by norm."""
     gram = t.T @ t
     normality = matlin.operator_norm(gram - t @ t.T)
     iso = matlin.operator_norm(_iso_matrix(t, gram))
-    norm = _NormOfT(t)
     return Certificates(normality, iso, _negligible(normality, norm), _negligible(iso, norm))
 
 
@@ -281,29 +290,36 @@ def screened_iso_verdict(t):
     return iso, _negligible(iso, _NormOfT(t))
 
 
-def fix_basis(t):
-    """Orthonormal basis of the fixed subspace ker(T - I).
+def _off_identity(t, norm):
+    """T - I, or None when T is the identity up to round-off.
 
-    Ranks T - I at a threshold tied to the scale of T itself: when T is the
-    identity up to round-off, every direction is fixed, which a rank
-    decision relative to the (noise-level) difference matrix would miss.
+    The identity test is ||T - I||_2 <= RANK_TOL (1 + ||T||_2), a threshold
+    tied to the scale of T itself: when T is the identity up to round-off,
+    every direction is fixed, which a rank decision relative to the
+    (noise-level) difference matrix would miss.
 
-    That identity test, ||T - I||_2 <= RANK_TOL (1 + ||T||_2), can only pass
-    when ||T - I||_F <= sqrt(N) RANK_TOL (1 + ||T||_F), because
-    ||A||_2 >= ||A||_F / sqrt(N) and ||T||_2 <= ||T||_F on N x N matrices.
-    The Frobenius norms are cheap, so the two spectral norms are taken only
-    inside that band, widened by a factor 2 for the rounding of the computed
-    norms; outside it T - I goes straight to the null-space routine.
+    The test can only pass when ||T - I||_F <= sqrt(N) RANK_TOL (1 + ||T||_F),
+    because ||A||_2 >= ||A||_F / sqrt(N) and ||T||_2 <= ||T||_F on N x N
+    matrices. The Frobenius norms are cheap, so the two spectral norms are
+    taken only inside that band, widened by a factor 2 for the rounding of
+    the computed norms, and ||T||_2 is the one of norm, the `_NormOfT` of T.
     """
-    t = _checked(t)
     n = t.shape[0]
     delta = t - np.eye(n)
-    band = 2.0 * math.sqrt(n) * matlin.RANK_TOL * (1.0 + np.linalg.norm(t))
+    band = 2.0 * math.sqrt(n) * matlin.RANK_TOL * (1.0 + norm.frobenius)
     if np.linalg.norm(delta) <= band and (
-        matlin.operator_norm(delta) <= matlin.RANK_TOL * (1.0 + matlin.operator_norm(t))
+        matlin.operator_norm(delta) <= matlin.RANK_TOL * (1.0 + norm.exact())
     ):
-        return np.eye(n)
-    return matlin.null_space(delta)
+        return None
+    return delta
+
+
+def fix_basis(t):
+    """Orthonormal basis of the fixed subspace ker(T - I): I when T passes
+    the identity test of `_off_identity`, else the null space of T - I."""
+    t = _checked(t)
+    delta = _off_identity(t, _NormOfT(t))
+    return np.eye(t.shape[0]) if delta is None else matlin.null_space(delta)
 
 
 @dataclass(frozen=True)
@@ -312,36 +328,40 @@ class SpectralReport(Certificates):
     eigenvalues_off_one: tuple  # the eigenvalues not identified with 1, same order
     fix_dim: int
     rho1: float
-    fixed_basis: np.ndarray = field(compare=False, repr=False)  # the fix_basis of T
 
 
 def spectral_report(t):
     """Eigenvalues, fixed-subspace dimension, subdominant radius, and flags.
 
-    Extends the `certificates` record. The subdominant radius is the largest
-    modulus of the eigenvalues off 1 (farther than 1e-7 (1 + ||T||), by the
-    rule of `_NormOfT`), with 0 as the floor when none remain. When the map
-    is classified iso-averaged every eigenvalue must sit on the circle of
-    radius 1/2 centered at 1/2; a violation means the eigensolver and the
-    certificate disagree, which is reported as a self-check failure.
+    Extends the `certificates` record, and computes only what it holds: one
+    `_NormOfT` serves the verdicts, the identity test and the at-one band,
+    and fix_dim is the dimension of `fix_basis`, read off the pivoted R of
+    T - I with no basis formed (`matlin.nullity`).
+
+    The eigenvalues at 1 are the fix_dim eigenvalues nearest 1. Each must lie
+    within 1e-7 (1 + ||T||) of 1, by the rule of `_NormOfT`; one outside
+    means the eigensolver and the rank disagree, a self-check failure that
+    names both counts. The subdominant radius is the largest modulus of the
+    other eigenvalues, with 0 as the floor when none remain, so an extra
+    eigenvalue near 1 (a defective 1, or one just above 1) shows in it. When
+    the map is classified iso-averaged every eigenvalue must sit on the
+    circle of radius 1/2 centered at 1/2, or the eigensolver and the
+    certificate disagree, also a self-check failure.
     """
     t = _checked(t)
     eigs = sorted(matlin.general_eigenvalues(t), key=lambda lam: (lam.real, lam.imag))
-    cert = certificates(t)
-    basis = fix_basis(t)
-    fix_dim = basis.shape[1]
     norm = _NormOfT(t)
-    off_one = tuple(
-        lam for lam in eigs if not norm.within(abs(lam - 1.0), EIGENVALUE_ONE_TOL, squared=False)
-    )
-    at_one = len(eigs) - len(off_one)
-    if at_one != fix_dim:
-        warnings.warn(
-            f"eigenvalues at 1 ({at_one}) disagree with the fixed-subspace "
-            f"dimension ({fix_dim}); the map may be defective at 1",
-            RuntimeWarning,
-            stacklevel=2,
+    cert = _certificates(t, norm)
+    delta = _off_identity(t, norm)
+    fix_dim = t.shape[0] if delta is None else matlin.nullity(delta)
+    at_one = set(sorted(range(len(eigs)), key=lambda i: abs(eigs[i] - 1.0))[:fix_dim])
+    if not all(_at_one(eigs[i], norm) for i in at_one):
+        band = sum(_at_one(lam, norm) for lam in eigs)
+        raise SelfCheckFailedError(
+            f"eigenvalues within the band at 1 ({band}) disagree with the "
+            f"fixed-subspace dimension ({fix_dim})"
         )
+    off_one = tuple(lam for i, lam in enumerate(eigs) if i not in at_one)
     if cert.is_iso_averaged:
         worst = max((abs(abs(lam - 0.5) - 0.5) for lam in eigs), default=0.0)
         if worst > EIGENVALUE_ONE_TOL:
@@ -349,7 +369,12 @@ def spectral_report(t):
                 f"iso-averaged map has an eigenvalue off the half-circle (distance {worst:.3e})"
             )
     rho1 = max((abs(lam) for lam in off_one), default=0.0)
-    return SpectralReport(*astuple(cert), tuple(eigs), off_one, fix_dim, rho1, basis)
+    return SpectralReport(*astuple(cert), tuple(eigs), off_one, fix_dim, rho1)
+
+
+def _at_one(lam, norm):
+    """Whether lam lies within EIGENVALUE_ONE_TOL (1 + ||T||) of 1."""
+    return norm.within(abs(lam - 1.0), EIGENVALUE_ONE_TOL, squared=False)
 
 
 def predicted_rate(rho1, theta):

@@ -3,8 +3,8 @@ the same expressions, so the same bits, as the full certificates."""
 
 import dataclasses
 import importlib.util
+import json
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +106,37 @@ def test_every_certify_report_takes_two_norms(norm_calls):
         assert len(norm_calls) - before == 2, op.config
 
 
+def test_a_report_forms_no_basis_and_a_sweep_forms_one(monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(matlin, "null_space", counting("null_space", matlin.null_space))
+    fix_basis = counting("fix_basis", splitting.fix_basis)
+    monkeypatch.setattr(splitting, "fix_basis", fix_basis)
+    monkeypatch.setattr(experiments, "fix_basis", fix_basis)
+    config = {
+        "graph": {"preset": "ring", "n": 4},
+        "ambient": 3,
+        "spaces": [{"kind": "random", "dim": 2, "seed": k} for k in range(4)],
+        "thetas": [0.5, 1.0, 1.5],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    # analyze reads fix_dim off the pivoted R of T - I: no basis is formed.
+    assert cli.main(["analyze", "--config", str(path)]) == 0
+    assert calls == []
+    # A sweep forms the fixed basis of T once, for every theta.
+    assert cli.main(["sweep", "--config", str(path)]) == 0
+    assert calls == ["fix_basis", "null_space"]
+    capsys.readouterr()
+
+
 def test_an_equal_graph_trial_and_a_non_witness_node_take_no_norm(norm_calls):
     experiments._witness_search.cache_clear()
     records = experiments.graph_equality_trials(seed=3, trials=4)
@@ -191,30 +222,51 @@ def test_fix_basis_across_the_band_edge(kind):
 
 
 def _assert_exact_norm_verdicts(t):
-    """The verdicts, eigenvalues off 1 and rho1 of a report are those of the
-    rule with the exact ||T||."""
+    """The verdicts of a report are those of the rule with the exact ||T||,
+    its eigenvalues at 1 are the fix_dim nearest 1, each within the band of
+    the exact ||T||, and rho1 is the largest modulus of the others."""
     report = splitting.spectral_report(t)
     nrm = matlin.operator_norm(t)
-    off_one = tuple(
-        lam
-        for lam in report.eigenvalues
-        if not _exact_within(abs(lam - 1.0), splitting.EIGENVALUE_ONE_TOL, nrm, squared=False)
-    )
     assert report.is_normal is _exact_within(
         report.normality_defect, splitting.DEFECT_TOL, nrm, squared=True
     )
     assert report.is_iso_averaged is _exact_within(
         report.iso_defect, splitting.DEFECT_TOL, nrm, squared=True
     )
+    eigs = report.eigenvalues
+    assert report.fix_dim == splitting.fix_basis(t).shape[1]
+    nearest = sorted(range(len(eigs)), key=lambda i: abs(eigs[i] - 1.0))[: report.fix_dim]
+    assert all(
+        _exact_within(abs(eigs[i] - 1.0), splitting.EIGENVALUE_ONE_TOL, nrm, squared=False)
+        for i in nearest
+    )
+    off_one = tuple(lam for i, lam in enumerate(eigs) if i not in nearest)
     assert report.eigenvalues_off_one == off_one
     assert report.rho1.hex() == max((abs(lam) for lam in off_one), default=0.0).hex()
+    return report
 
 
-@pytest.mark.filterwarnings("ignore:eigenvalues at 1:RuntimeWarning")
 @SETTINGS
 @given(configurations(), st.sampled_from(ETAS))
 def test_bounded_rule_equals_the_exact_norm_rule(config, eta):
     _assert_exact_norm_verdicts((1.0 + eta) * splitting.build(*config).T)
+
+
+@SETTINGS
+@given(configurations())
+def test_built_reports_keep_the_band_rule(config):
+    # On built operators the fix_dim eigenvalues nearest 1 are exactly those
+    # within the band, so the off-one set and rho1 are the band rule's.
+    t = splitting.build(*config).T
+    report = _assert_exact_norm_verdicts(t)
+    nrm = matlin.operator_norm(t)
+    band = tuple(
+        lam
+        for lam in report.eigenvalues
+        if not _exact_within(abs(lam - 1.0), splitting.EIGENVALUE_ONE_TOL, nrm, squared=False)
+    )
+    assert report.eigenvalues_off_one == band
+    assert report.rho1.hex() == max((abs(lam) for lam in band), default=0.0).hex()
 
 
 # Hand-built maps for each branch of the rule, with the extra norms each
@@ -241,27 +293,43 @@ def test_each_branch_of_the_verdict(norm_calls, case):
     )
 
 
-# diag(1 + e, 1/2) has ||T||_F about 1.118 and ||T|| = 1 + e: the band's window
-# is (1e-7, 3.236e-7], and its exact edge 1e-7 (2 + e).
+def _jordan(r):
+    """[[1, 1], [r^2, 1]] + [1/2]: eigenvalues 1 +- r and 1/2, ||T|| about
+    1.618 and ||T||_F about 1.803, so the band's window is (1e-7, 4.606e-7]
+    and its exact edge about 2.618e-7. T - I has rank 2 at RANK_TOL for every
+    r here, so fix_dim is 1: a defective 1, split by r."""
+    return np.array([[1.0, 1.0, 0.0], [r * r, 1.0, 0.0], [0.0, 0.0, 0.5]])
+
+
+# (T, fix_dim or None for a self-check failure, extra norms): the band tests
+# only the fix_dim eigenvalues nearest 1, so a map with nothing fixed takes no
+# norm for it, and an eigenvalue near 1 that the rank does not fix is off 1.
 BAND_CASES = {
-    "at most EIGENVALUE_ONE_TOL": (5e-8, True, 0),
-    "window, at one": (2e-7, True, 1),
-    "window, off one": (2.5e-7, False, 1),
-    "above the window": (1e-6, False, 0),
+    "nothing fixed": (np.diag([1.0 + 5e-8, 0.5]), 0, 0),
+    "at most EIGENVALUE_ONE_TOL": (_jordan(5e-8), 1, 0),
+    "window, at one": (_jordan(2e-7), 1, 1),
+    "window, off one": (_jordan(3e-7), None, 1),
+    "above the window": (_jordan(1e-6), None, 0),
 }
 
 
 @pytest.mark.parametrize("case", BAND_CASES)
 def test_each_branch_of_the_at_one_band(norm_calls, case):
-    e, at_one, extra = BAND_CASES[case]
-    t = np.diag([1.0 + e, 0.5])
-    with warnings.catch_warnings():
-        # fix_basis ranks T - I at RANK_TOL, finer than the band.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        report = splitting.spectral_report(t)
+    t, fix_dim, extra = BAND_CASES[case]
+    if fix_dim is None:
+        message = r"band at 1 \(0\) disagree with the fixed-subspace dimension \(1\)$"
+        with pytest.raises(splitting.SelfCheckFailedError, match=message):
+            splitting.spectral_report(t)
         assert len(norm_calls) == 2 + extra
-        assert (report.eigenvalues[-1] not in report.eigenvalues_off_one) is at_one
-        _assert_exact_norm_verdicts(t)
+        return
+    report = splitting.spectral_report(t)
+    assert len(norm_calls) == 2 + extra
+    assert report.fix_dim == fix_dim
+    # The eigenvalue above 1 is off 1 either way, so rho1 shows it (1 + 5e-8
+    # when nothing is fixed).
+    assert report.eigenvalues[-1] in report.eigenvalues_off_one
+    assert report.rho1 == abs(report.eigenvalues[-1]) > 1.0
+    _assert_exact_norm_verdicts(t)
 
 
 @pytest.mark.parametrize("scale", [1e-160, 1e-170])

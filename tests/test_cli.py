@@ -365,6 +365,14 @@ def _off_circle(t):
     return eigs
 
 
+def _off_one(t):
+    # The spectrum with the eigenvalue at 1 moved to 1 + 1e-3: the rank of
+    # T - I still fixes one direction, so the report's own self-check must fail.
+    eigs = list(np.linalg.eigvals(t))
+    eigs[min(range(len(eigs)), key=lambda i: abs(eigs[i] - 1.0))] = 1.001
+    return eigs
+
+
 def _singular(*args, **kwargs):
     raise np.linalg.LinAlgError("Singular matrix")
 
@@ -383,10 +391,12 @@ def _perturbed_solve(a, b):
     [
         ((matlin, "general_eigenvalues"), _no_convergence, "analyze", "no deflation"),
         ((matlin, "general_eigenvalues"), _off_circle, "sweep", "off the half-circle"),
+        ((matlin, "general_eigenvalues"), _off_one, "analyze",
+         "within the band at 1 (0) disagree with the fixed-subspace dimension (1)"),
         ((np.linalg, "solve"), _singular, "analyze", "Singular matrix"),
         ((np.linalg, "solve"), _perturbed_solve, "analyze", "block-map inverse"),
     ],
-    ids=["no-convergence", "self-check", "linalg-error", "build-self-check"],
+    ids=["no-convergence", "self-check", "at-one-self-check", "linalg-error", "build-self-check"],
 )
 def test_numerical_failures_exit_3(tmp_path, monkeypatch, capsys, target, replacement, command,
                                    message):

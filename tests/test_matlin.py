@@ -10,8 +10,11 @@ import math
 import numpy as np
 import pytest
 from conftest import eig_multiset_close, random_operator
+from hypothesis import given
+from hypothesis import strategies as st
+from test_properties import SETTINGS, configurations
 
-from graphsplit import matlin
+from graphsplit import matlin, splitting
 from graphsplit._rng import SplitMix64
 
 
@@ -82,6 +85,66 @@ def test_null_space_residual_property():
         if ns.shape[1]:
             assert np.linalg.norm(ns.T @ ns - np.eye(ns.shape[1])) <= 1e-11
             assert np.linalg.norm(a @ ns) <= 1e-10 * max(np.linalg.norm(a), 1.0)
+
+
+@st.composite
+def _rank_inputs(draw):
+    """A random matrix, a rank-deficient product, or T - I of a built operator."""
+    kind = draw(st.sampled_from(["random", "rank-deficient", "built"]))
+    if kind == "built":
+        t = splitting.build(*draw(configurations())).T
+        return t - np.eye(t.shape[0])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if kind == "random":
+        return rng.standard_normal((m, n))
+    k = draw(st.integers(0, min(m, n) - 1))
+    return rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
+
+
+@SETTINGS
+@given(_rank_inputs())
+def test_nullity_reads_the_rank_of_null_space_off_r_alone(a):
+    assert matlin.nullity(a) == matlin.null_space(a).shape[1]
+    # The R-only loop forms the R and the pivots of the full factorization.
+    r, perm = matlin._householder(np.transpose(a), True, None)
+    _, want_r, want_perm = matlin.qr(np.transpose(a), pivoting=True)
+    assert np.array_equal(r, want_r) and np.array_equal(perm, want_perm)
+
+
+def _count_below(d, e2, x, pivmin):
+    """Sturm count: eigenvalues below x of the symmetric tridiagonal (d, e),
+    the negative pivots of the LDL^T factorization of T - x I, all counted."""
+    count = 0
+    q = 1.0
+    for di, ei2 in zip(d, e2):
+        q = di - x - ei2 / q
+        if abs(q) <= pivmin:
+            q = -pivmin
+        if q < 0.0:
+            count += 1
+    return count
+
+
+@SETTINGS
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+def test_sturm_decision_equals_the_full_count(n, seed):
+    rng = np.random.default_rng(seed)
+    # Integer entries give exact eigenvalues (of the diagonal and of repeated
+    # blocks) alongside rounded ones; a zero off-diagonal splits the matrix.
+    d = rng.integers(-3, 4, n).astype(float)
+    e = rng.integers(-2, 3, n - 1).astype(float)
+    if rng.random() < 0.5:
+        d, e = rng.standard_normal(n), rng.standard_normal(n - 1) * (rng.random(n - 1) < 0.7)
+    e2 = [0.0] + (e * e).tolist()
+    pivmin = float(np.finfo(float).tiny) * max(1.0, max(e2))
+    t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    eigs = np.linalg.eigvalsh(t).tolist()
+    shifts = [*eigs, *d.tolist(), *(rng.standard_normal(8) * 4.0).tolist()]
+    shifts += [np.nextafter(x, np.inf) for x in eigs] + [np.nextafter(x, -np.inf) for x in eigs]
+    for x in shifts:
+        want = _count_below(d.tolist(), e2, x, pivmin) == n
+        assert matlin._all_below(d.tolist(), e2, x, pivmin) is want
 
 
 def test_operator_norm_2x2():

@@ -244,7 +244,7 @@ def test_spectral_report_of_the_empty_map():
     assert report.is_normal and report.is_iso_averaged
     assert report.eigenvalues == report.eigenvalues_off_one == ()
     assert report.fix_dim == 0 and report.rho1 == 0.0
-    assert report.fixed_basis.shape == (0, 0)
+    assert splitting.fix_basis(np.zeros((0, 0))).shape == (0, 0)
 
 
 ENTRY_POINTS = {
