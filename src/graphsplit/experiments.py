@@ -28,9 +28,6 @@ class ExcludedInputError(ValueError):
     """Start point lies in the subspace where strict decrease cannot hold."""
 
 
-fix_basis = splitting.fix_basis
-
-
 @dataclass
 class ConvergenceTrace:
     theta: float
@@ -145,7 +142,7 @@ def converge(op, theta, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     """
     t, v0 = _operands(op, v0, "op", "v0")
     _check_run([theta], eps, k_max)
-    f = fix_basis(t)
+    f = splitting.fix_basis(t)
     [(k_stop, dists)] = _relaxed_runs(t, [theta], v0, f @ (f.T @ v0), eps, k_max)
     return ConvergenceTrace(theta, list(enumerate(dists.tolist())), k_stop, _fit_rate(dists))
 
@@ -166,19 +163,19 @@ def theta_sweep(op, thetas, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     every theta. The runs share one `_relaxed_runs` loop: each
     iteration advances every running theta with one stacked matmul, and the
     stop test runs once per block of _BLOCK (32) iterates. Every input is
-    checked before the first step. The predicted rate is the closed-form
-    relaxation formula for iso-averaged maps, else
-    max |theta lam + 1 - theta| over the eigenvalues lam off 1.
+    checked before the first step. The predicted rate is max |theta lam + 1 -
+    theta| over the eigenvalues lam off 1, by `predicted_rate` for iso-averaged
+    maps with rho1 < 1.
     """
     t, v0 = _operands(op, v0, "op", "v0")
     thetas = list(thetas)
     _check_run(thetas, eps, k_max)
     report = splitting.spectral_report(t)
-    f = fix_basis(t)
+    f = splitting.fix_basis(t)
     runs = _relaxed_runs(t, thetas, v0, f @ (f.T @ v0), eps, k_max)
     records = []
     for theta, (k_stop, dists) in zip(thetas, runs):
-        if report.is_iso_averaged:
+        if report.is_iso_averaged and report.rho1 < 1.0:
             predicted = splitting.predicted_rate(report.rho1, theta)
         else:
             relaxed = (theta * lam + (1.0 - theta) for lam in report.eigenvalues_off_one)
@@ -253,7 +250,7 @@ def monotonicity_check(op, theta, x, k_max=DEFAULT_K_MAX):
     if not splitting.certificates(t).is_iso_averaged:
         raise ValueError("strict decrease is only guaranteed for iso-averaged maps")
     _check_run([theta], _FLOOR, k_max)
-    f = fix_basis(t)
+    f = splitting.fix_basis(t)
     if theta == 1.0:
         excluded = matlin.column_space(np.hstack([f, matlin.null_space(t)]))
     else:
@@ -496,7 +493,7 @@ def three_lines_example():
 
 def _demo_geometric():
     op, v0, mu, limit = three_lines_example()
-    f = fix_basis(op.T)
+    f = splitting.fix_basis(op.T)
     numeric_limit = f @ (f.T @ v0)
 
     [(_, dists)] = _relaxed_runs(op.T, [1.0], v0, limit, 0.0, 5000)

@@ -12,14 +12,13 @@ from being iso-averaged, the average of an isometry and the identity
 convergence rate an explicit function of the relaxation parameter, and it
 holds for every choice of node subspaces exactly when G = G'.
 
-One rule turns a quantity into a verdict against ||T||: a defect counts as
-zero up to DEFECT_TOL (1 + ||T||^2), and an eigenvalue at 1 must lie within
-EIGENVALUE_ONE_TOL (1 + ||T||). ||T|| is taken only where the bounds
-0 <= ||T|| <= 2 ||T||_F cannot decide (`_NormOfT`), with the verdicts of the
-exact norm. The graph-equality trials and witnesses read only the iso
-verdict: `screened_iso_defect` and `screened_iso_verdict` let a Frobenius
-bound decide it below a screen, and above it take the spectral norm of the
-matrix `certificates` uses, so the same bits.
+One rule, `_within`, turns a quantity into a verdict against ||T||: a
+defect counts as zero up to DEFECT_TOL (1 + ||T||^2), an eigenvalue at 1
+must lie within EIGENVALUE_ONE_TOL (1 + ||T||), and T is the identity when
+||T - I|| <= RANK_TOL (1 + ||T||). Frobenius bounds decide first (`_Norm`),
+and a spectral norm is taken only where they cannot, with its verdicts.
+`screened_iso_defect` returns a bound below a screen, and above it the iso
+defect of `certificates`, bit for bit.
 """
 
 import functools
@@ -186,53 +185,57 @@ class Certificates:
     is_iso_averaged: bool
 
 
-class _NormOfT:
-    """||T||_2 as the classification rule reads it: bounded by 0 and
-    2 ||T||_F, and taken at most once, only where the bounds cannot decide.
+class _Norm:
+    """||A||_2 of a square N x N matrix A: ||A||_F is formed once, and ||A||_2
+    is taken on demand, at most once.
 
-    One instance serves a whole report: ||T||_F is formed once, and the
-    verdicts, the at-one band and the identity test of `_off_identity` share
-    the one ||T||_2. The bounds hold for the computed norms: ||T||_2 <= ||T||_F,
-    and the factor 2 covers the rounding of both, as in `_off_identity`'s band.
-    Where ||T||_F underflows, ||T||_2 is far below machine epsilon, so
-    1 + ||T||_2 rounds to 1 as 1 + 0 does.
+    ||A||_F / sqrt(N) <= ||A||_2 <= ||A||_F (Golub & Van Loan), and the rule
+    reads ||A||_F / (2 sqrt(N)) <= ||A||_2 <= 2 ||A||_F: the factor 2 covers
+    the rounding of both computed norms. Where ||A||_F underflows, 2 ||A||_F
+    can fall below ||A||_2, but then ||A||_2 is far below every tolerance and
+    machine epsilon, so 1 + ||A||_2 rounds to 1 as 1 + 0 does.
     """
 
-    def __init__(self, t):
-        self._t = t
-        self.frobenius = float(np.linalg.norm(t))
+    def __init__(self, a):
+        self._a = a
+        self.frobenius = float(np.linalg.norm(a))
         self._exact = None
 
+    def upper(self):
+        return 2.0 * self.frobenius
+
+    def lower(self):
+        return self.frobenius / (2.0 * math.sqrt(self._a.shape[0]))
+
     def exact(self):
-        """||T||_2, taken on the first call only."""
         if self._exact is None:
-            self._exact = matlin.operator_norm(self._t)
+            self._exact = matlin.operator_norm(self._a)
         return self._exact
 
-    def within(self, x, tol, squared):
-        """Whether x <= tol (1 + ||T||^2) if squared, else x <= tol (1 + ||T||):
-        the one classification rule of the package.
 
-        Rounding is monotone, so the computed threshold lies between tol and
-        its value at 2 ||T||_F. An x at most tol is within and an x above
-        that value is not, with no spectral norm; only in between is ||T||_2
-        taken. Either way the verdict is that of the exact norm.
-        """
-        if x <= tol:
+def _within(x, tol, norm, squared=False):
+    """Whether x <= tol (1 + ||T||^2) if squared, else x <= tol (1 + ||T||),
+    with norm the `_Norm` of T, and x a number or a `_Norm` for its ||A||_2.
+
+    Rounding is monotone, so the computed threshold lies between tol and its
+    value at 2 ||T||_F: an x at most tol is within, and an x above that value
+    is not. The bounds of x decide first, then ||A||_2, and only then is
+    ||T||_2 taken. The verdict is that of the exact norms.
+    """
+
+    def threshold(nrm):
+        return tol * (1.0 + (nrm * nrm if squared else nrm))
+
+    ceiling = threshold(norm.upper())
+    if isinstance(x, _Norm):
+        if x.upper() <= tol:
             return True
-        if x > _threshold(tol, 2.0 * self.frobenius, squared):
+        if x.lower() > ceiling:
             return False
-        return x <= _threshold(tol, self.exact(), squared)
-
-
-def _threshold(tol, nrm, squared):
-    return tol * (1.0 + (nrm * nrm if squared else nrm))
-
-
-def _negligible(defect, norm):
-    """Whether a defect counts as zero: at most DEFECT_TOL (1 + ||T||^2),
-    decided by `norm`, the `_NormOfT` of T."""
-    return norm.within(defect, DEFECT_TOL, squared=True)
+        x = x.exact()
+    if x <= tol:
+        return True
+    return x <= ceiling and x <= threshold(norm.exact())
 
 
 def _iso_matrix(t, gram):
@@ -245,12 +248,11 @@ def certificates(t):
 
     The defects are the spectral norms of T^T T - T T^T and of
     2 T^T T - T - T^T; each counts as zero up to DEFECT_TOL (1 + ||T||^2),
-    with ||T|| taken only where its bounds cannot decide (`_NormOfT`).
-    The isometry defect of 2T - I is 2 iso_defect, since
-    (2T - I)^T (2T - I) - I = 2 (2 T^T T - T - T^T).
+    by the rule of `_within`. The isometry defect of 2T - I is 2 iso_defect,
+    since (2T - I)^T (2T - I) - I = 2 (2 T^T T - T - T^T).
     """
     t = _checked(t)
-    return _certificates(t, _NormOfT(t))
+    return _certificates(t, _Norm(t))
 
 
 def _certificates(t, norm):
@@ -258,67 +260,42 @@ def _certificates(t, norm):
     gram = t.T @ t
     normality = matlin.operator_norm(gram - t @ t.T)
     iso = matlin.operator_norm(_iso_matrix(t, gram))
-    return Certificates(normality, iso, _negligible(normality, norm), _negligible(iso, norm))
+    normal, iso_averaged = (_within(x, DEFECT_TOL, norm, squared=True) for x in (normality, iso))
+    return Certificates(normality, iso, normal, iso_averaged)
 
 
 def screened_iso_defect(t, tol):
-    """The iso defect of T where it may exceed tol, else a bound at most tol / 2.
-
-    With A = 2 T^T T - T - T^T, ||A||_2 <= ||A||_F. So when 2 ||A||_F <= tol
-    (the factor 2 covers the rounding of both computed norms, as in
-    `fix_basis`'s band) the defect is at most tol, and the Frobenius bound
-    ||A||_F is returned in its place, with no spectral norm. Otherwise the
-    spectral norm of the same A is returned: the iso defect of
-    `certificates`, bit for bit.
-    """
+    """The iso defect of T where it may exceed tol, else a bound at most tol / 2:
+    ||A||_F when the upper bound 2 ||A||_F of `_Norm` is at most tol, with no
+    spectral norm, else the iso defect of `certificates`, bit for bit."""
     t = _checked(t)
-    a = _iso_matrix(t, t.T @ t)
-    bound = float(np.linalg.norm(a))
-    return bound if 2.0 * bound <= tol else matlin.operator_norm(a)
+    a = _Norm(_iso_matrix(t, t.T @ t))
+    return a.frobenius if a.upper() <= tol else a.exact()
 
 
 def screened_iso_verdict(t):
     """(defect, is_iso_averaged): the iso verdict of `certificates`, with the
-    defect screened at DEFECT_TOL by `screened_iso_defect`.
-
-    A bound at most DEFECT_TOL / 2 decides "iso-averaged" with no norm, as
-    the exact defect would. Above the screen the defect is that of
-    `certificates`, bit for bit, and so is its verdict.
-    """
+    defect screened at DEFECT_TOL by `screened_iso_defect`. A screened defect
+    is at most DEFECT_TOL, which `_within` reads as zero, as the exact one."""
     t = _checked(t)
     iso = screened_iso_defect(t, DEFECT_TOL)
-    return iso, _negligible(iso, _NormOfT(t))
+    return iso, _within(iso, DEFECT_TOL, _Norm(t), squared=True)
 
 
 def _off_identity(t, norm):
-    """T - I, or None when T is the identity up to round-off.
-
-    The identity test is ||T - I||_2 <= RANK_TOL (1 + ||T||_2), a threshold
-    tied to the scale of T itself: when T is the identity up to round-off,
-    every direction is fixed, which a rank decision relative to the
-    (noise-level) difference matrix would miss.
-
-    The test can only pass when ||T - I||_F <= sqrt(N) RANK_TOL (1 + ||T||_F),
-    because ||A||_2 >= ||A||_F / sqrt(N) and ||T||_2 <= ||T||_F on N x N
-    matrices. The Frobenius norms are cheap, so the two spectral norms are
-    taken only inside that band, widened by a factor 2 for the rounding of
-    the computed norms, and ||T||_2 is the one of norm, the `_NormOfT` of T.
-    """
-    n = t.shape[0]
-    delta = t - np.eye(n)
-    band = 2.0 * math.sqrt(n) * matlin.RANK_TOL * (1.0 + norm.frobenius)
-    if np.linalg.norm(delta) <= band and (
-        matlin.operator_norm(delta) <= matlin.RANK_TOL * (1.0 + norm.exact())
-    ):
-        return None
-    return delta
+    """T - I, or None when ||T - I||_2 <= RANK_TOL (1 + ||T||_2), with norm the
+    `_Norm` of T. The test scales with T itself: when T is the identity up to
+    round-off every direction is fixed, which a rank decision relative to the
+    (noise-level) difference matrix would miss."""
+    delta = t - np.eye(t.shape[0])
+    return None if _within(_Norm(delta), matlin.RANK_TOL, norm) else delta
 
 
 def fix_basis(t):
     """Orthonormal basis of the fixed subspace ker(T - I): I when T passes
     the identity test of `_off_identity`, else the null space of T - I."""
     t = _checked(t)
-    delta = _off_identity(t, _NormOfT(t))
+    delta = _off_identity(t, _Norm(t))
     return np.eye(t.shape[0]) if delta is None else matlin.null_space(delta)
 
 
@@ -334,12 +311,12 @@ def spectral_report(t):
     """Eigenvalues, fixed-subspace dimension, subdominant radius, and flags.
 
     Extends the `certificates` record, and computes only what it holds: one
-    `_NormOfT` serves the verdicts, the identity test and the at-one band,
+    `_Norm` of T serves the verdicts, the identity test and the at-one band,
     and fix_dim is the dimension of `fix_basis`, read off the pivoted R of
     T - I with no basis formed (`matlin.nullity`).
 
     The eigenvalues at 1 are the fix_dim eigenvalues nearest 1. Each must lie
-    within 1e-7 (1 + ||T||) of 1, by the rule of `_NormOfT`; one outside
+    within 1e-7 (1 + ||T||) of 1, by the rule of `_within`; one outside
     means the eigensolver and the rank disagree, a self-check failure that
     names both counts. The subdominant radius is the largest modulus of the
     other eigenvalues, with 0 as the floor when none remain, so an extra
@@ -350,13 +327,17 @@ def spectral_report(t):
     """
     t = _checked(t)
     eigs = sorted(matlin.general_eigenvalues(t), key=lambda lam: (lam.real, lam.imag))
-    norm = _NormOfT(t)
+    norm = _Norm(t)
     cert = _certificates(t, norm)
     delta = _off_identity(t, norm)
     fix_dim = t.shape[0] if delta is None else matlin.nullity(delta)
     at_one = set(sorted(range(len(eigs)), key=lambda i: abs(eigs[i] - 1.0))[:fix_dim])
-    if not all(_at_one(eigs[i], norm) for i in at_one):
-        band = sum(_at_one(lam, norm) for lam in eigs)
+
+    def near_one(lam):
+        return _within(abs(lam - 1.0), EIGENVALUE_ONE_TOL, norm)
+
+    if not all(near_one(eigs[i]) for i in at_one):
+        band = sum(map(near_one, eigs))
         raise SelfCheckFailedError(
             f"eigenvalues within the band at 1 ({band}) disagree with the "
             f"fixed-subspace dimension ({fix_dim})"
@@ -370,11 +351,6 @@ def spectral_report(t):
             )
     rho1 = max((abs(lam) for lam in off_one), default=0.0)
     return SpectralReport(*astuple(cert), tuple(eigs), off_one, fix_dim, rho1)
-
-
-def _at_one(lam, norm):
-    """Whether lam lies within EIGENVALUE_ONE_TOL (1 + ||T||) of 1."""
-    return norm.within(abs(lam - 1.0), EIGENVALUE_ONE_TOL, squared=False)
 
 
 def predicted_rate(rho1, theta):

@@ -82,12 +82,13 @@ def test_report_takes_two_norms(norm_calls, seed):
     assert len(norm_calls) == 2
 
 
-def test_a_near_identity_report_takes_the_exact_identity_test(norm_calls):
+def test_a_near_identity_report_takes_only_its_defects(norm_calls):
     report = splitting.spectral_report(np.eye(4) + 1e-13 * np.ones((4, 4)))
     assert report.fix_dim == 4
-    # Both defects are at most DEFECT_TOL and every eigenvalue within
-    # EIGENVALUE_ONE_TOL of 1: only `fix_basis`'s identity test takes norms.
-    assert len(norm_calls) == 4
+    # 2 ||T - I||_F is at most RANK_TOL, both defects are at most DEFECT_TOL
+    # and every eigenvalue lies within EIGENVALUE_ONE_TOL of 1: the bounds
+    # decide the identity test, and only the two defects take norms.
+    assert len(norm_calls) == 2
 
 
 def test_every_certify_report_takes_two_norms(norm_calls):
@@ -119,7 +120,6 @@ def test_a_report_forms_no_basis_and_a_sweep_forms_one(monkeypatch, tmp_path, ca
     monkeypatch.setattr(matlin, "null_space", counting("null_space", matlin.null_space))
     fix_basis = counting("fix_basis", splitting.fix_basis)
     monkeypatch.setattr(splitting, "fix_basis", fix_basis)
-    monkeypatch.setattr(experiments, "fix_basis", fix_basis)
     config = {
         "graph": {"preset": "ring", "n": 4},
         "ambient": 3,
@@ -207,18 +207,25 @@ def test_fix_basis_across_the_band_edge(kind):
     else:
         e = rng.standard_normal((n, n))
     e /= np.linalg.norm(e, 2)
-    identity_until = screened_until = 0.0
+    bounded_until = identity_until = screened_until = 0.0
     for delta in np.geomspace(1e-12, 1e-7, 120).tolist():
         t = np.eye(n) + delta * e
         basis = splitting.fix_basis(t)
         assert np.array_equal(basis, _unscreened_fix_basis(t))
         if basis.shape[1] == n:
             identity_until = delta
-        band = 2.0 * math.sqrt(n) * matlin.RANK_TOL * (1.0 + np.linalg.norm(t))
-        if np.linalg.norm(t - np.eye(n)) <= band:
+        # The band of `_within`: 2 ||T - I||_F at most RANK_TOL is the
+        # identity, and ||T - I||_F / (2 sqrt(N)) above RANK_TOL (1 + 2 ||T||_F)
+        # is not, with no spectral norm; only in between are norms taken.
+        frobenius = float(np.linalg.norm(t - np.eye(n)))
+        if 2.0 * frobenius <= matlin.RANK_TOL:
+            bounded_until = delta
+        ceiling = matlin.RANK_TOL * (1.0 + 2.0 * float(np.linalg.norm(t)))
+        if frobenius / (2.0 * math.sqrt(n)) <= ceiling:
             screened_until = delta
-    # The sweep passes the identity test's edge inside the band, then the band's edge.
-    assert 1e-12 < identity_until < screened_until < 1e-7
+    # The sweep passes the upper bound's edge, the identity test's edge inside
+    # the band, then the band's edge.
+    assert 1e-12 < bounded_until < identity_until < screened_until < 1e-7
 
 
 def _assert_exact_norm_verdicts(t):
@@ -291,6 +298,36 @@ def test_each_branch_of_the_verdict(norm_calls, case):
     assert cert.is_normal is _exact_within(
         cert.normality_defect, splitting.DEFECT_TOL, matlin.operator_norm(t), squared=True
     )
+
+
+# (T, is the identity, norms) for each branch of the identity test of
+# `fix_basis`. T = I + delta u u^T with |u| = 1 and N = 4, so ||T - I||_2 =
+# ||T - I||_F = delta, ||T||_F is about 2 and ||T||_2 about 1. The upper bound
+# 2 delta <= RANK_TOL decides "identity", and the lower bound
+# delta / 4 > RANK_TOL (1 + 2 ||T||_F), about 5e-10, decides "not". In between
+# ||T - I||_2 is taken, and ||T||_2 only for delta in (RANK_TOL, 5e-10], with
+# the exact edge at about 2e-10.
+def _rank_one(delta):
+    return np.eye(4) + delta * np.full((4, 4), 0.25)
+
+
+IDENTITY_CASES = {
+    "upper bound, identity": (_rank_one(4e-11), True, 0),
+    "window, ||T - I|| identity": (_rank_one(8e-11), True, 1),
+    "window, ||T|| identity": (_rank_one(1.5e-10), True, 2),
+    "window, ||T|| not identity": (_rank_one(3e-10), False, 2),
+    "window, ||T - I|| not identity": (_rank_one(1e-9), False, 1),
+    "lower bound, not identity": (_rank_one(3e-9), False, 0),
+}
+
+
+@pytest.mark.parametrize("case", IDENTITY_CASES)
+def test_each_branch_of_the_identity_test(norm_calls, case):
+    t, identity, norms = IDENTITY_CASES[case]
+    basis = splitting.fix_basis(t)
+    assert len(norm_calls) == norms
+    assert (basis.shape[1] == 4) is identity
+    assert np.array_equal(basis, _unscreened_fix_basis(t))
 
 
 def _jordan(r):

@@ -95,6 +95,29 @@ def test_sweep_header_and_symmetry(tmp_path, capsys):
     assert stops[1.0] == min(stops.values())
 
 
+def test_sweep_of_an_iso_averaged_map_with_an_unfixed_one(tmp_path, capsys):
+    # Two nearly parallel lines in R^2: T is iso-averaged with both
+    # eigenvalues at 1 to round-off but nothing fixed, so rho1 = 1, outside
+    # the domain of predicted_rate; the sweep predicts max |theta lam + 1 - theta|.
+    cfg = {
+        "graph": {"preset": "sequential", "n": 2},
+        "ambient": 2,
+        "spaces": [
+            {"kind": "hyperplane", "normal": [1, 0]},
+            {"kind": "hyperplane", "normal": [1, 1e-9]},
+        ],
+        "thetas": [0.5, 1.0, 1.5],
+        "k_max": 100,
+    }
+    path = _write(tmp_path, cfg)
+    assert cli.main(["analyze", "--config", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["is_iso_averaged"], report["fix_dim"], report["rho1"]) == (True, 0, 1.0)
+    assert cli.main(["sweep", "--config", path]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert [row[2] for row in rows] == ["1", "1", "1"]
+
+
 def test_sweep_empty_thetas(tmp_path, capsys):
     code = cli.main(["sweep", "--config", _write(tmp_path, _config(thetas=[]))])
     assert code == 0
@@ -475,11 +498,23 @@ def test_stdin_config_subprocess():
     assert proc.stdout.startswith("theta,k_stop,")
 
 
-# The two certify configs (biparallel over parallel_up, n = 3, ambient 5) on
-# which Francis QR stalls on a cluster: (dim, seed) of each node space.
+# The certify configs on which Francis QR stalls on a cluster: the graph
+# pair, n, the ambient dimension and (dim, seed) of each node space.
+_BIPARALLEL = ("biparallel", "parallel_up", 3, 5)
 _FRANCIS_STALLS = [
-    [(3, 2832112859), (4, 1455162260), (1, 3801847808)],
-    [(3, 4242862471), (4, 235042638), (2, 1939700341)],
+    (*_BIPARALLEL, [(3, 2832112859), (4, 1455162260), (1, 3801847808)]),
+    (*_BIPARALLEL, [(3, 4242862471), (4, 235042638), (2, 1939700341)]),
+    (*_BIPARALLEL, [(3, 3924252600), (2, 3592919743), (3, 1570455861)]),
+    (*_BIPARALLEL, [(3, 738050137), (3, 1650029854), (4, 1656491323)]),
+    (*_BIPARALLEL, [(4, 3964715430), (3, 2150607372), (1, 3907213592)]),
+    (*_BIPARALLEL, [(2, 3273229906), (3, 3611133786), (3, 585757351)]),
+    (
+        "ring",
+        "sequential",
+        5,
+        6,
+        [(5, 2684161753), (1, 3521371587), (5, 1028505731), (1, 2779916391), (4, 835842921)],
+    ),
 ]
 
 
@@ -489,12 +524,13 @@ _FRANCIS_STALLS = [
     reason="ROADMAP item 1: Francis QR finds no deflation after 1000 sweeps on "
     "these clusters, and analyze exits 3",
 )
-@pytest.mark.parametrize("spaces", _FRANCIS_STALLS)
-def test_analyze_converges_on_clustered_biparallel_maps(tmp_path, capsys, spaces):
+@pytest.mark.parametrize("stall", _FRANCIS_STALLS)
+def test_analyze_converges_on_clustered_maps(tmp_path, capsys, stall):
+    graph, subgraph, n, ambient, spaces = stall
     cfg = {
-        "graph": {"preset": "biparallel", "n": 3},
-        "subgraph": {"preset": "parallel_up", "n": 3},
-        "ambient": 5,
+        "graph": {"preset": graph, "n": n},
+        "subgraph": {"preset": subgraph, "n": n},
+        "ambient": ambient,
         "spaces": [{"kind": "random", "dim": dim, "seed": seed} for dim, seed in spaces],
     }
     code = cli.main(["analyze", "--config", _write(tmp_path, cfg)])

@@ -13,7 +13,7 @@ from graphsplit._rng import SplitMix64
 
 def test_converge_from_fixed_point():
     op, v0, _, _ = experiments.three_lines_example()
-    f = experiments.fix_basis(op.T)
+    f = splitting.fix_basis(op.T)
     start = f @ (f.T @ v0)
     trace = experiments.converge(op, 1.0, start)
     assert trace.k_stop == 0
@@ -56,7 +56,7 @@ def test_witness_search_rejects_a_bad_dimension(d):
 def test_geometric_limit_matches_closed_form():
     op, v0, mu, limit = experiments.three_lines_example()
     assert mu == pytest.approx(-15.0 / 17.0, abs=1e-15)
-    f = experiments.fix_basis(op.T)
+    f = splitting.fix_basis(op.T)
     assert f.shape[1] == 1
     # The fixed line is spanned by the stacked pair (mu a1, a3).
     w = np.concatenate([mu * np.array([-1.0, 6.0]), np.array([-3.0, -4.0])])
@@ -124,7 +124,7 @@ def _oracle_fit(points):
 
 
 def _assert_sweep_matches_oracle(t, thetas, v0, eps, k_max):
-    f = experiments.fix_basis(t)
+    f = splitting.fix_basis(t)
     limit = f @ (f.T @ v0)
     records = experiments.theta_sweep(t, thetas, v0, eps=eps, k_max=k_max)
     assert [r.theta for r in records] == list(thetas)
@@ -309,7 +309,6 @@ def test_sweep_takes_the_fixed_basis_once(monkeypatch):
         return original(t)
 
     monkeypatch.setattr(splitting, "fix_basis", counting)
-    monkeypatch.setattr(experiments, "fix_basis", counting)
     experiments.theta_sweep(op, [0.5, 1.0, 1.5], v0)
     assert calls == [(op.size, op.size)]
     report = splitting.spectral_report(op.T)
@@ -372,7 +371,7 @@ def test_convexity_check_identity_flat():
 def test_monotonicity_check_strict_decrease():
     op = random_operator(seed=61)
     rng = SplitMix64(62)
-    f = experiments.fix_basis(op.T)
+    f = splitting.fix_basis(op.T)
     for theta in (0.5, 1.0, 1.5):
         x = rng.normals(op.size)
         x = x - f @ (f.T @ x)
@@ -384,7 +383,7 @@ def test_monotonicity_check_strict_decrease():
 
 def test_monotonicity_check_excluded_inputs():
     op, v0, _, _ = experiments.three_lines_example()
-    f = experiments.fix_basis(op.T)
+    f = splitting.fix_basis(op.T)
     with pytest.raises(experiments.ExcludedInputError):
         experiments.monotonicity_check(op, 0.5, f[:, 0])
     # Orthogonal lines: the two reflectors compose to -I, so the pairwise
@@ -550,7 +549,7 @@ def _loop_convexity(t, x, k, grid):
 
 
 def _loop_monotonicity(t, theta, x, k_max):
-    f = experiments.fix_basis(t)
+    f = splitting.fix_basis(t)
     limit = f @ (f.T @ x)
     t_theta = splitting.relax(t, theta)
     y = x.copy()
@@ -603,7 +602,7 @@ def test_monotonicity_check_keeps_the_loop_verdict(k_max):
     cases = []
     for seed in range(8):
         op = random_operator(400 + seed)
-        f = experiments.fix_basis(op.T)
+        f = splitting.fix_basis(op.T)
         rng = SplitMix64(7000 + seed)
         for theta in (0.3, 1.0, 1.7):
             x = rng.normals(op.size)  # with a fixed component, so a nonzero limit
@@ -653,7 +652,7 @@ def test_demos_keep_the_loop_bits():
     lo = experiments.converge(op, 0.2, v0, eps=1e-30, k_max=200).points
     hi = experiments.converge(op, 1.8, v0, eps=1e-30, k_max=200).points
     sym = max(abs(da - db) for (_, da), (_, db) in zip(lo, hi))
-    f = experiments.fix_basis(op.T)
+    f = splitting.fix_basis(op.T)
     (_, a), (_, b) = experiments._relaxed_runs(op.T, [0.2, 1.8], v0, f @ (f.T @ v0), 0.0, 200)
     assert float(np.max(np.abs(a - b))).hex() == sym.hex()
     lines = {line.label: line.measured for line in experiments.run_demo("geometric").lines}
