@@ -5,7 +5,10 @@ import numbers
 
 
 def whole(value):
-    """Whether value is an integer and not a bool, which Python counts as one."""
+    """Whether value is an integer and not a bool, which Python counts as one.
+    An exact int, the common case, is decided by its type alone."""
+    if type(value) is int:
+        return True
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 

@@ -22,6 +22,7 @@ DEFAULT_EPS = 1e-6
 DEFAULT_K_MAX = 10000
 WITNESS_TOL = 1e-6
 RATE_FLOOR = 1e-13
+_EPS = float(np.finfo(float).eps)  # the eps of np.polyfit's rcond
 
 
 class ExcludedInputError(ValueError):
@@ -36,19 +37,37 @@ class ConvergenceTrace:
     measured_rate: object  # float or None
 
 
-def _fit_rate(dists):
-    """Rate of a least-squares fit of the log-distance over the last half of
-    the usable trace (distances above RATE_FLOOR), or None if it is too short.
+def _fit_rates(traces):
+    """The measured rate of each distance trace: exp of the slope of a
+    least-squares fit of the log-distance over the last half of the usable
+    trace (the finite distances above RATE_FLOOR), or None for a tail of
+    fewer than two points.
 
-    math.log keeps the fit bit-identical to a per-point loop; np.log is not.
+    Each fit is np.polyfit's, with its calls on the same data, so each rate
+    has its bits: polyfit's scaled design matrix is built once per distinct
+    tail, in a dict that lives for this call, and each trace is solved by
+    np.linalg.lstsq with polyfit's rcond. math.log keeps the fit
+    bit-identical to a per-point loop; np.log is not.
     """
-    usable = np.flatnonzero(dists > RATE_FLOOR)
-    tail = usable[len(usable) // 2 :]
-    if len(tail) < 2:
-        return None
-    logs = np.fromiter(map(math.log, dists[tail].tolist()), float, len(tail))
-    slope = np.polyfit(tail.astype(float), logs, 1)[0]
-    return float(np.exp(slope))
+    designs = {}
+    rates = []
+    for dists in traces:
+        usable = np.flatnonzero((dists > RATE_FLOOR) & (dists < math.inf))
+        tail = usable[len(usable) // 2 :]
+        if len(tail) < 2:
+            rates.append(None)
+            continue
+        key = tail.tobytes()
+        if key not in designs:
+            lhs = np.vander(tail.astype(float), 2)
+            scale = np.sqrt((lhs * lhs).sum(axis=0))
+            lhs /= scale
+            designs[key] = lhs, scale
+        lhs, scale = designs[key]
+        logs = np.fromiter(map(math.log, dists[tail].tolist()), float, len(tail))
+        c = np.linalg.lstsq(lhs, logs, len(tail) * _EPS)[0]
+        rates.append(float(np.exp(c[0] / scale[0])))
+    return rates
 
 
 _BLOCK = 32  # iterates per stop test; 32 to 128 run about equally fast
@@ -86,7 +105,10 @@ def _relaxed_runs(t, thetas, v0, limit, eps, k_max):
     per block of _BLOCK iterates: one stacked dot gives the distances of the
     whole block to limit, a theta stops at its first distance below eps,
     and the stopped thetas leave the stack at the end of the block (the
-    iterates they computed past their stop are discarded). Returns one
+    iterates they computed past their stop are discarded). The bookkeeping
+    of a stop runs only in a block where some theta stopped; while no theta
+    has left, the distances go into their rows through a slice, and the
+    last iterate of a block is carried into the next in place. Returns one
     (k_stop, dists) pair per theta: dists[k] is the distance of iterate k,
     up to k_stop, or up to k_max with k_stop None when the budget runs out.
     No iterate past k_max is computed. No input is checked: any theta runs
@@ -112,19 +134,24 @@ def _relaxed_runs(t, thetas, v0, limit, eps, k_max):
         dist = np.sqrt(np.matmul(d[..., None, :], d[..., :, None]))[..., 0, 0]
         while len(dists) < k0 + b:
             dists = np.concatenate([dists, np.empty_like(dists)])
-        dists[k0 : k0 + b, active] = dist
+        if len(active) == len(thetas):
+            dists[k0 : k0 + b] = dist
+        else:
+            dists[k0 : k0 + b, active] = dist
         below = dist < eps
-        first = below.argmax(axis=0)
-        hit = below[first, np.arange(len(active))]
-        for i in np.flatnonzero(hit).tolist():
-            k_stops[active[i]] = k0 + int(first[i])
-        k0 += b
-        if k0 > k_max or hit.all():
-            break
         last = block[b - 1]
-        if hit.any():
+        if below.any():
+            first = below.argmax(axis=0)
+            hit = below[first, np.arange(len(active))]
+            for i in np.flatnonzero(hit).tolist():
+                k_stops[active[i]] = k0 + int(first[i])
+            if hit.all():
+                break
             active, stack, last = active[~hit], stack[~hit], last[~hit]
-        buf[0, : len(active)] = np.matmul(stack, last)
+        k0 += b
+        if k0 > k_max:
+            break
+        np.matmul(stack, last, out=buf[0, : len(active)])
     return [(ks, dists[: (k_max if ks is None else ks) + 1, i]) for i, ks in enumerate(k_stops)]
 
 
@@ -135,16 +162,17 @@ def converge(op, theta, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     unrelaxed map (relaxation does not move fixed points). k_stop is the
     first iteration whose distance drops below eps, or None if the budget
     runs out; the measured rate is a least-squares fit of the log-distance
-    over the last half of the usable trace. The run is the one-theta case
-    of `_relaxed_runs`: one matmul per step, and the stop test once per
-    block of _BLOCK (32) iterates. Every input is checked before the first
-    step.
+    over the last half of the usable trace (`_fit_rates`). The run is the
+    one-theta case of `_relaxed_runs`: one matmul per step, and the stop test
+    once per block of _BLOCK (32) iterates. Every input is checked before
+    the first step.
     """
     t, v0 = _operands(op, v0, "op", "v0")
     _check_run([theta], eps, k_max)
     f = splitting.fix_basis(t)
     [(k_stop, dists)] = _relaxed_runs(t, [theta], v0, f @ (f.T @ v0), eps, k_max)
-    return ConvergenceTrace(theta, list(enumerate(dists.tolist())), k_stop, _fit_rate(dists))
+    [rate] = _fit_rates([dists])
+    return ConvergenceTrace(theta, list(enumerate(dists.tolist())), k_stop, rate)
 
 
 @dataclass
@@ -159,28 +187,32 @@ def theta_sweep(op, thetas, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     """One convergence run per relaxation parameter, from one analysis of T.
 
     T_theta has the eigenvalues theta lam + 1 - theta and the fixed subspace
-    of T, so one report, one fixed basis and one limit point of T serve
-    every theta. The runs share one `_relaxed_runs` loop: each
-    iteration advances every running theta with one stacked matmul, and the
-    stop test runs once per block of _BLOCK (32) iterates. Every input is
-    checked before the first step. The predicted rate is max |theta lam + 1 -
-    theta| over the eigenvalues lam off 1, by `predicted_rate` for iso-averaged
-    maps with rho1 < 1.
+    of T, so one `splitting.sweep_analysis` of T serves every theta: it
+    factors T - I once, for the fixed basis and the limit point, decides
+    the iso verdict by bounds, and takes no certificate norm. The runs share
+    one `_relaxed_runs` loop: each iteration advances every running theta
+    with one stacked matmul, and the stop test runs once per block of
+    _BLOCK (32) iterates. The rates are fitted together (`_fit_rates`), so
+    thetas that share a tail share its design matrix. Every input is
+    checked before the first step. The predicted rate is max |theta lam +
+    1 - theta| over the eigenvalues lam off 1, by `predicted_rate` for
+    iso-averaged maps with rho1 < 1.
     """
     t, v0 = _operands(op, v0, "op", "v0")
     thetas = list(thetas)
     _check_run(thetas, eps, k_max)
-    report = splitting.spectral_report(t)
-    f = splitting.fix_basis(t)
+    analysis = splitting.sweep_analysis(t)
+    f = analysis.fix_basis
     runs = _relaxed_runs(t, thetas, v0, f @ (f.T @ v0), eps, k_max)
+    rates = _fit_rates([dists for _, dists in runs])
     records = []
-    for theta, (k_stop, dists) in zip(thetas, runs):
-        if report.is_iso_averaged and report.rho1 < 1.0:
-            predicted = splitting.predicted_rate(report.rho1, theta)
+    for theta, (k_stop, _), rate in zip(thetas, runs, rates):
+        if analysis.is_iso_averaged and analysis.rho1 < 1.0:
+            predicted = splitting.predicted_rate(analysis.rho1, theta)
         else:
-            relaxed = (theta * lam + (1.0 - theta) for lam in report.eigenvalues_off_one)
+            relaxed = (theta * lam + (1.0 - theta) for lam in analysis.eigenvalues_off_one)
             predicted = max(map(abs, relaxed), default=0.0)
-        records.append(SweepRecord(theta, k_stop, predicted, _fit_rate(dists)))
+        records.append(SweepRecord(theta, k_stop, predicted, rate))
     return records
 
 

@@ -18,7 +18,9 @@ must lie within EIGENVALUE_ONE_TOL (1 + ||T||), and T is the identity when
 ||T - I|| <= RANK_TOL (1 + ||T||). Frobenius bounds decide first (`_Norm`),
 and a spectral norm is taken only where they cannot, with its verdicts.
 `screened_iso_defect` returns a bound below a screen, and above it the iso
-defect of `certificates`, bit for bit.
+defect of `certificates`, bit for bit. `sweep_analysis` gives a relaxation
+sweep what it reads of `spectral_report`, with the same bits and no
+certificate norm.
 """
 
 import functools
@@ -313,7 +315,22 @@ def spectral_report(t):
     Extends the `certificates` record, and computes only what it holds: one
     `_Norm` of T serves the verdicts, the identity test and the at-one band,
     and fix_dim is the dimension of `fix_basis`, read off the pivoted R of
-    T - I with no basis formed (`matlin.nullity`).
+    T - I with no basis formed (`matlin.nullity`). The eigenvalues, the band
+    and the half-circle check are those of `_spectrum`.
+    """
+    t = _checked(t)
+    norm = _Norm(t)
+    cert = _certificates(t, norm)
+    delta = _off_identity(t, norm)
+    fix_dim = t.shape[0] if delta is None else matlin.nullity(delta)
+    eigs, off_one, rho1 = _spectrum(t, norm, fix_dim, cert.is_iso_averaged)
+    return SpectralReport(*astuple(cert), eigs, off_one, fix_dim, rho1)
+
+
+def _spectrum(t, norm, fix_dim, iso_averaged):
+    """(eigenvalues, eigenvalues_off_one, rho1) of a checked t, with norm its
+    `_Norm`, fix_dim the dimension of its fixed subspace and iso_averaged its
+    iso verdict; the one home of the band at 1 and the half-circle check.
 
     The eigenvalues at 1 are the fix_dim eigenvalues nearest 1. Each must lie
     within 1e-7 (1 + ||T||) of 1, by the rule of `_within`; one outside
@@ -325,12 +342,7 @@ def spectral_report(t):
     circle of radius 1/2 centered at 1/2, or the eigensolver and the
     certificate disagree, also a self-check failure.
     """
-    t = _checked(t)
     eigs = sorted(matlin.general_eigenvalues(t), key=lambda lam: (lam.real, lam.imag))
-    norm = _Norm(t)
-    cert = _certificates(t, norm)
-    delta = _off_identity(t, norm)
-    fix_dim = t.shape[0] if delta is None else matlin.nullity(delta)
     at_one = set(sorted(range(len(eigs)), key=lambda i: abs(eigs[i] - 1.0))[:fix_dim])
 
     def near_one(lam):
@@ -343,14 +355,45 @@ def spectral_report(t):
             f"fixed-subspace dimension ({fix_dim})"
         )
     off_one = tuple(lam for i, lam in enumerate(eigs) if i not in at_one)
-    if cert.is_iso_averaged:
+    if iso_averaged:
         worst = max((abs(abs(lam - 0.5) - 0.5) for lam in eigs), default=0.0)
         if worst > EIGENVALUE_ONE_TOL:
             raise SelfCheckFailedError(
                 f"iso-averaged map has an eigenvalue off the half-circle (distance {worst:.3e})"
             )
     rho1 = max((abs(lam) for lam in off_one), default=0.0)
-    return SpectralReport(*astuple(cert), tuple(eigs), off_one, fix_dim, rho1)
+    return tuple(eigs), off_one, rho1
+
+
+@dataclass(frozen=True, eq=False)
+class SweepAnalysis:
+    """What a relaxation sweep reads of T: the fixed basis, the iso verdict,
+    and the eigenvalues off 1 with their largest modulus rho1."""
+
+    fix_basis: np.ndarray
+    is_iso_averaged: bool
+    eigenvalues_off_one: tuple
+    rho1: float
+
+
+def sweep_analysis(t):
+    """The `SweepAnalysis` of T, with the bits of `spectral_report` and no
+    certificate norm.
+
+    T - I is factored once, by `fix_basis`, whose column count is the fix_dim
+    of a report (both read the rank off the same pivoted R). The iso verdict
+    is that of `certificates` by the rule of `_within` on
+    A = 2 T^T T - T - T^T: the bounds of A decide first, and ||A||_2 is taken
+    only in the window between them, with ||T||_2 only where that leaves it
+    open. The eigenvalues off 1 and rho1 come from `_spectrum`, with its
+    self-checks.
+    """
+    t = _checked(t)
+    f = fix_basis(t)
+    norm = _Norm(t)
+    iso_averaged = _within(_Norm(_iso_matrix(t, t.T @ t)), DEFECT_TOL, norm, squared=True)
+    _, off_one, rho1 = _spectrum(t, norm, f.shape[1], iso_averaged)
+    return SweepAnalysis(f, iso_averaged, off_one, rho1)
 
 
 def predicted_rate(rho1, theta):

@@ -91,13 +91,17 @@ def test_a_near_identity_report_takes_only_its_defects(norm_calls):
     assert len(norm_calls) == 2
 
 
-def test_every_certify_report_takes_two_norms(norm_calls):
-    """The benchmark's seed-1 certify configs: each report takes its two
-    defects, and no bound leaves the verdicts or the at-one band to ||T||."""
+def _workloads():
     spec = importlib.util.spec_from_file_location("budget_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    ops = workloads.certify_ops(1)
+    return workloads
+
+
+def test_every_certify_report_takes_two_norms(norm_calls):
+    """The benchmark's seed-1 certify configs: each report takes its two
+    defects, and no bound leaves the verdicts or the at-one band to ||T||."""
+    ops = _workloads().certify_ops(1)
     assert ops
     for op in ops:
         config = cli.load_config(op.config)
@@ -105,6 +109,18 @@ def test_every_certify_report_takes_two_norms(norm_calls):
         before = len(norm_calls)
         splitting.spectral_report(t)
         assert len(norm_calls) - before == 2, op.config
+
+
+def test_every_tune_sweep_takes_no_norm(norm_calls, tmp_path):
+    """The benchmark's seed-1 tune sweeps: the bounds decide every iso
+    verdict, identity test and band, so no sweep takes a spectral norm."""
+    ops = _workloads().tune_ops(1)
+    assert ops
+    config_path, out_path = tmp_path / "config.json", tmp_path / "out.csv"
+    for op in ops:
+        config_path.write_text(json.dumps(op.config))
+        assert cli.main(op.argv(str(config_path), str(out_path))) == 0
+        assert norm_calls == [], op.config
 
 
 def test_a_report_forms_no_basis_and_a_sweep_forms_one(monkeypatch, tmp_path, capsys):
@@ -118,6 +134,7 @@ def test_a_report_forms_no_basis_and_a_sweep_forms_one(monkeypatch, tmp_path, ca
         return wrapped
 
     monkeypatch.setattr(matlin, "null_space", counting("null_space", matlin.null_space))
+    monkeypatch.setattr(matlin, "nullity", counting("nullity", matlin.nullity))
     fix_basis = counting("fix_basis", splitting.fix_basis)
     monkeypatch.setattr(splitting, "fix_basis", fix_basis)
     config = {
@@ -130,11 +147,30 @@ def test_a_report_forms_no_basis_and_a_sweep_forms_one(monkeypatch, tmp_path, ca
     path.write_text(json.dumps(config))
     # analyze reads fix_dim off the pivoted R of T - I: no basis is formed.
     assert cli.main(["analyze", "--config", str(path)]) == 0
-    assert calls == []
-    # A sweep forms the fixed basis of T once, for every theta.
+    assert calls == ["nullity"]
+    calls.clear()
+    # A sweep factors T - I once: it forms the fixed basis of T, for every
+    # theta, and reads its fix_dim off that basis.
     assert cli.main(["sweep", "--config", str(path)]) == 0
     assert calls == ["fix_basis", "null_space"]
     capsys.readouterr()
+
+
+@SETTINGS
+@given(configurations(), st.sampled_from(ETAS))
+def test_a_sweep_analysis_has_the_bits_of_a_report(config, eta):
+    t = (1.0 + eta) * splitting.build(*config).T
+    analysis = splitting.sweep_analysis(t)
+    report = splitting.spectral_report(t)
+
+    def bits(eigs):
+        return [(lam.real.hex(), lam.imag.hex()) for lam in eigs]
+
+    assert np.array_equal(analysis.fix_basis, splitting.fix_basis(t))
+    assert analysis.fix_basis.shape[1] == report.fix_dim
+    assert analysis.is_iso_averaged is report.is_iso_averaged
+    assert bits(analysis.eigenvalues_off_one) == bits(report.eigenvalues_off_one)
+    assert analysis.rho1.hex() == report.rho1.hex()
 
 
 def test_an_equal_graph_trial_and_a_non_witness_node_take_no_norm(norm_calls):

@@ -13,7 +13,7 @@ import pytest
 import numpy as np
 
 import graphsplit
-from graphsplit import cli, experiments, matlin, splitting
+from graphsplit import _json, cli, experiments, matlin, splitting
 
 
 def _config(**overrides):
@@ -239,6 +239,11 @@ def _first_space(fragment):
 )
 def test_float_fragment_fields_name_their_field(tmp_path, fragment, capsys):
     _assert_config_error(tmp_path, capsys, _config(spaces=_first_space(fragment)), "spaces[1]")
+
+
+def test_a_whole_number_is_an_int_or_numpy_int_and_never_a_bool():
+    assert all(map(_json.whole, [0, -3, 2**70, np.int64(4), np.uint8(1)]))
+    assert not any(map(_json.whole, [True, False, np.bool_(True), 1.0, np.float64(2.0), "1", None]))
 
 
 def test_numeric_vector_fields_load_as_before():

@@ -114,7 +114,7 @@ def _oracle_run(t, theta, v, limit, eps, k_max):
 
 
 def _oracle_fit(points):
-    usable = [(k, dist) for k, dist in points if dist > experiments.RATE_FLOOR]
+    usable = [(k, dist) for k, dist in points if experiments.RATE_FLOOR < dist < math.inf]
     tail = usable[len(usable) // 2 :]
     if len(tail) < 2:
         return None
@@ -146,9 +146,44 @@ def test_rate_fit_takes_logarithms_point_by_point():
     # a trace array must equal the per-point fit, so feed it such values.
     x = np.exp(np.random.default_rng(0).uniform(-25.0, 2.0, 100000))
     differ = x[np.log(x) != np.array([math.log(v) for v in x.tolist()])]
-    for dists in [x[:300]] + [np.array([1.0, 1.0, v, 1.0]) for v in differ]:
-        assert experiments._fit_rate(dists) == _oracle_fit(list(enumerate(dists.tolist())))
-    assert experiments._fit_rate(np.array([0.5, 1e-14])) is None
+    traces = [x[:300]] + [np.array([1.0, 1.0, v, 1.0]) for v in differ]
+    want = [_oracle_fit(list(enumerate(dists.tolist()))) for dists in traces]
+    assert experiments._fit_rates(traces) == want
+    assert experiments._fit_rates([np.array([0.5, 1e-14])]) == [None]
+
+
+def test_rate_fits_that_share_a_tail_each_equal_polyfit():
+    # One design matrix serves every trace with the same tail; each rate
+    # keeps the bits of its own np.polyfit, on contiguous tails (every
+    # distance usable), non-contiguous ones (distances at or below the floor
+    # in between, or not finite) and tails that several traces share.
+    rng = np.random.default_rng(5)
+    contiguous = [np.exp(rng.uniform(-20.0, 1.0, 200)) for _ in range(3)]
+    gappy = []
+    for _ in range(4):
+        dists = np.exp(rng.uniform(-20.0, 1.0, 150))
+        dists[[20, 90, 91, 140]] = [1e-14, 0.0, experiments.RATE_FLOOR, 1e-30]
+        gappy.append(dists)
+    gappy[-2][120] = math.inf
+    gappy[-1][100] = math.nan
+    traces = contiguous + gappy + [contiguous[0][:57], np.array([2.0]), np.array([])]
+    want = [_oracle_fit(list(enumerate(dists.tolist()))) for dists in traces]
+    assert want.count(None) == 2
+    assert experiments._fit_rates(traces) == want
+    assert [experiments._fit_rates([dists])[0] for dists in traces] == want
+
+
+def test_a_divergent_run_measures_its_rate():
+    # 3^k overflows its squared distance near k = 323; the distances past it
+    # are inf, which the fit leaves out, as it does those at the floor.
+    t = np.array([[3.0]])
+    with np.errstate(over="ignore"):
+        [record] = experiments.theta_sweep(t, [1.0], [1.0], k_max=5000)
+        trace = experiments.converge(t, 1.0, [1.0], k_max=5000)
+    assert record.k_stop is None
+    assert abs(record.rho1_measured - 3.0) <= 1e-12
+    assert trace.measured_rate == record.rho1_measured
+    assert math.isinf(trace.points[-1][1])
 
 
 def test_stacked_sweep_matches_oracle_on_random_operators():
