@@ -36,9 +36,6 @@ class SplitMix64:
             raise ValueError("empty range")
         return lo + self.next_uint64() % (hi - lo + 1)
 
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]
-
     def normal(self):
         """Standard normal via Box-Muller (pairs cached)."""
         if self._spare is not None:

@@ -146,8 +146,9 @@ def load_config(obj, seed=None, eps=None):
             flat = np.asarray(reals(v0), dtype=float).ravel()
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"v0: expected a list of numbers: {exc}") from exc
-        if not np.all(np.isfinite(flat)):
-            raise ValueError("v0: entries must be finite")
+        with np.errstate(over="ignore"):  # 1e200 is finite, but its square is not
+            if not math.isfinite(flat @ flat):
+                raise ValueError("v0: entries and their squared norm must be finite")
         if flat.shape[0] != (g.n - 1) * ambient:
             raise ValueError(f"v0: expected {(g.n - 1) * ambient} numbers, got {flat.shape[0]}")
         v0 = flat

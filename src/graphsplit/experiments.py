@@ -22,7 +22,6 @@ DEFAULT_EPS = 1e-6
 DEFAULT_K_MAX = 10000
 WITNESS_TOL = 1e-6
 RATE_FLOOR = 1e-13
-_EPS = float(np.finfo(float).eps)  # the eps of np.polyfit's rcond
 
 
 class ExcludedInputError(ValueError):
@@ -38,18 +37,18 @@ class ConvergenceTrace:
 
 
 def _fit_rates(traces):
-    """The measured rate of each distance trace: exp of the slope of a
-    least-squares fit of the log-distance over the last half of the usable
-    trace (the finite distances above RATE_FLOOR), or None for a tail of
-    fewer than two points.
+    """The measured rate of each distance trace: exp of the least-squares
+    slope of the log-distance against the iteration, over the last half of
+    the usable trace (the finite distances above RATE_FLOOR), or None for a
+    tail of fewer than two points.
 
-    Each fit is np.polyfit's, with its calls on the same data, so each rate
-    has its bits: polyfit's scaled design matrix is built once per distinct
-    tail, in a dict that lives for this call, and each trace is solved by
-    np.linalg.lstsq with polyfit's rcond. math.log keeps the fit
-    bit-identical to a per-point loop; np.log is not.
+    The slope is the closed form over centred iterations and centred logs,
+    sum(x y) / sum(x x) with x = k - mean(k) and y = log d - mean(log d),
+    np.log taken over the whole tail. Centring both keeps the rate within
+    about one unit of eps r (1 + |log r|) of an exact rational fit of the
+    per-point math.log, however far the distances lie from 1 and whatever
+    gaps the tail has.
     """
-    designs = {}
     rates = []
     for dists in traces:
         usable = np.flatnonzero((dists > RATE_FLOOR) & (dists < math.inf))
@@ -57,16 +56,9 @@ def _fit_rates(traces):
         if len(tail) < 2:
             rates.append(None)
             continue
-        key = tail.tobytes()
-        if key not in designs:
-            lhs = np.vander(tail.astype(float), 2)
-            scale = np.sqrt((lhs * lhs).sum(axis=0))
-            lhs /= scale
-            designs[key] = lhs, scale
-        lhs, scale = designs[key]
-        logs = np.fromiter(map(math.log, dists[tail].tolist()), float, len(tail))
-        c = np.linalg.lstsq(lhs, logs, len(tail) * _EPS)[0]
-        rates.append(float(np.exp(c[0] / scale[0])))
+        x = tail - tail.mean()
+        logs = np.log(dists[tail])
+        rates.append(float(np.exp((x @ (logs - logs.mean())) / (x @ x))))
     return rates
 
 
@@ -76,13 +68,16 @@ _BLOCK = 32  # iterates per stop test; 32 to 128 run about equally fast
 def _operands(op, x, op_name, x_name):
     """The map (an operator's T, or a matrix) and the start as float arrays;
     a ValueError names a map that is not finite, or a start that is not a
-    finite vector of the map's size."""
+    vector of the map's size with a finite squared norm: an entry that is
+    not finite fails that test, and so does a finite start such as 1e200,
+    whose distances would all read inf."""
     t = op.T if isinstance(op, splitting.SplittingOperator) else np.asarray(op, dtype=float)
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError(f"{op_name} must be finite")
-    if x.shape != t.shape[:1] or not np.all(np.isfinite(x)):
-        raise ValueError(f"{x_name} must be a finite vector of length {len(t)}")
+    with np.errstate(over="ignore"):
+        if x.shape != t.shape[:1] or not math.isfinite(x @ x):
+            raise ValueError(f"{x_name} must be a vector of length {len(t)} with a finite squared norm")
     return t, x
 
 
@@ -161,11 +156,11 @@ def converge(op, theta, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     The limit is the projection of the start onto the fixed subspace of the
     unrelaxed map (relaxation does not move fixed points). k_stop is the
     first iteration whose distance drops below eps, or None if the budget
-    runs out; the measured rate is a least-squares fit of the log-distance
-    over the last half of the usable trace (`_fit_rates`). The run is the
-    one-theta case of `_relaxed_runs`: one matmul per step, and the stop test
-    once per block of _BLOCK (32) iterates. Every input is checked before
-    the first step.
+    runs out; the measured rate is exp of the least-squares slope of the
+    log-distance over the last half of the usable trace (`_fit_rates`). The
+    run is the one-theta case of `_relaxed_runs`: one matmul per step, and
+    the stop test once per block of _BLOCK (32) iterates. Every input is
+    checked before the first step.
     """
     t, v0 = _operands(op, v0, "op", "v0")
     _check_run([theta], eps, k_max)
@@ -192,11 +187,11 @@ def theta_sweep(op, thetas, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     the iso verdict by bounds, and takes no certificate norm. The runs share
     one `_relaxed_runs` loop: each iteration advances every running theta
     with one stacked matmul, and the stop test runs once per block of
-    _BLOCK (32) iterates. The rates are fitted together (`_fit_rates`), so
-    thetas that share a tail share its design matrix. Every input is
-    checked before the first step. The predicted rate is max |theta lam +
-    1 - theta| over the eigenvalues lam off 1, by `predicted_rate` for
-    iso-averaged maps with rho1 < 1.
+    _BLOCK (32) iterates. Each run's rate is the closed-form slope of its
+    own log-distance tail (`_fit_rates`). Every input is checked before the
+    first step. The predicted rate is max |theta lam + 1 - theta| over the
+    eigenvalues lam off 1, by `predicted_rate` for iso-averaged maps with
+    rho1 < 1.
     """
     t, v0 = _operands(op, v0, "op", "v0")
     thetas = list(thetas)
@@ -233,8 +228,11 @@ def _finite_points(name, values, least):
 def symmetry_check(t, x, thetas, k_max):
     """Worst gap between iterate norms at parameters theta and 2 - theta.
 
-    Vanishes (to round-off) exactly for iso-averaged maps. Compares the
-    iterates 1 .. k_max of every theta and its mirror, all in one run.
+    Vanishes (to round-off) exactly for iso-averaged maps: for one step,
+    ||T_theta x||^2 - ||T_(2 - theta) x||^2 = 2 (theta - 1) x^T A x with
+    A = 2 T^T T - T - T^T, whose spectral norm is the iso defect of
+    `splitting.certificates`. Compares the iterates 1 .. k_max of every
+    theta and its mirror, all in one run.
     """
     t, x = _operands(t, x, "t", "x")
     thetas = _finite_points("thetas", thetas, 1)

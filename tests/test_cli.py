@@ -7,6 +7,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -217,6 +218,17 @@ def test_config_errors(tmp_path, breaker, capsys):
 )
 def test_bad_values_name_their_field(tmp_path, field, value, capsys):
     _assert_config_error(tmp_path, capsys, _config(**{field: value}), field)
+
+
+def test_a_start_whose_squared_norm_overflows_is_a_config_error(tmp_path, capsys):
+    # Each entry is finite, but every distance of a sweep from it would read
+    # inf, leaving no stop and no rate.
+    cfg = _config(v0=[1e200, 0.0, 0.0, 0.0])
+    _assert_config_error(tmp_path, capsys, cfg, "v0: ")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["sweep", "--config", _write(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: v0: ")
 
 
 def _first_space(fragment):

@@ -2,10 +2,11 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from conftest import random_operator
+from conftest import assert_rate, exact_rate, random_operator
 
 from graphsplit import experiments, graphs, matlin, splitting, subspaces
 from graphsplit._rng import SplitMix64
@@ -110,17 +111,7 @@ def _oracle_run(t, theta, v, limit, eps, k_max):
             break
         if k < k_max:
             v = t_theta @ v
-    return points, k_stop, _oracle_fit(points)
-
-
-def _oracle_fit(points):
-    usable = [(k, dist) for k, dist in points if experiments.RATE_FLOOR < dist < math.inf]
-    tail = usable[len(usable) // 2 :]
-    if len(tail) < 2:
-        return None
-    ks = np.array([k for k, _ in tail], dtype=float)
-    logs = np.array([math.log(dist) for _, dist in tail])
-    return float(np.exp(np.polyfit(ks, logs, 1)[0]))
+    return points, k_stop, exact_rate(points)
 
 
 def _assert_sweep_matches_oracle(t, thetas, v0, eps, k_max):
@@ -131,32 +122,33 @@ def _assert_sweep_matches_oracle(t, thetas, v0, eps, k_max):
     runs = [_oracle_run(t, theta, v0, limit, eps, k_max) for theta in thetas]
     for rec, (_, k_stop, rate) in zip(records, runs):
         assert rec.k_stop == k_stop, rec.theta
-        assert rec.rho1_measured == rate, rec.theta
+        assert_rate(rec.rho1_measured, rate)
     if thetas:
-        # converge is the one-theta case of the same loop.
-        points, k_stop, rate = runs[0]
+        # converge is the one-theta case of the same loop and the same fit.
+        points, k_stop, _ = runs[0]
         trace = experiments.converge(t, thetas[0], v0, eps=eps, k_max=k_max)
         assert trace.points == points
-        assert (trace.k_stop, trace.measured_rate) == (k_stop, rate)
+        assert (trace.k_stop, trace.measured_rate) == (k_stop, records[0].rho1_measured)
     return [k_stop for _, k_stop, _ in runs]
 
 
-def test_rate_fit_takes_logarithms_point_by_point():
-    # The vectorized np.log can round differently from math.log; the fit on
-    # a trace array must equal the per-point fit, so feed it such values.
+def test_rate_fit_is_exact_where_np_log_and_math_log_differ():
+    # The fit takes np.log over the whole tail, which can round differently
+    # from the oracle's per-point math.log; feed it such values.
     x = np.exp(np.random.default_rng(0).uniform(-25.0, 2.0, 100000))
     differ = x[np.log(x) != np.array([math.log(v) for v in x.tolist()])]
+    assert len(differ) > 0
     traces = [x[:300]] + [np.array([1.0, 1.0, v, 1.0]) for v in differ]
-    want = [_oracle_fit(list(enumerate(dists.tolist()))) for dists in traces]
-    assert experiments._fit_rates(traces) == want
+    for dists, got in zip(traces, experiments._fit_rates(traces)):
+        assert_rate(got, exact_rate(list(enumerate(dists.tolist()))))
     assert experiments._fit_rates([np.array([0.5, 1e-14])]) == [None]
 
 
-def test_rate_fits_that_share_a_tail_each_equal_polyfit():
-    # One design matrix serves every trace with the same tail; each rate
-    # keeps the bits of its own np.polyfit, on contiguous tails (every
-    # distance usable), non-contiguous ones (distances at or below the floor
-    # in between, or not finite) and tails that several traces share.
+def test_rate_fits_on_gappy_and_shared_tails_are_exact():
+    # Every trace is fitted on its own: on contiguous tails (every distance
+    # usable), non-contiguous ones (distances at or below the floor in
+    # between, or not finite) and tails that several traces share, a rate
+    # fitted among others has the bits of the same trace fitted alone.
     rng = np.random.default_rng(5)
     contiguous = [np.exp(rng.uniform(-20.0, 1.0, 200)) for _ in range(3)]
     gappy = []
@@ -167,10 +159,12 @@ def test_rate_fits_that_share_a_tail_each_equal_polyfit():
     gappy[-2][120] = math.inf
     gappy[-1][100] = math.nan
     traces = contiguous + gappy + [contiguous[0][:57], np.array([2.0]), np.array([])]
-    want = [_oracle_fit(list(enumerate(dists.tolist()))) for dists in traces]
+    want = [exact_rate(list(enumerate(dists.tolist()))) for dists in traces]
     assert want.count(None) == 2
-    assert experiments._fit_rates(traces) == want
-    assert [experiments._fit_rates([dists])[0] for dists in traces] == want
+    got = experiments._fit_rates(traces)
+    for rate, exact in zip(got, want):
+        assert_rate(rate, exact)
+    assert [experiments._fit_rates([dists])[0] for dists in traces] == got
 
 
 def test_a_divergent_run_measures_its_rate():
@@ -506,6 +500,7 @@ GOOD_MAP = np.eye(4) - np.diag([0.5, 0.5, 0.0, 0.0])
         ("eps", lambda op, v0: experiments.converge(op, 1.0, v0, eps=np.nan)),
         ("v0", lambda op, v0: experiments.theta_sweep(op, [0.5, 1.0], v0[:2])),
         ("v0", lambda op, v0: experiments.theta_sweep(op, [0.5, 1.0], np.full(4, np.nan))),
+        ("v0", lambda op, v0: experiments.converge(op, 1.0, 1e200 * v0)),
         ("op", lambda op, v0: experiments.converge(NAN_MAP, 1.0, v0)),
         ("t", lambda op, v0: experiments.symmetry_check(NAN_MAP, v0, [0.5], 3)),
         ("x", lambda op, v0: experiments.symmetry_check(GOOD_MAP, np.full(4, np.nan), [0.5], 3)),
@@ -535,6 +530,22 @@ def test_bad_inputs_name_their_argument(name, call):
     op, v0, _, _ = experiments.three_lines_example()
     with pytest.raises(ValueError, match=f"^{name} "):
         call(op, v0)
+
+
+def test_a_start_whose_squared_norm_overflows_is_rejected():
+    # Each entry of 1e200 v0 is finite, but its distances would all read inf,
+    # leaving the run with no stop and no rate. 2^500 v0 is accepted: its
+    # distances are those of v0 scaled exactly, and so is its rate, to the
+    # rounding of the shifted logs.
+    op, v0, _, _ = experiments.three_lines_example()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^v0 .* finite squared norm$"):
+            experiments.theta_sweep(op, [1.0], 1e200 * v0)
+        big = experiments.converge(op, 1.0, 2.0**500 * v0, eps=1e-300, k_max=30)
+    unit = experiments.converge(op, 1.0, v0, eps=1e-300, k_max=30)
+    assert [dist for _, dist in big.points] == [2.0**500 * dist for _, dist in unit.points]
+    assert_rate(big.measured_rate, unit.measured_rate)
 
 
 def test_overflowing_norms_give_no_convexity_verdict():

@@ -1,10 +1,11 @@
 """Properties of the construction over random graph pairs and node spaces."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
-from conftest import eig_multiset_close, random_operator
+from conftest import assert_rate, eig_multiset_close, exact_rate, random_operator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,6 +84,71 @@ def test_the_isometry_defect_of_2t_minus_i_is_twice_the_iso_defect(config):
     r = 2.0 * t - np.eye(len(t))
     iso = splitting.certificates(t).iso_defect
     assert abs(np.linalg.norm(r.T @ r - np.eye(len(t)), 2) - 2.0 * iso) <= 1e-12 * (1.0 + iso)
+
+
+def _squared_norm_gap(t, theta, x):
+    """||T_theta x||^2 - ||T_(2 - theta) x||^2."""
+    near, far = (splitting.relax(t, th) @ x for th in (theta, 2.0 - theta))
+    return near @ near - far @ far
+
+
+@SETTINGS
+@given(configurations(), st.floats(0.01, 1.99), st.integers(0, 2**64 - 1))
+def test_the_norm_symmetry_gap_is_the_iso_quadratic_form(config, theta, seed):
+    # ||T_theta x||^2 - ||T_(2 - theta) x||^2 = 2 (theta - 1) x^T A x with
+    # A = 2 T^T T - T - T^T, so the gap vanishes for every x and theta
+    # exactly when A = 0, the iso-averaged certificate. On a unit eigenvector
+    # of A for its eigenvalue of largest modulus the gap is
+    # 2 |theta - 1| ||A||_2 = 2 |theta - 1| iso_defect, G != G' included.
+    t = splitting.build(*config).T
+    a = 2.0 * t.T @ t - t - t.T
+    tol = 1e-13 * (1.0 + np.linalg.norm(t)) ** 2
+    x = SplitMix64(seed).normals(len(t))
+    gap = _squared_norm_gap(t, theta, x)
+    assert abs(gap - 2.0 * (theta - 1.0) * (x @ a @ x)) <= tol * (x @ x)
+    w, v = np.linalg.eigh(a)
+    top = v[:, np.argmax(np.abs(w))]
+    gap = _squared_norm_gap(t, theta, top)
+    assert abs(abs(gap) - 2.0 * abs(theta - 1.0) * splitting.certificates(t).iso_defect) <= tol
+
+
+# A distance punched into a trace that the rate fit must not read.
+PUNCHES = st.lists(
+    st.tuples(st.integers(0, 79), st.sampled_from([experiments.RATE_FLOOR, 0.0, math.inf, math.nan])),
+    max_size=4,
+)
+
+
+@SETTINGS
+@given(st.floats(0.05, 1.2, exclude_min=True, exclude_max=True),
+       st.floats(-2.0, 2.0) | st.floats(-700.0, 700.0), st.integers(2, 80), PUNCHES)
+def test_a_geometric_trace_fits_its_rate(r, log_c, length, punches):
+    # d_k = c r^k, with or without unusable distances in the trace. Centring
+    # the logs as well as the iterations keeps the fit within the bound of
+    # the exact fit of the same logs for any c. That is r itself for a trace
+    # that starts within e^2 of 1; further from 1 each log carries its own
+    # rounding, eps |log d|, into the slope of any fit.
+    dists = np.array([math.exp(log_c) * r**k for k in range(length)])
+    for k, dist in punches:
+        dists[k % length] = dist
+    [got] = experiments._fit_rates([dists])
+    want = exact_rate(list(enumerate(dists.tolist())))
+    assert_rate(got, want)
+    if want is not None and abs(log_c) <= 2.0:
+        assert_rate(got, r)
+
+
+@SETTINGS
+@given(st.lists(st.sampled_from([experiments.RATE_FLOOR, 0.0, 1e-300, math.inf, math.nan]),
+                max_size=20),
+       st.lists(st.tuples(st.integers(0, 20), st.floats(2.0 * experiments.RATE_FLOOR, 1e300)),
+                max_size=2))
+def test_a_tail_of_at_most_one_point_has_no_rate(unusable, usable):
+    # Two usable distances leave a tail of one: the last half of the trace.
+    dists = list(unusable)
+    for k, dist in usable:
+        dists.insert(k, dist)
+    assert experiments._fit_rates([np.array(dists, dtype=float)]) == [None]
 
 
 @SETTINGS
