@@ -370,20 +370,16 @@ def pair_catalog():
 
 @dataclass
 class TrialRecord:
-    """One trial of `graph_equality_trials`.
-
-    For G = G', defect is the iso defect where the Frobenius screen at
-    DEFECT_TOL does not decide the verdict, and the Frobenius bound
-    ||2 T^T T - T - T^T||_F (at most DEFECT_TOL / 2) where it does; for
-    G != G' it is the `WitnessResult` defect. Only the verdicts are printed.
-    """
+    """One trial of `graph_equality_trials`: its verdicts, as `verify` prints
+    them. For G = G', consistent is the iso verdict of the built map
+    (`splitting.is_iso_averaged`); for G != G', whether `witness_search`
+    found a witness, and at which node."""
 
     pair_name: str
     n: int
     d: int
     same: bool
     consistent: bool
-    defect: float
     witness_index: object  # 1-based index or None
 
 
@@ -408,11 +404,10 @@ def graph_equality_trials(seed, trials):
                     for _ in range(n)
                 ]
                 op = splitting.build(gp, subspaces.product(factors))
-                defect, consistent = splitting.screened_iso_verdict(op.T)
-                records.append(TrialRecord(name, n, d, True, consistent, defect, None))
+                records.append(TrialRecord(name, n, d, True, splitting.is_iso_averaged(op.T), None))
             else:
                 res = witness_search(gp, d)
-                records.append(TrialRecord(name, n, d, False, res.found, res.defect, res.index))
+                records.append(TrialRecord(name, n, d, False, res.found, res.index))
     return records
 
 

@@ -5,7 +5,9 @@ every edge (i, j) satisfies i < j; the orientation is what later makes the
 splitting operator computable by forward substitution. This module builds
 the adjacency, degree, Laplacian and update matrices, and factors the
 Laplacian of a connected spanning subgraph as Z Z^T with Z of full column
-rank n-1.
+rank n-1. Only `preset` keeps a cache, of frozen graphs: the matrices and
+the factor are fresh arrays on every call, and `splitting` keeps the
+factor and its lifts once per (graph pair, d).
 
 Node indices are 1-based at the boundary (matching the usual convention
 for these methods) and 0-based in array code.
@@ -101,23 +103,14 @@ def pair(g, gp=None):
     return GraphPair(g, g if gp is None else gp)
 
 
-@functools.lru_cache(maxsize=256)
 def matrices(g):
-    """Adjacency, degree, Laplacian and update matrix B = Deg - 2 Adj^T.
-
-    Cached and read-only as `laplacian_factor` is: an equal graph gets the
-    same four arrays.
-    """
+    """Adjacency, degree, Laplacian and update matrix B = Deg - 2 Adj^T."""
     n = g.n
     adj = np.zeros((n, n))
     for i, j in g.edges:
         adj[i - 1, j - 1] = 1.0
     deg = np.diag(g.degrees().astype(float))
-    lap = deg - adj - adj.T
-    b = deg - 2.0 * adj.T
-    for m in (adj, deg, lap, b):
-        m.flags.writeable = False
-    return adj, deg, lap, b
+    return adj, deg, deg - adj - adj.T, deg - 2.0 * adj.T
 
 
 def incidence(g):
@@ -138,25 +131,13 @@ def laplacian_factor(g):
 
     Built from the pivoted QR of the transposed incidence matrix, so the
     reconstruction is exact up to round-off and no eigen-solve is needed.
-    Z is a pure function of the frozen graph, so it is computed once per
-    graph (the last 256 graphs are kept) and returned read-only: every call
-    on an equal graph gives the same array object, which no caller can
-    modify. Copy it to change it.
     """
-    # A plain function in front of the cache, since the span tracer of
-    # perfbench/tracer.py wraps plain functions only.
-    return _laplacian_factor(g)
-
-
-@functools.lru_cache(maxsize=256)
-def _laplacian_factor(g):
     n = g.n
     e = incidence(g)
     _, r, perm = matlin.qr(e.T, pivoting=True)
     z0 = r[: n - 1, :].T
     z = np.zeros((n, n - 1))
     z[perm, :] = z0
-    z.flags.writeable = False
     return z
 
 

@@ -76,9 +76,16 @@ def _householder(a, pivoting, q):
     orthogonal factor, accumulated in place), and to r alone when q is None:
     r gets the same reflections on the same views either way, so its bits
     do not depend on q.
+
+    An a far from 1 in scale, with max|a| in [2^(e-1), 2^e) for |e| > 500,
+    is reduced as 2^-e a and r scaled back: both steps are exact, so the
+    squared column norms neither underflow nor overflow, and q and perm are
+    those of 2^-e a. Any other a is reduced as it is. An r that overflows
+    when scaled back is a ValueError, never an inf that a rank reads.
     """
     m, n = a.shape
-    r = a.copy()
+    e = math.frexp(np.abs(a).max())[1] if a.size else 0
+    r = np.ldexp(a, -e) if abs(e) > 500 else a.copy()
     perm = np.arange(n)
     for k in range(min(m, n)):
         if pivoting:
@@ -93,6 +100,12 @@ def _householder(a, pivoting, q):
             if q is not None:
                 _reflect_cols(q[:, k:], v, beta)
             r[k + 1 :, k] = 0.0
+    if abs(e) <= 500:
+        return r, perm
+    with np.errstate(over="ignore"):
+        r = np.ldexp(r, e)
+    if not np.isfinite(r).all():
+        raise ValueError("matrix too large to factor: its R overflows")
     return r, perm
 
 

@@ -17,10 +17,12 @@ defect counts as zero up to DEFECT_TOL (1 + ||T||^2), an eigenvalue at 1
 must lie within EIGENVALUE_ONE_TOL (1 + ||T||), and T is the identity when
 ||T - I|| <= RANK_TOL (1 + ||T||). Frobenius bounds decide first (`_Norm`),
 and a spectral norm is taken only where they cannot, with its verdicts.
-`screened_iso_defect` returns a bound below a screen, and above it the iso
-defect of `certificates`, bit for bit. `sweep_analysis` gives a relaxation
-sweep what it reads of `spectral_report`, with the same bits and no
-certificate norm.
+`is_iso_averaged` and `sweep_analysis` decide iso-averagedness by that
+rule on the bounds of A = 2 T^T T - T - T^T, with the verdict of
+`certificates`. `screened_iso_defect` returns a bound below a screen, and
+above it the iso defect of `certificates`, bit for bit. `sweep_analysis`
+gives a relaxation sweep what it reads of `spectral_report`, with the same
+bits and no certificate norm.
 """
 
 import functools
@@ -79,9 +81,9 @@ def build(graph_pair, spaces, z=None):
     factor (for instance a tree incidence matrix) may be supplied as long
     as z z^T reproduces the subgraph Laplacian. Z O for an orthogonal O is
     one, and its C is Obar^T C Obar with Obar = O (x) I_d, so spectra and
-    defects do not depend on the factorization of the Laplacian. With the
-    default factor the lifts Bbar and Zbar come from a cache keyed on
-    (graph pair, d); a supplied z is lifted on every call.
+    defects do not depend on the factorization of the Laplacian. The default
+    factor and the lifts Bbar and Zbar come from one cache keyed on
+    (graph pair, d); a supplied z is checked and lifted on every call.
     """
     n = graph_pair.g.n
     d = spaces.ambient
@@ -90,8 +92,7 @@ def build(graph_pair, spaces, z=None):
     if n < 2:
         raise ValueError("need at least two nodes")
     if z is None:
-        z = graphs.laplacian_factor(graph_pair.gp)
-        bbar, zbar = _lifts(graph_pair, d)
+        z, bbar, zbar = _lifts(graph_pair, d)
     else:
         z = np.asarray(z, dtype=float)
         if z.shape != (n, n - 1):
@@ -123,17 +124,18 @@ def build(graph_pair, spaces, z=None):
 
 @functools.lru_cache(maxsize=256)
 def _lifts(graph_pair, d):
-    """Bbar = B (x) I_d and Zbar = Z (x) I_d for the default factor Z.
+    """(Z, Bbar, Zbar): the default factor Z of the subgraph Laplacian, and
+    Bbar = B (x) I_d and Zbar = Z (x) I_d.
 
-    A pure function of the frozen pair and d, so lifted once per (pair, d)
-    (the last 256 are kept) and read-only, as `graphs.laplacian_factor` is.
+    A pure function of the frozen pair and d, so computed once per (pair, d)
+    (the last 256 are kept) and returned read-only: equal calls share the
+    three arrays, which no caller can modify.
     """
-    _, _, _, b = graphs.matrices(graph_pair.g)
-    bbar = matlin.kron_lift(b, d)
-    zbar = matlin.kron_lift(graphs.laplacian_factor(graph_pair.gp), d)
-    bbar.flags.writeable = False
-    zbar.flags.writeable = False
-    return bbar, zbar
+    z = graphs.laplacian_factor(graph_pair.gp)
+    lifts = (z, matlin.kron_lift(graphs.matrices(graph_pair.g)[3], d), matlin.kron_lift(z, d))
+    for m in lifts:
+        m.flags.writeable = False
+    return lifts
 
 
 def apply_iterative(op, v):
@@ -275,13 +277,19 @@ def screened_iso_defect(t, tol):
     return a.frobenius if a.upper() <= tol else a.exact()
 
 
-def screened_iso_verdict(t):
-    """(defect, is_iso_averaged): the iso verdict of `certificates`, with the
-    defect screened at DEFECT_TOL by `screened_iso_defect`. A screened defect
-    is at most DEFECT_TOL, which `_within` reads as zero, as the exact one."""
+def is_iso_averaged(t):
+    """Whether T is iso-averaged: the verdict of `certificates`, with only
+    the norms `_iso_averaged` needs and no defect."""
     t = _checked(t)
-    iso = screened_iso_defect(t, DEFECT_TOL)
-    return iso, _within(iso, DEFECT_TOL, _Norm(t), squared=True)
+    return _iso_averaged(t, _Norm(t))
+
+
+def _iso_averaged(t, norm):
+    """The iso verdict of a checked t, with norm its `_Norm`: the rule of
+    `_within` on A = 2 T^T T - T - T^T. The bounds of A decide first, and
+    ||A||_2 is taken only in the window between them, with ||T||_2 only
+    where that leaves it open."""
+    return _within(_Norm(_iso_matrix(t, t.T @ t)), DEFECT_TOL, norm, squared=True)
 
 
 def _off_identity(t, norm):
@@ -382,16 +390,14 @@ def sweep_analysis(t):
 
     T - I is factored once, by `fix_basis`, whose column count is the fix_dim
     of a report (both read the rank off the same pivoted R). The iso verdict
-    is that of `certificates` by the rule of `_within` on
-    A = 2 T^T T - T - T^T: the bounds of A decide first, and ||A||_2 is taken
-    only in the window between them, with ||T||_2 only where that leaves it
-    open. The eigenvalues off 1 and rho1 come from `_spectrum`, with its
+    is that of `_iso_averaged`, with the `_Norm` of T that `_spectrum` reads.
+    The eigenvalues off 1 and rho1 come from `_spectrum`, with its
     self-checks.
     """
     t = _checked(t)
     f = fix_basis(t)
     norm = _Norm(t)
-    iso_averaged = _within(_Norm(_iso_matrix(t, t.T @ t)), DEFECT_TOL, norm, squared=True)
+    iso_averaged = _iso_averaged(t, norm)
     _, off_one, rho1 = _spectrum(t, norm, f.shape[1], iso_averaged)
     return SweepAnalysis(f, iso_averaged, off_one, rho1)
 

@@ -27,6 +27,8 @@ class Subspace:
         d, k = b.shape
         if k > d:
             raise ValueError("more basis vectors than ambient dimensions")
+        if not np.isfinite(b).all():
+            raise ValueError("basis must have finite entries")
         if k and np.max(np.abs(b.T @ b - np.eye(k))) > 1e-12:
             raise ValueError("basis columns are not orthonormal")
 

@@ -47,11 +47,17 @@ def environment():
     return {"numpy": np.__version__, "platform": f"{sys.platform}-{platform.machine()}"}
 
 
+def load_workloads():
+    """`perfbench/workloads.py`, loaded by path and read only."""
+    spec = importlib.util.spec_from_file_location("golden_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def golden_ops():
     """(label, op) for every golden op, in run order."""
-    spec = importlib.util.spec_from_file_location("golden_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_workloads()
     ops = [
         (f"{name} {index}", op)
         for name, generator in workloads.GENERATORS.items()

@@ -176,32 +176,45 @@ def test_a_sweep_analysis_has_the_bits_of_a_report(config, eta):
 def test_an_equal_graph_trial_and_a_non_witness_node_take_no_norm(norm_calls):
     experiments._witness_search.cache_clear()
     records = experiments.graph_equality_trials(seed=3, trials=4)
-    same = [r for r in records if r.same]
     unequal = [r for r in records if not r.same]
     assert all(r.consistent for r in records)
-    # Every equal-graph trial is decided by its Frobenius screen ...
-    assert all(r.defect <= splitting.DEFECT_TOL / 2 for r in same)
-    # ... and every search finds its witness, whose printed defect takes one
-    # norm, once per distinct search: a repeated (pair, n, d) takes none.
+    # Every equal-graph trial is decided by the bounds of its A, and every
+    # search finds its witness, whose printed defect takes one norm, once per
+    # distinct search: a repeated (pair, n, d) takes none.
     assert all(r.witness_index for r in unequal)
     assert len(norm_calls) == len({(r.pair_name, r.n, r.d) for r in unequal})
 
 
+def _iso_bounds(t):
+    """Which bound of A = 2 T^T T - T - T^T decides the iso verdict of T,
+    "upper" (2 ||A||_F <= DEFECT_TOL) or "lower" (||A||_F / (2 sqrt(N)) above
+    the ceiling DEFECT_TOL (1 + (2 ||T||_F)^2)), or None; and the ceiling."""
+    frobenius = float(np.linalg.norm(2.0 * (t.T @ t) - t - t.T))
+    upper = 2.0 * float(np.linalg.norm(t))
+    ceiling = splitting.DEFECT_TOL * (1.0 + upper * upper)
+    if 2.0 * frobenius <= splitting.DEFECT_TOL:
+        return "upper", ceiling
+    if frobenius / (2.0 * math.sqrt(t.shape[0])) > ceiling:
+        return "lower", ceiling
+    return None, ceiling
+
+
 def test_verdict_takes_the_norm_of_t_only_above_defect_tol(norm_calls):
     t0 = random_operator(2).T
-    taken = []
+    taken, decided = [], set()
     for eta in ETAS:
         t = (1.0 + eta) * t0
         before = len(norm_calls)
-        defect, _ = splitting.screened_iso_verdict(t)
+        splitting.is_iso_averaged(t)
         taken.append(len(norm_calls) - before)
-        bound = float(np.linalg.norm(2.0 * (t.T @ t) - t - t.T))
-        upper = 2.0 * float(np.linalg.norm(t))
-        window = splitting.DEFECT_TOL < defect <= splitting.DEFECT_TOL * (1.0 + upper * upper)
-        # None below the screen, the defect's above it, and ||T|| only for a
-        # defect above DEFECT_TOL that 2 ||T||_F cannot classify.
-        assert taken[-1] == (2.0 * bound > splitting.DEFECT_TOL) + window
+        bound, ceiling = _iso_bounds(t)
+        decided.add(bound)
+        # None where a bound of A decides, ||A|| in between, and ||T|| only
+        # for a defect above DEFECT_TOL that 2 ||T||_F cannot classify.
+        window = bound is None and splitting.DEFECT_TOL < _iso_defect(t) <= ceiling
+        assert taken[-1] == (bound is None) + window
     assert set(taken) == {0, 1, 2}
+    assert decided == {"upper", "lower", None}
 
 
 @SETTINGS
@@ -418,23 +431,16 @@ def test_a_tiny_map_keeps_the_exact_norm_verdicts(scale):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_screened_verdict_equals_the_exact_one(seed):
+def test_iso_verdict_equals_the_exact_one(seed):
     t0 = random_operator(seed).T
-    sides = set()
+    decided = set()
     for eta in ETAS:
         t = (1.0 + eta) * t0
-        iso, verdict = _iso_verdict(t)
-        defect, screened_verdict = splitting.screened_iso_verdict(t)
-        assert screened_verdict is verdict
-        bound = float(np.linalg.norm(2.0 * (t.T @ t) - t - t.T))
-        if 2.0 * bound <= splitting.DEFECT_TOL:
-            sides.add("screened")
-            assert defect.hex() == bound.hex()
-            assert iso <= 2.0 * bound
-        else:
-            sides.add("exact")
-            assert defect.hex() == iso.hex()
-    assert sides == {"screened", "exact"}
+        verdict = splitting.is_iso_averaged(t)
+        assert verdict is _iso_verdict(t)[1]
+        assert verdict is splitting.sweep_analysis(t).is_iso_averaged
+        decided.add(_iso_bounds(t)[0])
+    assert decided == {"upper", "lower", None}
 
 
 @SETTINGS
@@ -449,7 +455,7 @@ def test_screened_defect_is_exact_above_its_screen(config, eta):
             assert defect.hex() == bound.hex() and iso <= 2.0 * bound
         else:
             assert defect.hex() == iso.hex()
-    assert splitting.screened_iso_verdict(t)[1] is _iso_verdict(t)[1]
+    assert splitting.is_iso_averaged(t) is _iso_verdict(t)[1]
 
 
 # The trials and the witness search as they were before the Frobenius screens:
@@ -468,6 +474,7 @@ def _unscreened_witness_search(graph_pair, d):
 
 
 def _unscreened_trials(seed, trials):
+    """(record, pair, unscreened witness search or None) of every trial."""
     rng = SplitMix64(seed)
     records = []
     for name, make in experiments.pair_catalog():
@@ -481,13 +488,12 @@ def _unscreened_trials(seed, trials):
                     for _ in range(n)
                 ]
                 op = splitting.build(gp, subspaces.product(factors))
-                defect, consistent = _iso_verdict(op.T)
-                records.append(experiments.TrialRecord(name, n, d, True, consistent, defect, None))
+                _, consistent = _iso_verdict(op.T)
+                records.append((experiments.TrialRecord(name, n, d, True, consistent, None), gp, None))
             else:
                 res = _unscreened_witness_search(gp, d)
-                records.append(
-                    experiments.TrialRecord(name, n, d, False, res.found, res.defect, res.index)
-                )
+                record = experiments.TrialRecord(name, n, d, False, res.found, res.index)
+                records.append((record, gp, res))
     return records
 
 
@@ -501,17 +507,14 @@ def _assert_same_defect(screened, exact, tol):
 
 def test_screened_trials_equal_the_unscreened_ones():
     for seed in range(50):
-        got = experiments.graph_equality_trials(seed, 3)
         want = _unscreened_trials(seed, 3)
-        assert len(got) == len(want)
-        for new, old in zip(got, want):
-            assert (new.pair_name, new.n, new.d, new.same) == (old.pair_name, old.n, old.d, old.same)
-            assert new.consistent is old.consistent
-            assert new.witness_index == old.witness_index
-            if new.same:
-                _assert_same_defect(new.defect, old.defect, splitting.DEFECT_TOL)
-            else:
-                assert new.consistent and new.defect.hex() == old.defect.hex()
+        assert experiments.graph_equality_trials(seed, 3) == [record for record, _, _ in want]
+        for record, gp, res in want:
+            if res is not None:
+                # The search the trial read finds the same witness, with the
+                # defect's bits.
+                found = experiments.witness_search(gp, record.d)
+                assert found.found and found.defect.hex() == res.defect.hex()
 
 
 def test_screened_witness_search_equals_the_unscreened_one():
@@ -560,24 +563,30 @@ def test_repeated_trials_search_once(norm_calls):
     assert len(norm_calls) == taken
 
 
-def test_laplacian_factor_is_cached_and_read_only():
+def test_laplacian_factor_is_a_fresh_array_and_builds_keep_the_cached_one():
+    gp = graphs.pair(graphs.preset("ring", 5))
+    spaces = subspaces.product([subspaces.random_subspace(2, 1, k) for k in range(5)])
+    t = splitting.build(gp, spaces).T
+    z = graphs.laplacian_factor(gp.gp)
+    again = graphs.laplacian_factor(graphs.preset("ring", 5))
+    assert again is not z and np.array_equal(again, z)
+    # A caller may change its own factor: no later factor or build sees it.
+    z[0, 0] = 7.0
+    assert np.array_equal(graphs.laplacian_factor(gp.gp), again)
+    op = splitting.build(gp, spaces)
+    assert op.Z is splitting._lifts(gp, 2)[0] and np.array_equal(op.Z, again)
+    assert np.array_equal(op.T, t)
+
+
+def test_graph_matrices_are_fresh_arrays():
     g = graphs.preset("ring", 5)
-    z = graphs.laplacian_factor(g)
-    assert graphs.laplacian_factor(graphs.preset("ring", 5)) is z
-    assert graphs.laplacian_factor(graphs.preset("sequential", 5)) is not z
-    assert not z.flags.writeable
-    with pytest.raises(ValueError):
-        z[0, 0] = 1.0
-
-
-def test_graph_matrices_are_cached_and_read_only():
-    mats = graphs.matrices(graphs.preset("ring", 5))
+    mats = graphs.matrices(g)
     again = graphs.matrices(graphs.preset("ring", 5))
-    assert all(a is b for a, b in zip(mats, again))
-    assert graphs.matrices(graphs.preset("sequential", 5))[3] is not mats[3]
-    assert not any(m.flags.writeable for m in mats)
-    with pytest.raises(ValueError):
-        mats[3][0, 0] = 1.0
+    assert all(a is not b and np.array_equal(a, b) for a, b in zip(mats, again))
+    # A caller may change its own matrices: no later call sees it.
+    for m in mats:
+        m[0, 0] = 7.0
+    assert all(np.array_equal(a, b) for a, b in zip(graphs.matrices(g), again))
 
 
 def test_witness_search_factors_its_subgraph_once(monkeypatch):
@@ -589,7 +598,7 @@ def test_witness_search_factors_its_subgraph_once(monkeypatch):
         return original(a, pivoting)
 
     monkeypatch.setattr(matlin, "qr", counting)
-    graphs._laplacian_factor.cache_clear()
+    splitting._lifts.cache_clear()
     experiments._witness_search.cache_clear()
     # G = G' has no witness, so the search builds once per node.
     result = experiments.witness_search(graphs.pair(graphs.preset("complete", 6)), 2)
@@ -601,7 +610,8 @@ def test_cached_factor_still_rebases_and_yields_to_a_supplied_z():
     gp = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
     spaces = subspaces.product([subspaces.random_subspace(2, 1, k) for k in range(4)])
     op = splitting.build(gp, spaces)
-    assert op.Z is graphs.laplacian_factor(gp.gp)
+    assert op.Z is splitting._lifts(gp, 2)[0]
+    assert np.array_equal(op.Z, graphs.laplacian_factor(gp.gp))
     c, s = math.cos(0.3), math.sin(0.3)
     o = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     turned = splitting.build(gp, spaces, z=op.Z @ o)
@@ -633,17 +643,17 @@ def test_a_verify_draw_takes_a_qr_only_for_a_proper_subspace_and_no_check(monkey
     monkeypatch.setattr(matlin, "qr", counting_qr)
     monkeypatch.setattr(subspaces.Subspace, "__post_init__", counting_check)
     monkeypatch.setattr(subspaces, "random_subspace", recording_draw)
-    graphs._laplacian_factor.cache_clear()
     experiments._witness_search.cache_clear()
     splitting._lifts.cache_clear()
     assert cli.main(["verify", "--seed", "1", "--trials", "1"]) == 0
     assert "summary: 9/9" in capsys.readouterr().out
     # 29 draws: 11 of dim 0 and 10 of dim d take no QR; the 8 others take one
-    # each. The 8 pivoted QRs factor the distinct subgraph Laplacians.
+    # each. The 9 pivoted QRs factor the subgraph Laplacians, once per
+    # distinct (pair, d) of a build with the default factor.
     assert len(draws) == 29
     assert sum(dim == 0 for _, dim in draws) == 11
     assert sum(dim == ambient for ambient, dim in draws) == 10
     assert qrs.count("draw") == sum(0 < dim < ambient for ambient, dim in draws) == 8
-    assert qrs.count("factor") == 8
+    assert qrs.count("factor") == splitting._lifts.cache_info().misses == 9
     # No draw, and no full or trivial factor of a witness, runs the check.
     assert checks == []

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import os
 import pkgutil
 import re
@@ -80,6 +81,24 @@ def test_analyze_biparallel_not_iso(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["is_iso_averaged"] is False
     assert out["is_normal"] is True
+
+
+@pytest.mark.parametrize("scale", [-700, 700])
+def test_analyze_does_not_depend_on_the_scale_of_span_vectors_and_normals(tmp_path, capsys, scale):
+    def config(c):
+        return _config(
+            ambient=3,
+            spaces=[
+                {"kind": "span", "vectors": [[c, 2 * c, 0], [0, c, c]]},
+                {"kind": "hyperplane", "normal": [c, -c, 2 * c]},
+                {"kind": "span", "vectors": [[3 * c, 4 * c, 0]]},
+            ],
+        )
+
+    assert cli.main(["analyze", "--config", _write(tmp_path, config(1.0))]) == 0
+    want = capsys.readouterr().out
+    assert cli.main(["analyze", "--config", _write(tmp_path, config(math.ldexp(1.0, scale)))]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_sweep_header_and_symmetry(tmp_path, capsys):

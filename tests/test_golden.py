@@ -2,20 +2,27 @@
 
 The ops, their records and the regeneration script are in
 `tests/golden/regenerate.py`; the digests are in `tests/golden/manifest.json`.
+`tests/golden/referee.py` records and diffs the same digests over more seeds.
 """
 
 import importlib.util
 import json
 from pathlib import Path
 
+import graphsplit
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def _golden():
-    spec = importlib.util.spec_from_file_location("golden_regenerate", GOLDEN / "regenerate.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"golden_{name}", GOLDEN / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _golden():
+    return _load("regenerate")
 
 
 def test_every_golden_output_keeps_its_bytes(tmp_path):
@@ -32,3 +39,26 @@ def test_every_golden_output_keeps_its_bytes(tmp_path):
     assert list(got) == list(manifest["ops"])
     moved = [label for label, rec in got.items() if rec != manifest["ops"][label]]
     assert not moved, f"{len(moved)} of {len(got)} records moved: {', '.join(moved[:10])}"
+
+
+def test_the_referee_records_and_diffs_one_op_of_each_kind(tmp_path, capsys):
+    referee = _load("referee")
+    src = Path(graphsplit.__file__).resolve().parent.parent
+    regenerate = referee.load_regenerate(src)
+    firsts = {}
+    for label, op in referee.ops(regenerate):
+        firsts.setdefault(label.split()[0], (label, op))
+    assert list(firsts) == ["certify", "tune", "verify", "demo"]
+    record = referee.run(regenerate, list(firsts.values()), src)
+    # The seed-1 ops are golden ops: the referee's records are the manifest's.
+    manifest = json.loads(regenerate.MANIFEST.read_text(encoding="utf-8"))["ops"]
+    for label, golden in [("certify seed 1 op 0", "certify 0"), ("demo all", "demo all")]:
+        assert record["ops"][label] == manifest[golden]
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(record), encoding="utf-8")
+    assert referee.main(["diff", str(old), str(old)]) == 0
+    assert capsys.readouterr().out == "0 of 5 records differ\n"
+    record["ops"]["tune seed 1 op 0"]["exit"] = 1
+    new.write_text(json.dumps(record), encoding="utf-8")
+    assert referee.main(["diff", str(old), str(new)]) == 1
+    assert capsys.readouterr().out == "differs: tune seed 1 op 0\n1 of 5 records differ\n"

@@ -56,13 +56,16 @@ def test_build_forms_the_projector_once_and_lifts_twice(monkeypatch):
     for calls in (1, 2):
         splitting.build(gp, spaces, z=graphs.incidence(gp.gp))
         assert counts == {"projector": 2 + calls, "kron_lift": 2 + 2 * calls}
-    # The cached lifts are shared and read-only.
-    bbar, zbar = splitting._lifts(gp, 3)
-    assert splitting._lifts(equal, 3)[0] is bbar and splitting._lifts(equal, 3)[1] is zbar
+    # The cached factor and lifts are shared and read-only, and a build with
+    # the default factor holds the cached Z.
+    lifts = splitting._lifts(gp, 3)
+    assert all(a is b for a, b in zip(splitting._lifts(equal, 3), lifts))
+    assert first.Z is again.Z is lifts[0]
     assert counts["kron_lift"] == 6
-    assert not bbar.flags.writeable and not zbar.flags.writeable
-    with pytest.raises(ValueError):
-        zbar[0, 0] = 1.0
+    assert not any(m.flags.writeable for m in lifts)
+    for m in lifts:
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
 
 
 def test_build_solves_once(monkeypatch):
@@ -251,7 +254,7 @@ ENTRY_POINTS = {
     "certificates": splitting.certificates,
     "fix_basis": splitting.fix_basis,
     "screened_iso_defect": lambda t: splitting.screened_iso_defect(t, splitting.DEFECT_TOL),
-    "screened_iso_verdict": splitting.screened_iso_verdict,
+    "is_iso_averaged": splitting.is_iso_averaged,
     "relax": lambda t: splitting.relax(t, 0.5),
     "spectral_report": splitting.spectral_report,
 }

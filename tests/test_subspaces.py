@@ -193,6 +193,38 @@ def test_subspace_rejects_skewed_basis():
         Subspace(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "basis",
+    [np.array([[np.nan]]), np.array([[np.nan], [0.0]]), np.array([[1.0, 0.0], [0.0, np.inf]])],
+)
+def test_subspace_rejects_a_non_finite_basis(basis):
+    with pytest.raises(ValueError, match="^basis must have finite entries$"):
+        Subspace(basis)
+
+
+@pytest.mark.parametrize("scale", [-900, -600, 600, 900])
+def test_projectors_do_not_depend_on_the_scale_of_their_vectors(scale):
+    # The QR reduces 2^scale v as v times a power of two, so the squared
+    # norms neither underflow nor overflow and the projectors keep their bits.
+    rng = np.random.default_rng(abs(scale))
+    for case in range(150):
+        d = 1 + case % 5
+        vectors = list(rng.standard_normal((1 + case % (d + 1), d)))
+        scaled = [np.ldexp(v, scale) for v in vectors]
+        assert np.array_equal(from_generators(scaled).projector(), from_generators(vectors).projector())
+        assert np.array_equal(hyperplane(scaled[0]).projector(), hyperplane(vectors[0]).projector())
+
+
+def test_vectors_whose_r_overflows_are_rejected_not_misranked():
+    # ||(1.7e308, 1.7e308)|| exceeds the largest double: no R holds it, and
+    # an inf pivot would read as rank 0.
+    big = [1.7e308, 1.7e308]
+    for make in (hyperplane, lambda v: from_generators([v])):
+        with pytest.raises(ValueError, match="^matrix too large to factor: its R overflows$"):
+            make(big)
+    assert hyperplane([1e308, 1e308]).dim == from_generators([[1e308, 1e308]]).dim == 1
+
+
 def test_from_json_kinds():
     assert subspaces.from_json({"kind": "full"}, 3).dim == 3
     assert subspaces.from_json({"kind": "trivial"}, 3).dim == 0
