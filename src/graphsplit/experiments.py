@@ -182,9 +182,9 @@ def theta_sweep(op, thetas, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     """One convergence run per relaxation parameter, from one analysis of T.
 
     T_theta has the eigenvalues theta lam + 1 - theta and the fixed subspace
-    of T, so one `splitting.sweep_analysis` of T serves every theta: it
-    factors T - I once, for the fixed basis and the limit point, decides
-    the iso verdict by bounds, and takes no certificate norm. The runs share
+    of T, so one `splitting.sweep_analysis` of T serves every theta: the
+    analysis a report reads, without the report's two defects. It factors
+    T - I once, for the fixed basis and the limit point. The runs share
     one `_relaxed_runs` loop: each iteration advances every running theta
     with one stacked matmul, and the stop test runs once per block of
     _BLOCK (32) iterates. Each run's rate is the closed-form slope of its
@@ -277,7 +277,7 @@ def monotonicity_check(op, theta, x, k_max=DEFAULT_K_MAX):
     the norms up to that iterate must decrease strictly.
     """
     t, x = _operands(op, x, "op", "x")
-    if not splitting.certificates(t).is_iso_averaged:
+    if not splitting.is_iso_averaged(t):
         raise ValueError("strict decrease is only guaranteed for iso-averaged maps")
     _check_run([theta], _FLOOR, k_max)
     f = splitting.fix_basis(t)

@@ -68,14 +68,16 @@ def _reflect_cols(x, v, beta):
     x -= beta * ((x @ v)[:, None] * v)
 
 
-def _householder(a, pivoting, q):
-    """The one Householder loop: reduce a copy r of a to upper trapezoidal
-    form, with column pivoting if asked, and return (r, perm).
+def qr(a, pivoting=False):
+    """Householder QR factorization, optionally with column pivoting: the one
+    Householder loop of the package.
 
-    Each reflection is applied to q from the right when q is given (the
-    orthogonal factor, accumulated in place), and to r alone when q is None:
-    r gets the same reflections on the same views either way, so its bits
-    do not depend on q.
+    Returns (q, r, perm) with q orthogonal (full, m x m), r upper
+    trapezoidal, and q @ r == a[:, perm]. Without pivoting perm is the
+    identity. With pivoting the diagonal of r has non-increasing magnitude,
+    which makes the factorization rank-revealing for the matrices handled
+    here. Each reflection is applied to r from the left and accumulated in
+    q from the right.
 
     An a far from 1 in scale, with max|a| in [2^(e-1), 2^e) for |e| > 500,
     is reduced as 2^-e a and r scaled back: both steps are exact, so the
@@ -83,9 +85,11 @@ def _householder(a, pivoting, q):
     those of 2^-e a. Any other a is reduced as it is. An r that overflows
     when scaled back is a ValueError, never an inf that a rank reads.
     """
+    a = _as_matrix(a)
     m, n = a.shape
     e = math.frexp(np.abs(a).max())[1] if a.size else 0
     r = np.ldexp(a, -e) if abs(e) > 500 else a.copy()
+    q = np.eye(m)
     perm = np.arange(n)
     for k in range(min(m, n)):
         if pivoting:
@@ -97,30 +101,13 @@ def _householder(a, pivoting, q):
         v, beta = _house_vec(r[k:, k])
         if beta != 0.0:
             _reflect_rows(r[k:, k:], v, beta)
-            if q is not None:
-                _reflect_cols(q[:, k:], v, beta)
+            _reflect_cols(q[:, k:], v, beta)
             r[k + 1 :, k] = 0.0
-    if abs(e) <= 500:
-        return r, perm
-    with np.errstate(over="ignore"):
-        r = np.ldexp(r, e)
-    if not np.isfinite(r).all():
-        raise ValueError("matrix too large to factor: its R overflows")
-    return r, perm
-
-
-def qr(a, pivoting=False):
-    """Householder QR factorization, optionally with column pivoting.
-
-    Returns (q, r, perm) with q orthogonal (full, m x m), r upper
-    trapezoidal, and q @ r == a[:, perm]. Without pivoting perm is the
-    identity. With pivoting the diagonal of r has non-increasing magnitude,
-    which makes the factorization rank-revealing for the matrices handled
-    here.
-    """
-    a = _as_matrix(a)
-    q = np.eye(a.shape[0])
-    r, perm = _householder(a, pivoting, q)
+    if abs(e) > 500:
+        with np.errstate(over="ignore"):
+            r = np.ldexp(r, e)
+        if not np.isfinite(r).all():
+            raise ValueError("matrix too large to factor: its R overflows")
     return q, r, perm
 
 
@@ -142,18 +129,6 @@ def null_space(a):
     """
     q, r, _ = qr(np.transpose(a), pivoting=True)
     return q[:, _rank(r) :].copy()
-
-
-def nullity(a):
-    """Dimension of the kernel of a, as null_space counts its columns.
-
-    The rank comes from the pivoted R of a.T alone (Golub and Van Loan,
-    QR with column pivoting): no orthogonal factor is accumulated, and R
-    and its rank keep the bits they have in null_space.
-    """
-    at = _as_matrix(np.transpose(a))
-    r, _ = _householder(at, True, None)
-    return at.shape[0] - _rank(r)
 
 
 def column_space(a):

@@ -20,14 +20,17 @@ and a spectral norm is taken only where they cannot, with its verdicts.
 `is_iso_averaged` and `sweep_analysis` decide iso-averagedness by that
 rule on the bounds of A = 2 T^T T - T - T^T, with the verdict of
 `certificates`. `screened_iso_defect` returns a bound below a screen, and
-above it the iso defect of `certificates`, bit for bit. `sweep_analysis`
-gives a relaxation sweep what it reads of `spectral_report`, with the same
-bits and no certificate norm.
+above it the iso defect of `certificates`, bit for bit.
+
+T is analysed along one path, `_analysis`: the iso verdict, the fixed basis
+from one factorization of T - I, and the spectrum. `sweep_analysis` is that
+analysis alone, with no certificate norm; `spectral_report` is that
+analysis plus the two defects it prints.
 """
 
 import functools
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -256,11 +259,7 @@ def certificates(t):
     since (2T - I)^T (2T - I) - I = 2 (2 T^T T - T - T^T).
     """
     t = _checked(t)
-    return _certificates(t, _Norm(t))
-
-
-def _certificates(t, norm):
-    """The certificates of a checked t, with the verdicts decided by norm."""
+    norm = _Norm(t)
     gram = t.T @ t
     normality = matlin.operator_norm(gram - t @ t.T)
     iso = matlin.operator_norm(_iso_matrix(t, gram))
@@ -278,35 +277,30 @@ def screened_iso_defect(t, tol):
 
 
 def is_iso_averaged(t):
-    """Whether T is iso-averaged: the verdict of `certificates`, with only
-    the norms `_iso_averaged` needs and no defect."""
+    """Whether T is iso-averaged: the verdict of `certificates` by the rule of
+    `_within` on A = 2 T^T T - T - T^T, with no defect. The bounds of A
+    decide first, and ||A||_2 is taken only in the window between them, with
+    ||T||_2 only where that leaves it open."""
     t = _checked(t)
-    return _iso_averaged(t, _Norm(t))
-
-
-def _iso_averaged(t, norm):
-    """The iso verdict of a checked t, with norm its `_Norm`: the rule of
-    `_within` on A = 2 T^T T - T - T^T. The bounds of A decide first, and
-    ||A||_2 is taken only in the window between them, with ||T||_2 only
-    where that leaves it open."""
-    return _within(_Norm(_iso_matrix(t, t.T @ t)), DEFECT_TOL, norm, squared=True)
-
-
-def _off_identity(t, norm):
-    """T - I, or None when ||T - I||_2 <= RANK_TOL (1 + ||T||_2), with norm the
-    `_Norm` of T. The test scales with T itself: when T is the identity up to
-    round-off every direction is fixed, which a rank decision relative to the
-    (noise-level) difference matrix would miss."""
-    delta = t - np.eye(t.shape[0])
-    return None if _within(_Norm(delta), matlin.RANK_TOL, norm) else delta
+    return _within(_Norm(_iso_matrix(t, t.T @ t)), DEFECT_TOL, _Norm(t), squared=True)
 
 
 def fix_basis(t):
-    """Orthonormal basis of the fixed subspace ker(T - I): I when T passes
-    the identity test of `_off_identity`, else the null space of T - I."""
+    """Orthonormal basis of the fixed subspace ker(T - I), by `_fix_basis`."""
     t = _checked(t)
-    delta = _off_identity(t, _Norm(t))
-    return np.eye(t.shape[0]) if delta is None else matlin.null_space(delta)
+    return _fix_basis(t, _Norm(t))
+
+
+def _fix_basis(t, norm):
+    """The fixed basis of a checked t, with norm its `_Norm`: I when
+    ||T - I||_2 <= RANK_TOL (1 + ||T||_2), else the null space of T - I.
+    The identity test scales with T itself: when T is the identity up to
+    round-off every direction is fixed, which a rank decision relative to the
+    (noise-level) difference matrix would miss."""
+    delta = t - np.eye(t.shape[0])
+    if _within(_Norm(delta), matlin.RANK_TOL, norm):
+        return np.eye(t.shape[0])
+    return matlin.null_space(delta)
 
 
 @dataclass(frozen=True)
@@ -320,19 +314,20 @@ class SpectralReport(Certificates):
 def spectral_report(t):
     """Eigenvalues, fixed-subspace dimension, subdominant radius, and flags.
 
-    Extends the `certificates` record, and computes only what it holds: one
-    `_Norm` of T serves the verdicts, the identity test and the at-one band,
-    and fix_dim is the dimension of `fix_basis`, read off the pivoted R of
-    T - I with no basis formed (`matlin.nullity`). The eigenvalues, the band
-    and the half-circle check are those of `_spectrum`.
+    Extends the `certificates` record with the `_analysis` of T, under one
+    `_Norm` of T: the two defects are taken first, as `certificates` takes
+    them, and the iso verdict reads the `_Norm` of A that holds the iso
+    defect. fix_dim is the column count of the fixed basis.
     """
     t = _checked(t)
     norm = _Norm(t)
-    cert = _certificates(t, norm)
-    delta = _off_identity(t, norm)
-    fix_dim = t.shape[0] if delta is None else matlin.nullity(delta)
-    eigs, off_one, rho1 = _spectrum(t, norm, fix_dim, cert.is_iso_averaged)
-    return SpectralReport(*astuple(cert), eigs, off_one, fix_dim, rho1)
+    gram = t.T @ t
+    normality = matlin.operator_norm(gram - t @ t.T)
+    iso = _Norm(_iso_matrix(t, gram))
+    defects = (normality, iso.exact(), _within(normality, DEFECT_TOL, norm, squared=True))
+    a = _analysis(t, norm, iso)
+    fix_dim = a.fix_basis.shape[1]
+    return SpectralReport(*defects, a.is_iso_averaged, a.eigenvalues, a.eigenvalues_off_one, fix_dim, a.rho1)
 
 
 def _spectrum(t, norm, fix_dim, iso_averaged):
@@ -375,31 +370,34 @@ def _spectrum(t, norm, fix_dim, iso_averaged):
 
 @dataclass(frozen=True, eq=False)
 class SweepAnalysis:
-    """What a relaxation sweep reads of T: the fixed basis, the iso verdict,
-    and the eigenvalues off 1 with their largest modulus rho1."""
+    """The analysis of T that its report and its relaxation sweeps read: the
+    fixed basis, the iso verdict, and the sorted eigenvalues, those off 1
+    and their largest modulus rho1."""
 
     fix_basis: np.ndarray
     is_iso_averaged: bool
+    eigenvalues: tuple
     eigenvalues_off_one: tuple
     rho1: float
 
 
 def sweep_analysis(t):
-    """The `SweepAnalysis` of T, with the bits of `spectral_report` and no
-    certificate norm.
-
-    T - I is factored once, by `fix_basis`, whose column count is the fix_dim
-    of a report (both read the rank off the same pivoted R). The iso verdict
-    is that of `_iso_averaged`, with the `_Norm` of T that `_spectrum` reads.
-    The eigenvalues off 1 and rho1 come from `_spectrum`, with its
-    self-checks.
-    """
+    """The `_analysis` of T, with no certificate norm: the bounds of A decide
+    the iso verdict, and ||A||_2 is taken only in their window."""
     t = _checked(t)
-    f = fix_basis(t)
-    norm = _Norm(t)
-    iso_averaged = _iso_averaged(t, norm)
-    _, off_one, rho1 = _spectrum(t, norm, f.shape[1], iso_averaged)
-    return SweepAnalysis(f, iso_averaged, off_one, rho1)
+    return _analysis(t, _Norm(t), _Norm(_iso_matrix(t, t.T @ t)))
+
+
+def _analysis(t, norm, iso):
+    """The `SweepAnalysis` of a checked t, with norm the `_Norm` of T and iso
+    that of A = 2 T^T T - T - T^T: the iso verdict by the rule of `_within`,
+    the fixed basis of `_fix_basis` (one factorization of T - I), and the
+    spectrum of `_spectrum` at the basis's column count, with its
+    self-checks."""
+    iso_averaged = _within(iso, DEFECT_TOL, norm, squared=True)
+    f = _fix_basis(t, norm)
+    eigs, off_one, rho1 = _spectrum(t, norm, f.shape[1], iso_averaged)
+    return SweepAnalysis(f, iso_averaged, eigs, off_one, rho1)
 
 
 def predicted_rate(rho1, theta):

@@ -69,6 +69,7 @@ def full(ambient):
 def from_generators(vectors, ambient=None):
     """Subspace spanned by the given vectors (orthonormalized, rank-truncated).
 
+    The generators must be flat vectors of one length with finite entries.
     An empty generator list yields the trivial subspace, in which case the
     ambient dimension must be supplied.
     """
@@ -77,7 +78,9 @@ def from_generators(vectors, ambient=None):
         if ambient is None:
             raise ValueError("ambient dimension required for an empty generator list")
         return trivial(ambient)
-    d = vectors[0].shape[0]
+    d = vectors[0].size
+    if any(v.shape != (d,) or not np.isfinite(v).all() for v in vectors):
+        raise ValueError("generators must be flat vectors of one length with finite entries")
     if ambient is not None and ambient != d:
         raise ValueError("generators do not match the ambient dimension")
     return Subspace(matlin.column_space(np.column_stack(vectors)))
@@ -86,6 +89,8 @@ def from_generators(vectors, ambient=None):
 def hyperplane(normal):
     """The (d-1)-dimensional subspace orthogonal to a nonzero vector."""
     normal = np.asarray(normal, dtype=float)
+    if not np.isfinite(normal).all():
+        raise ValueError("hyperplane normal must have finite entries")
     if not normal.any():
         raise ValueError("hyperplane normal must be nonzero")
     return Subspace(matlin.null_space(normal.reshape(1, -1)))

@@ -123,20 +123,15 @@ def test_every_tune_sweep_takes_no_norm(norm_calls, tmp_path):
         assert norm_calls == [], op.config
 
 
-def test_a_report_forms_no_basis_and_a_sweep_forms_one(monkeypatch, tmp_path, capsys):
+def test_a_report_and_a_sweep_each_form_one_basis(monkeypatch, tmp_path, capsys):
     calls = []
+    original = matlin.null_space
 
-    def counting(name, fn):
-        def wrapped(*args):
-            calls.append(name)
-            return fn(*args)
+    def counting(a):
+        calls.append(np.shape(a))
+        return original(a)
 
-        return wrapped
-
-    monkeypatch.setattr(matlin, "null_space", counting("null_space", matlin.null_space))
-    monkeypatch.setattr(matlin, "nullity", counting("nullity", matlin.nullity))
-    fix_basis = counting("fix_basis", splitting.fix_basis)
-    monkeypatch.setattr(splitting, "fix_basis", fix_basis)
+    monkeypatch.setattr(matlin, "null_space", counting)
     config = {
         "graph": {"preset": "ring", "n": 4},
         "ambient": 3,
@@ -145,14 +140,12 @@ def test_a_report_forms_no_basis_and_a_sweep_forms_one(monkeypatch, tmp_path, ca
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    # analyze reads fix_dim off the pivoted R of T - I: no basis is formed.
-    assert cli.main(["analyze", "--config", str(path)]) == 0
-    assert calls == ["nullity"]
-    calls.clear()
-    # A sweep factors T - I once: it forms the fixed basis of T, for every
-    # theta, and reads its fix_dim off that basis.
-    assert cli.main(["sweep", "--config", str(path)]) == 0
-    assert calls == ["fix_basis", "null_space"]
+    # A report and a sweep share one analysis of T: each factors T - I once,
+    # a report for its fix_dim, a sweep for the limit point of every theta.
+    for command in ("analyze", "sweep"):
+        calls.clear()
+        assert cli.main([command, "--config", str(path)]) == 0
+        assert calls == [(9, 9)], command
     capsys.readouterr()
 
 
@@ -169,6 +162,7 @@ def test_a_sweep_analysis_has_the_bits_of_a_report(config, eta):
     assert np.array_equal(analysis.fix_basis, splitting.fix_basis(t))
     assert analysis.fix_basis.shape[1] == report.fix_dim
     assert analysis.is_iso_averaged is report.is_iso_averaged
+    assert bits(analysis.eigenvalues) == bits(report.eigenvalues)
     assert bits(analysis.eigenvalues_off_one) == bits(report.eigenvalues_off_one)
     assert analysis.rho1.hex() == report.rho1.hex()
 

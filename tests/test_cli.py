@@ -272,6 +272,18 @@ def test_float_fragment_fields_name_their_field(tmp_path, fragment, capsys):
     _assert_config_error(tmp_path, capsys, _config(spaces=_first_space(fragment)), "spaces[1]")
 
 
+@pytest.mark.parametrize(
+    "fragment,message",
+    [
+        ({"kind": "hyperplane", "normal": [math.nan, 1.0]}, "hyperplane normal must"),
+        ({"kind": "span", "vectors": [[1.0, 0.0], [math.inf, 1.0]]}, "generators must"),
+    ],
+)
+def test_a_non_finite_normal_or_span_vector_is_named(tmp_path, fragment, message, capsys):
+    cfg = _config(spaces=_first_space(fragment))
+    _assert_config_error(tmp_path, capsys, cfg, f"spaces[1]: {message}")
+
+
 def test_a_whole_number_is_an_int_or_numpy_int_and_never_a_bool():
     assert all(map(_json.whole, [0, -3, 2**70, np.int64(4), np.uint8(1)]))
     assert not any(map(_json.whole, [True, False, np.bool_(True), 1.0, np.float64(2.0), "1", None]))

@@ -327,23 +327,23 @@ def test_sweep_accepts_a_generator_of_thetas():
 
 
 def test_sweep_takes_the_fixed_basis_once(monkeypatch):
-    # The report reads fix_dim off the pivoted R and forms no basis, so the
-    # sweep forms the one fixed basis its limit point needs.
+    # One analysis of T serves every theta: T - I is factored once, for the
+    # fixed basis that the limit point and the report's fix_dim both read.
     op, v0, _, _ = experiments.three_lines_example()
     calls = []
-    original = splitting.fix_basis
+    original = matlin.null_space
 
-    def counting(t):
-        calls.append(t.shape)
-        return original(t)
+    def counting(a):
+        calls.append(a.shape)
+        return original(a)
 
-    monkeypatch.setattr(splitting, "fix_basis", counting)
+    monkeypatch.setattr(matlin, "null_space", counting)
     experiments.theta_sweep(op, [0.5, 1.0, 1.5], v0)
     assert calls == [(op.size, op.size)]
     report = splitting.spectral_report(op.T)
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert not hasattr(report, "fixed_basis")
-    assert original(op.T).shape == (op.size, report.fix_dim)
+    assert splitting.fix_basis(op.T).shape == (op.size, report.fix_dim)
 
 
 def test_measured_rate_tracks_prediction():
@@ -433,8 +433,27 @@ def test_monotonicity_check_excluded_inputs():
 
 def test_monotonicity_requires_iso_averaged():
     t = np.eye(3) - np.diag([0.5, 0.5, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^strict decrease is only guaranteed for iso-averaged maps$"):
         experiments.monotonicity_check(t, 0.5, np.ones(3))
+
+
+def test_monotonicity_reads_only_the_iso_verdict(monkeypatch):
+    # The verdict, not the certificates: the bounds of A decide it on the
+    # three-lines map, so the check takes no spectral norm.
+    op, v0, _, _ = experiments.three_lines_example()
+    f = splitting.fix_basis(op.T)
+    x = v0 - f @ (f.T @ v0)
+    calls = []
+    original = matlin.operator_norm
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(matlin, "operator_norm", counting)
+    for theta in (0.5, 1.5):
+        assert experiments.monotonicity_check(op, theta, x)
+    assert calls == []
 
 
 def test_witness_search_same_graph_finds_nothing():

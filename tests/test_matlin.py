@@ -12,7 +12,7 @@ import pytest
 from conftest import eig_multiset_close, random_operator
 from hypothesis import given
 from hypothesis import strategies as st
-from test_properties import SETTINGS, configurations
+from test_properties import SETTINGS
 
 from graphsplit import matlin, splitting
 from graphsplit._rng import SplitMix64
@@ -85,31 +85,6 @@ def test_null_space_residual_property():
         if ns.shape[1]:
             assert np.linalg.norm(ns.T @ ns - np.eye(ns.shape[1])) <= 1e-11
             assert np.linalg.norm(a @ ns) <= 1e-10 * max(np.linalg.norm(a), 1.0)
-
-
-@st.composite
-def _rank_inputs(draw):
-    """A random matrix, a rank-deficient product, or T - I of a built operator."""
-    kind = draw(st.sampled_from(["random", "rank-deficient", "built"]))
-    if kind == "built":
-        t = splitting.build(*draw(configurations())).T
-        return t - np.eye(t.shape[0])
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
-    if kind == "random":
-        return rng.standard_normal((m, n))
-    k = draw(st.integers(0, min(m, n) - 1))
-    return rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
-
-
-@SETTINGS
-@given(_rank_inputs())
-def test_nullity_reads_the_rank_of_null_space_off_r_alone(a):
-    assert matlin.nullity(a) == matlin.null_space(a).shape[1]
-    # The R-only loop forms the R and the pivots of the full factorization.
-    r, perm = matlin._householder(np.transpose(a), True, None)
-    _, want_r, want_perm = matlin.qr(np.transpose(a), pivoting=True)
-    assert np.array_equal(r, want_r) and np.array_equal(perm, want_perm)
 
 
 def _count_below(d, e2, x, pivmin):

@@ -257,6 +257,7 @@ ENTRY_POINTS = {
     "is_iso_averaged": splitting.is_iso_averaged,
     "relax": lambda t: splitting.relax(t, 0.5),
     "spectral_report": splitting.spectral_report,
+    "sweep_analysis": splitting.sweep_analysis,
 }
 
 
@@ -277,6 +278,32 @@ def test_bad_t_is_one_value_error_that_names_t(entry, bad, message):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             ENTRY_POINTS[entry](bad)
+
+
+LAPACK = ("solve", "inv", "eig", "eigvals", "eigh", "svd", "qr", "lstsq", "det")
+
+
+def test_the_analysis_of_t_calls_no_lapack(monkeypatch):
+    # build solves with numpy, so every T is built before LAPACK is barred.
+    ts = [np.eye(3), np.zeros((3, 3))]
+    for k, (_, make) in enumerate(experiments.pair_catalog()):
+        dims = [(k + i) % 4 for i in range(4)]
+        spaces = subspaces.product(
+            subspaces.random_subspace(3, dim, 40 * k + i) for i, dim in enumerate(dims)
+        )
+        ts.append(splitting.build(make(4), spaces).T)
+
+    def barred(*args, **kwargs):
+        raise AssertionError("the analysis of T called LAPACK")
+
+    for name in LAPACK:
+        monkeypatch.setattr(np.linalg, name, barred)
+    for t in ts:
+        splitting.certificates(t)
+        splitting.spectral_report(t)
+        splitting.sweep_analysis(t)
+        splitting.is_iso_averaged(t)
+        splitting.fix_basis(t)
 
 
 def test_spectral_report_dr_sixty_degrees():

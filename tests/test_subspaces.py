@@ -225,6 +225,26 @@ def test_vectors_whose_r_overflows_are_rejected_not_misranked():
     assert hyperplane([1e308, 1e308]).dim == from_generators([[1e308, 1e308]]).dim == 1
 
 
+GENERATORS = "generators must be flat vectors of one length with finite entries"
+
+
+@pytest.mark.parametrize(
+    "make,vectors,message",
+    [
+        (hyperplane, [np.nan, 1.0], "hyperplane normal must have finite entries"),
+        (hyperplane, [np.inf, -np.inf], "hyperplane normal must have finite entries"),
+        (from_generators, [[np.inf, 1.0]], GENERATORS),
+        (from_generators, [[1.0, 0.0], [0.0, np.nan]], GENERATORS),
+        (from_generators, [[1.0, 2.0], [1.0]], GENERATORS),
+        (from_generators, [1.0, 2.0], GENERATORS),
+        (from_generators, [[[1.0], [2.0]]], GENERATORS),
+    ],
+)
+def test_bad_generators_and_normals_are_named(make, vectors, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(vectors)
+
+
 def test_from_json_kinds():
     assert subspaces.from_json({"kind": "full"}, 3).dim == 3
     assert subspaces.from_json({"kind": "trivial"}, 3).dim == 0
