@@ -62,7 +62,15 @@ def _fit_rates(traces):
     return rates
 
 
-_BLOCK = 32  # iterates per stop test; 32 to 128 run about equally fast
+_BLOCK = 32  # iterates per stop test, and the most powers of a relaxed map formed
+_BLOCK_BYTES = 2**19  # what a run's stacked powers of the relaxed maps may take
+
+
+def _block(m, n):
+    """Iterates per matmul for m relaxed maps of size n: the most, up to
+    _BLOCK, whose powers fit in _BLOCK_BYTES, and at least 1. Blocking pays
+    only while the powers stay in cache; b = 1 is the stepwise loop."""
+    return max(1, min(_BLOCK, _BLOCK_BYTES // (8 * m * n * n)))
 
 
 def _operands(op, x, op_name, x_name):
@@ -95,59 +103,105 @@ def _relaxed_runs(t, thetas, v0, limit, eps, k_max):
     """Iterate every relaxed map T_theta from v0 in one loop: the one place
     that applies a relaxed map repeatedly.
 
-    The relaxed matrices are stacked, and each step advances every
-    still-running iterate with one stacked matmul. The stop test runs once
-    per block of _BLOCK iterates: one stacked dot gives the distances of the
-    whole block to limit, a theta stops at its first distance below eps,
-    and the stopped thetas leave the stack at the end of the block (the
-    iterates they computed past their stop are discarded). The bookkeeping
-    of a stop runs only in a block where some theta stopped; while no theta
-    has left, the distances go into their rows through a slice, and the
-    last iterate of a block is carried into the next in place. Returns one
+    The powers T_theta^1 .. T_theta^b are formed once per run, stacked over
+    the thetas, with b from `_block` and at most k_max, cut before the
+    first power that is not finite. The iterates then come in blocks of _BLOCK: one stacked
+    matmul gives the next b iterates of every running theta from the last
+    one, and one `np.vecdot` their squared distances to limit. The stop
+    test runs once per block: a theta stops at its first distance below
+    eps, and the stopped thetas leave the stack at the end of the block
+    (the iterates they computed past their stop are discarded), compacted
+    in place. Iterate 0 is v0, a block of its own. Returns one
     (k_stop, dists) pair per theta: dists[k] is the distance of iterate k,
-    up to k_stop, or up to k_max with k_stop None when the budget runs out.
-    No iterate past k_max is computed. No input is checked: any theta runs
-    (T_0 = I), and eps = 0 stops no run, so with limit 0 the dists are the
-    iterate norms, even where one reaches exactly 0.
+    up to k_stop, or up to k_max with k_stop None when the budget runs
+    out. No iterate past k_max is computed. No input is checked: any theta
+    runs (T_0 = I), and eps = 0 stops no run, so with limit 0 the dists
+    are the iterate norms, even where one reaches exactly 0.
+
+    With b = 1 each iterate is one matmul of the last, the stepwise loop.
+    With b > 1 iterate j of a matmul is fl(T_theta^j) times its start, so
+    it takes its rounding in another order; both orders keep every iterate
+    within ((1 + gamma_n)^k - 1) |T_theta|^k |v0| of the exact T_theta^k v0
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.5).
     """
     if not thetas:
         return []
-    stack = np.stack([splitting.relax(t, theta) for theta in thetas])
-    active = np.arange(len(thetas))
-    buf = np.empty((_BLOCK, len(thetas), v0.shape[0], 1))  # iterates of one block, as columns
-    buf[0, ..., 0] = v0
-    dists = np.empty((min(k_max + 1, 64), len(thetas)))  # grows by doubling
-    k_stops = [None] * len(thetas)
-    k0 = 0  # index of the block's first iterate
+    m, n = len(thetas), v0.shape[0]
+    powers = _powers(t, thetas, min(_block(m, n), max(k_max, 1)))
+    b = powers.shape[1] // n  # iterates per matmul
+    start = np.empty((m, n, 1))  # the last iterate of each running theta, as a column
+    start[..., 0] = v0
+    ys = np.empty((2, m, b * n))  # a matmul's iterates; the next reads the last, writes the other
+    diffs = np.empty((m, b * n))  # the iterates less the limit
+    squares = np.empty((m, _BLOCK))  # squared distances of one block
+    d = v0 - limit
+    squares[:, 0] = np.vecdot(d, d)
+    dists = np.empty((m, min(k_max + 1, 64)))  # grows by doubling
+    k_stops = [None] * m
+    active = np.arange(m)
+    k0, s = 0, 1  # the block holds the iterates k0 .. k0 + s - 1
+    shape = None  # the (live, s) that the operands in steps were made for
     while True:
-        b = min(_BLOCK, k_max + 1 - k0)
-        block = buf[:b, : len(active)]
-        steps = list(block)  # the views of the block's iterates, made once
-        for prev, step in zip(steps, steps[1:]):
-            np.matmul(stack, prev, out=step)
-        d = block[..., 0] - limit
-        dist = np.sqrt(np.matmul(d[..., None, :], d[..., :, None]))[..., 0, 0]
-        while len(dists) < k0 + b:
-            dists = np.concatenate([dists, np.empty_like(dists)])
-        if len(active) == len(thetas):
-            dists[k0 : k0 + b] = dist
+        live = len(active)
+        dist = np.sqrt(squares[:live, :s])
+        while dists.shape[1] < k0 + s:
+            dists = np.concatenate([dists, np.empty_like(dists)], axis=1)
+        if live == m:
+            dists[:, k0 : k0 + s] = dist
         else:
-            dists[k0 : k0 + b, active] = dist
+            dists[active, k0 : k0 + s] = dist
         below = dist < eps
-        last = block[b - 1]
         if below.any():
-            first = below.argmax(axis=0)
-            hit = below[first, np.arange(len(active))]
+            first = below.argmax(axis=1)
+            hit = below[np.arange(live), first]
             for i in np.flatnonzero(hit).tolist():
                 k_stops[active[i]] = k0 + int(first[i])
             if hit.all():
                 break
-            active, stack, last = active[~hit], stack[~hit], last[~hit]
-        k0 += b
+            keep = np.flatnonzero(~hit)
+            for j, i in enumerate(keep.tolist()):  # j <= i, so no row is read after it is overwritten
+                powers[j] = powers[i]
+                start[j] = start[i]
+            active = active[keep]
+            live = len(active)
+        k0 += s
         if k0 > k_max:
             break
-        np.matmul(stack, last, out=buf[0, : len(active)])
-    return [(ks, dists[: (k_max if ks is None else ks) + 1, i]) for i, ks in enumerate(k_stops)]
+        s = min(_BLOCK, k_max + 1 - k0)
+        if (live, s) != shape:  # a block's matmuls and their operands, made once per shape
+            shape = (live, s)
+            steps, last = [], start[:live]
+            for j in range(0, s, b):
+                c = min(b, s - j)
+                y = ys[j // b % 2, :live, : c * n]
+                diff = diffs[:live, : c * n]
+                steps.append((powers[:live, : c * n], last, y[..., None], y.reshape(live, c, n),
+                              diff.reshape(live, c, n), squares[:live, j : j + c]))
+                last = y[:, (c - 1) * n :, None]
+            end = last[..., 0]
+        for power, x, y, block, diff, square in steps:
+            np.matmul(power, x, out=y)
+            np.subtract(block, limit, out=diff)
+            np.vecdot(diff, diff, out=square)
+        start[:live, :, 0] = end
+    return [(ks, dists[i, : (k_max if ks is None else ks) + 1]) for i, ks in enumerate(k_stops)]
+
+
+def _powers(t, thetas, b):
+    """T_theta^1 .. T_theta^b for each theta, as rows of one (m, b n, n)
+    stack (power j in rows (j - 1) n .. j n - 1), cut before the first power
+    with an entry that is not finite."""
+    n = t.shape[0]
+    powers = np.empty((len(thetas), b * n, n))
+    for i, theta in enumerate(thetas):
+        powers[i, :n] = splitting.relax(t, theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, b):
+            power = powers[:, j * n : (j + 1) * n]
+            np.matmul(powers[:, :n], powers[:, (j - 1) * n : j * n], out=power)
+            if not np.isfinite(power).all():
+                return powers[:, : j * n]
+    return powers
 
 
 def converge(op, theta, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
@@ -158,9 +212,10 @@ def converge(op, theta, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     first iteration whose distance drops below eps, or None if the budget
     runs out; the measured rate is exp of the least-squares slope of the
     log-distance over the last half of the usable trace (`_fit_rates`). The
-    run is the one-theta case of `_relaxed_runs`: one matmul per step, and
-    the stop test once per block of _BLOCK (32) iterates. Every input is
-    checked before the first step.
+    run is the one-theta case of `_relaxed_runs`: one matmul per b
+    iterates, from the powers of the relaxed map, and the stop test once
+    per block of _BLOCK iterates. Every input is checked before the first
+    step.
     """
     t, v0 = _operands(op, v0, "op", "v0")
     _check_run([theta], eps, k_max)
@@ -185,13 +240,13 @@ def theta_sweep(op, thetas, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     of T, so one `splitting.sweep_analysis` of T serves every theta: the
     analysis a report reads, without the report's two defects. It factors
     T - I once, for the fixed basis and the limit point. The runs share
-    one `_relaxed_runs` loop: each iteration advances every running theta
-    with one stacked matmul, and the stop test runs once per block of
-    _BLOCK (32) iterates. Each run's rate is the closed-form slope of its
-    own log-distance tail (`_fit_rates`). Every input is checked before the
-    first step. The predicted rate is max |theta lam + 1 - theta| over the
-    eigenvalues lam off 1, by `predicted_rate` for iso-averaged maps with
-    rho1 < 1.
+    one `_relaxed_runs` loop: the powers of every relaxed map are formed
+    once, one stacked matmul gives b iterates of every running theta, and
+    the stop test runs once per block of _BLOCK iterates. Each run's rate
+    is the closed-form slope of its own log-distance tail (`_fit_rates`).
+    Every input is checked before the first step. The predicted rate is
+    max |theta lam + 1 - theta| over the eigenvalues lam off 1, by
+    `predicted_rate` for iso-averaged maps with rho1 < 1.
     """
     t, v0 = _operands(op, v0, "op", "v0")
     thetas = list(thetas)
@@ -232,7 +287,9 @@ def symmetry_check(t, x, thetas, k_max):
     ||T_theta x||^2 - ||T_(2 - theta) x||^2 = 2 (theta - 1) x^T A x with
     A = 2 T^T T - T - T^T, whose spectral norm is the iso defect of
     `splitting.certificates`. Compares the iterates 1 .. k_max of every
-    theta and its mirror, all in one run.
+    theta and its mirror, all in one `_relaxed_runs` run; the gap of an
+    iso-averaged map is round-off, so its bits depend on the order in which
+    the run rounds its iterates.
     """
     t, x = _operands(t, x, "t", "x")
     thetas = _finite_points("thetas", thetas, 1)
@@ -272,9 +329,13 @@ def monotonicity_check(op, theta, x, k_max=DEFAULT_K_MAX):
 
     Only meaningful for iso-averaged maps. The start must avoid the
     subspace where the sequence is constant: the fixed subspace for
-    theta != 1, and its sum with the kernel for theta = 1. One run to the
-    limit finds the first iterate within 1e-12 of it (or stops at k_max);
-    the norms up to that iterate must decrease strictly.
+    theta != 1, and its sum with the kernel for theta = 1. For such a map
+    ||x_k||^2 = ||limit||^2 + ||x_k - limit||^2, so the norms decrease
+    strictly exactly when the distances to the limit do; the distances
+    are the ones read, since the norms stop changing at round-off near
+    ||limit|| long before the distances reach the floor. One run to the
+    limit stops at the first iterate within 1e-12 of it (or at k_max); the
+    distances up to that iterate must decrease strictly.
     """
     t, x = _operands(op, x, "op", "x")
     if not splitting.is_iso_averaged(t):
@@ -288,9 +349,8 @@ def monotonicity_check(op, theta, x, k_max=DEFAULT_K_MAX):
     inside = excluded @ (excluded.T @ x)
     if float(np.linalg.norm(x - inside)) <= 1e-12 * (1.0 + float(np.linalg.norm(x))):
         raise ExcludedInputError("start lies in the excluded subspace")
-    [(k_stop, _)] = _relaxed_runs(t, [theta], x, f @ (f.T @ x), _FLOOR, k_max)
-    [norms] = _norms(t, [theta], x, k_max if k_stop is None else k_stop)
-    return bool(np.all(norms[1:] < norms[:-1]))
+    [(_, dists)] = _relaxed_runs(t, [theta], x, f @ (f.T @ x), _FLOOR, k_max)
+    return bool(np.all(dists[1:] < dists[:-1]))
 
 
 @dataclass(frozen=True)

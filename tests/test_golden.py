@@ -62,3 +62,25 @@ def test_the_referee_records_and_diffs_one_op_of_each_kind(tmp_path, capsys):
     new.write_text(json.dumps(record), encoding="utf-8")
     assert referee.main(["diff", str(old), str(new)]) == 1
     assert capsys.readouterr().out == "differs: tune seed 1 op 0\n1 of 5 records differ\n"
+
+
+def test_the_referee_rates_one_tune_op(tmp_path, capsys):
+    referee = _load("referee")
+    src = Path(graphsplit.__file__).resolve().parent.parent
+    regenerate = referee.load_regenerate(src)
+    label, op = next((label, op) for label, op in referee.ops(regenerate) if label.startswith("tune "))
+    record = referee.run(regenerate, [(label, op)], src)
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(record), encoding="utf-8")
+    record["ops"][label]["out"] = "moved"
+    new.write_text(json.dumps(record), encoding="utf-8")
+    assert referee.main(["rates", str(old), str(new)]) == 0
+    first, old_line, new_line = capsys.readouterr().out.splitlines()
+    assert first == "1 tune ops differ"
+    # Both sides run this tree: the same 19 rows, every stop iteration the
+    # long double run's.
+    assert old_line.startswith("old: 19 rows with a rate, 0 k_stop mismatches, ")
+    assert new_line == "new" + old_line[3:]
+    rows = [[5, "0.5", 5, 0.5], [7, "0.25", 6, 0.2500000001], [None, None, 9, None]]
+    summary = referee.rate_summary(rows)
+    assert (summary["rows"], summary["k_stop_mismatches"], summary["equal_rates"]) == (2, 2, 1)
