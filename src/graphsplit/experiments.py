@@ -62,15 +62,9 @@ def _fit_rates(traces):
     return rates
 
 
-_BLOCK = 32  # iterates per stop test, and the most powers of a relaxed map formed
-_BLOCK_BYTES = 2**19  # what a run's stacked powers of the relaxed maps may take
-
-
-def _block(m, n):
-    """Iterates per matmul for m relaxed maps of size n: the most, up to
-    _BLOCK, whose powers fit in _BLOCK_BYTES, and at least 1. Blocking pays
-    only while the powers stay in cache; b = 1 is the stepwise loop."""
-    return max(1, min(_BLOCK, _BLOCK_BYTES // (8 * m * n * n)))
+_BLOCK = 32  # iterates per stop test
+_POWERS = 16  # powers of each relaxed map formed, so iterates per matmul
+_POWERS_BYTES = 2**24  # the most the stacked powers of one loop take; more thetas run in turns
 
 
 def _operands(op, x, op_name, x_name):
@@ -103,11 +97,15 @@ def _relaxed_runs(t, thetas, v0, limit, eps, k_max):
     """Iterate every relaxed map T_theta from v0 in one loop: the one place
     that applies a relaxed map repeatedly.
 
-    The powers T_theta^1 .. T_theta^b are formed once per run, stacked over
-    the thetas, with b from `_block` and at most k_max, cut before the
-    first power that is not finite. The iterates then come in blocks of _BLOCK: one stacked
-    matmul gives the next b iterates of every running theta from the last
-    one, and one `np.vecdot` their squared distances to limit. The stop
+    The powers T_theta^1 .. T_theta^b are formed once per loop, stacked
+    over the thetas, with b = _POWERS, or k_max if that is less, cut
+    before the first power that is not finite. They take m b n^2 floats
+    for m thetas of a map of size n, so thetas whose powers would pass
+    _POWERS_BYTES run in turns of as many as fit (at least one), each turn
+    a loop of its own. The iterates then come in blocks of _BLOCK: one
+    stacked matmul gives the next b iterates of every running theta from
+    the last one, and, once the block is full, one stacked subtraction and
+    one stacked dot product their squared distances to limit. The stop
     test runs once per block: a theta stops at its first distance below
     eps, and the stopped thetas leave the stack at the end of the block
     (the iterates they computed past their stop are discarded), compacted
@@ -122,25 +120,32 @@ def _relaxed_runs(t, thetas, v0, limit, eps, k_max):
     With b > 1 iterate j of a matmul is fl(T_theta^j) times its start, so
     it takes its rounding in another order; both orders keep every iterate
     within ((1 + gamma_n)^k - 1) |T_theta|^k |v0| of the exact T_theta^k v0
-    (Higham, Accuracy and Stability of Numerical Algorithms, 3.5).
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.5). As b
+    does not depend on the thetas, a theta's distances are the same bits
+    in any run, alone or with others, unless a power of some theta in the
+    loop overflows, which cuts b for all of them.
     """
     if not thetas:
         return []
     m, n = len(thetas), v0.shape[0]
-    powers = _powers(t, thetas, min(_block(m, n), max(k_max, 1)))
+    turn = max(1, _POWERS_BYTES // (8 * _POWERS * n * n))  # thetas whose powers fit
+    if m > turn:
+        turns = [thetas[i : i + turn] for i in range(0, m, turn)]
+        return [run for part in turns for run in _relaxed_runs(t, part, v0, limit, eps, k_max)]
+    powers = _powers(t, thetas, min(_POWERS, max(k_max, 1)))
     b = powers.shape[1] // n  # iterates per matmul
     start = np.empty((m, n, 1))  # the last iterate of each running theta, as a column
     start[..., 0] = v0
-    ys = np.empty((2, m, b * n))  # a matmul's iterates; the next reads the last, writes the other
-    diffs = np.empty((m, b * n))  # the iterates less the limit
-    squares = np.empty((m, _BLOCK))  # squared distances of one block
+    ys = np.empty((m, _BLOCK * n))  # the iterates of one block, then their differences from limit
+    blocks = ys.reshape(m, _BLOCK, n)
+    squares = np.empty((m, _BLOCK))  # their squared distances
     d = v0 - limit
-    squares[:, 0] = np.vecdot(d, d)
+    squares[:, 0] = np.matmul(d[None, :], d[:, None])
     dists = np.empty((m, min(k_max + 1, 64)))  # grows by doubling
     k_stops = [None] * m
     active = np.arange(m)
     k0, s = 0, 1  # the block holds the iterates k0 .. k0 + s - 1
-    shape = None  # the (live, s) that the operands in steps were made for
+    shape = None  # the (live, s) that the operands below were made for
     while True:
         live = len(active)
         dist = np.sqrt(squares[:live, :s])
@@ -168,22 +173,20 @@ def _relaxed_runs(t, thetas, v0, limit, eps, k_max):
         if k0 > k_max:
             break
         s = min(_BLOCK, k_max + 1 - k0)
-        if (live, s) != shape:  # a block's matmuls and their operands, made once per shape
+        if (live, s) != shape:  # a block's operands, made once per shape
             shape = (live, s)
-            steps, last = [], start[:live]
+            block = blocks[:live, :s]
+            matmuls, last = [], start[:live]
             for j in range(0, s, b):
                 c = min(b, s - j)
-                y = ys[j // b % 2, :live, : c * n]
-                diff = diffs[:live, : c * n]
-                steps.append((powers[:live, : c * n], last, y[..., None], y.reshape(live, c, n),
-                              diff.reshape(live, c, n), squares[:live, j : j + c]))
-                last = y[:, (c - 1) * n :, None]
-            end = last[..., 0]
-        for power, x, y, block, diff, square in steps:
+                matmuls.append((powers[:live, : c * n], last, ys[:live, j * n : (j + c) * n, None]))
+                last = block[:, j + c - 1, :, None]
+            rows, columns, square = block[..., None, :], block[..., :, None], squares[:live, :s, None, None]
+        for power, x, y in matmuls:
             np.matmul(power, x, out=y)
-            np.subtract(block, limit, out=diff)
-            np.vecdot(diff, diff, out=square)
-        start[:live, :, 0] = end
+        start[:live] = last
+        np.subtract(block, limit, out=block)
+        np.matmul(rows, columns, out=square)
     return [(ks, dists[i, : (k_max if ks is None else ks) + 1]) for i, ks in enumerate(k_stops)]
 
 
@@ -212,10 +215,10 @@ def converge(op, theta, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     first iteration whose distance drops below eps, or None if the budget
     runs out; the measured rate is exp of the least-squares slope of the
     log-distance over the last half of the usable trace (`_fit_rates`). The
-    run is the one-theta case of `_relaxed_runs`: one matmul per b
+    run is the one-theta case of `_relaxed_runs`: one matmul per _POWERS
     iterates, from the powers of the relaxed map, and the stop test once
-    per block of _BLOCK iterates. Every input is checked before the first
-    step.
+    per block of _BLOCK iterates; it gives the bits of the same theta's run
+    in `theta_sweep`. Every input is checked before the first step.
     """
     t, v0 = _operands(op, v0, "op", "v0")
     _check_run([theta], eps, k_max)
@@ -241,12 +244,12 @@ def theta_sweep(op, thetas, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     analysis a report reads, without the report's two defects. It factors
     T - I once, for the fixed basis and the limit point. The runs share
     one `_relaxed_runs` loop: the powers of every relaxed map are formed
-    once, one stacked matmul gives b iterates of every running theta, and
-    the stop test runs once per block of _BLOCK iterates. Each run's rate
-    is the closed-form slope of its own log-distance tail (`_fit_rates`).
-    Every input is checked before the first step. The predicted rate is
-    max |theta lam + 1 - theta| over the eigenvalues lam off 1, by
-    `predicted_rate` for iso-averaged maps with rho1 < 1.
+    once, one stacked matmul gives _POWERS iterates of every running
+    theta, and the stop test runs once per block of _BLOCK iterates. Each
+    run's rate is the closed-form slope of its own log-distance tail
+    (`_fit_rates`). Every input is checked before the first step. The
+    predicted rate is max |theta lam + 1 - theta| over the eigenvalues lam
+    off 1, by `predicted_rate` for iso-averaged maps with rho1 < 1.
     """
     t, v0 = _operands(op, v0, "op", "v0")
     thetas = list(thetas)

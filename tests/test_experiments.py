@@ -100,11 +100,11 @@ def test_theta_sweep_non_iso_uses_spectrum():
 
 @pytest.fixture(params=["stepwise", "blocked"])
 def block(request, monkeypatch):
-    """The relaxed-run loop with _BLOCK forced to 1, the stepwise loop whose
+    """The relaxed-run loop with _POWERS forced to 1, the stepwise loop whose
     bits the oracles below pin, or at its default, where a run's distances
     must lie within `_reference`'s bound of the long double run."""
     if request.param == "stepwise":
-        monkeypatch.setattr(experiments, "_BLOCK", 1)
+        monkeypatch.setattr(experiments, "_POWERS", 1)
     return request.param
 
 
@@ -116,12 +116,15 @@ def _gamma(n, u):
     return n * u / (1.0 - n * u)
 
 
-def _reference(t_theta, v0, limit, k_max, b):
+def _reference(t_theta, v0, limit, k_max):
     """The distances to limit of T^k v0, k = 0 .. k_max, for the float
     T = T_theta iterated stepwise in long double, and for each k a bound on
-    how far the distance of a float run may lie from it, where the run
-    computes each block of _BLOCK iterates after iterate 0 in matmuls of b
-    iterates, each from the iterate before (b = 1 is the stepwise loop).
+    how far the distance of a `_relaxed_runs` run may lie from it. The run
+    computes each block of _BLOCK iterates after iterate 0 in matmuls of
+    _POWERS iterates, each from the iterate before, or in one of k_max
+    iterates if that is less; either way iterate k comes from power
+    j = (k - 1) % _BLOCK % _POWERS + 1 (with _POWERS = 1 the run is the
+    stepwise loop).
 
     The bound is fixed before any run is compared with it. It rests on
     |fl(AB) - AB| <= gamma_n |A| |B| (Higham, Accuracy and Stability of
@@ -135,7 +138,7 @@ def _reference(t_theta, v0, limit, k_max, b):
     square root) lies within gamma_(n+2) of the iterate's own distance.
     The norms of the bound are 2-norms taken in float.
     """
-    n = len(v0)
+    n, b = len(v0), min(experiments._BLOCK, experiments._POWERS)
     g, g_long = _gamma(n, EPS / 2), _gamma(n, EPS_LONG / 2)
     gd, gd_long = _gamma(n + 2, EPS / 2), _gamma(n + 2, EPS_LONG / 2)
     a = np.abs(t_theta)
@@ -189,23 +192,23 @@ def _assert_sweep_matches_oracle(t, thetas, v0, eps, k_max):
     records = experiments.theta_sweep(t, thetas, v0, eps=eps, k_max=k_max)
     assert [r.theta for r in records] == list(thetas)
     runs = experiments._relaxed_runs(t, list(thetas), v0, limit, eps, k_max)
-    b = experiments._block(len(thetas), len(v0))
     for theta, rec, (k_stop, dists) in zip(thetas, records, runs):
         points, want_stop = _oracle_run(t, theta, v0, limit, eps, k_max)
         assert rec.k_stop == k_stop == want_stop, theta
         assert_rate(rec.rho1_measured, exact_rate(list(enumerate(dists.tolist()))))
-        # The stepwise loop's bits at b = 1, the bound of the long double run otherwise.
-        if b == 1:
+        # The stepwise loop's bits at _POWERS = 1, the bound of the long double run otherwise.
+        if experiments._POWERS == 1:
             assert dists.tolist() == [dist for _, dist in points]
         else:
-            ref, bound = _reference(splitting.relax(t, theta), v0, limit, len(dists) - 1, b)
+            ref, bound = _reference(splitting.relax(t, theta), v0, limit, len(dists) - 1)
             assert np.all(np.abs(dists - ref) <= bound), theta
     if thetas:
-        # converge is the one-theta case of the same loop and the same fit.
-        [(k_stop, dists)] = experiments._relaxed_runs(t, list(thetas[:1]), v0, limit, eps, k_max)
+        # converge is the one-theta case of the same loop and the same fit:
+        # it gives the bits of the first theta's run among all the others.
+        k_stop, dists = runs[0]
         trace = experiments.converge(t, thetas[0], v0, eps=eps, k_max=k_max)
         assert trace.points == list(enumerate(dists.tolist()))
-        assert [trace.k_stop, trace.measured_rate] == [k_stop, *experiments._fit_rates([dists])]
+        assert (trace.k_stop, trace.measured_rate) == (k_stop, records[0].rho1_measured)
     return [k_stop for k_stop, _ in runs]
 
 
@@ -344,9 +347,10 @@ def test_stacked_sweep_stops_many_thetas_in_one_block():
     assert stops == [None, 40, None]
 
 
-@pytest.mark.parametrize("block", [2, 7, 13])
-def test_every_block_size_keeps_the_stops_within_the_bound(monkeypatch, block):
+@pytest.mark.parametrize("block, powers", [(2, 16), (7, 16), (13, 16), (32, 7), (32, 32)])
+def test_every_block_size_keeps_the_stops_within_the_bound(monkeypatch, block, powers):
     monkeypatch.setattr(experiments, "_BLOCK", block)
+    monkeypatch.setattr(experiments, "_POWERS", powers)
     thetas = [0.2, 0.6, 1.0, 1.3, 1.8]
     for seed in range(6):
         t = random_operator(seed).T
@@ -364,11 +368,9 @@ def test_blocked_distances_agree_with_a_long_double_run(seed):
     v0 = SplitMix64(3000 + seed).normals(t.shape[0])
     f = splitting.fix_basis(t)
     limit = f @ (f.T @ v0)
-    b = experiments._block(len(thetas), len(v0))
-    assert b > 1
-    runs = experiments._relaxed_runs(t, thetas, v0, limit, 0.0, 3 * b + 5)
+    runs = experiments._relaxed_runs(t, thetas, v0, limit, 0.0, 3 * experiments._BLOCK + 5)
     for theta, (_, dists) in zip(thetas, runs):
-        ref, bound = _reference(splitting.relax(t, theta), v0, limit, len(dists) - 1, b)
+        ref, bound = _reference(splitting.relax(t, theta), v0, limit, len(dists) - 1)
         assert np.all(np.abs(dists - ref) <= bound), theta
         # The bound is far below the distances it bounds.
         assert np.all(bound <= 1e-12 * float(np.linalg.norm(v0)))
@@ -384,30 +386,43 @@ def test_the_powers_stop_before_the_first_that_overflows(scale, b):
     assert dists.tolist() == [2.0**-k for k in range(41)]
 
 
-def test_a_large_map_runs_stepwise_within_the_byte_budget():
-    # Nineteen 48 x 48 relaxed maps take 350 KB, so a second power of each
-    # would pass the budget: the run is the stepwise loop, bit for bit, and
-    # all it allocates stays within the budget, while thetas stop and leave
-    # the stack (a second copy of the powers would pass it).
+def test_a_huge_budget_costs_no_memory_when_the_run_stops_early():
+    tracemalloc.start()
+    try:
+        [(k_stop, dists)] = experiments._relaxed_runs(
+            HALVING, [0.5], HALVING_V0, np.array([3.0, 0.0]), 2.0**-19, 10**9
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert k_stop == 20 and len(dists) == 21
+    assert peak < 2**20
+
+
+def test_thetas_past_the_byte_budget_run_in_turns_with_the_same_bits(monkeypatch):
+    # The powers of nineteen 48 x 48 relaxed maps take 5.6 MB; with a
+    # budget of 1 MiB they run in turns of three, in loops of their own,
+    # and every theta keeps the bits of the whole run.
     spaces = subspaces.product([subspaces.random_subspace(4, 2, 90 + i) for i in range(13)])
     t = splitting.build(graphs.pair(graphs.preset("ring", 13)), spaces).T
     assert t.shape == (48, 48)
     thetas = [0.1 * i for i in range(1, 20)]
-    assert experiments._block(len(thetas), 48) == 1
     v0 = SplitMix64(91).normals(48)
     f = splitting.fix_basis(t)
     limit = f @ (f.T @ v0)
-    tracemalloc.start()
-    try:
-        runs = experiments._relaxed_runs(t, thetas, v0, limit, 1e-3, 200)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= experiments._BLOCK_BYTES
-    for theta, (k_stop, dists) in zip(thetas, runs):
-        points, want_stop = _oracle_run(t, theta, v0, limit, 1e-3, 200)
-        assert (k_stop, dists.tolist()) == (want_stop, [dist for _, dist in points])
-    stops = [k_stop for k_stop, _ in runs]
+    peaks, runs = [], []
+    for budget in (experiments._POWERS_BYTES, 2**20):
+        monkeypatch.setattr(experiments, "_POWERS_BYTES", budget)
+        tracemalloc.start()
+        try:
+            runs.append(experiments._relaxed_runs(t, thetas, v0, limit, 1e-3, 200))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] > 5 * 2**20 and peaks[1] < 2**20 + 2**18
+    whole, turns = runs
+    assert [(k, d.tolist()) for k, d in whole] == [(k, d.tolist()) for k, d in turns]
+    stops = [k_stop for k_stop, _ in whole]
     assert None in stops and len(set(stops)) > 5
 
 
@@ -755,10 +770,8 @@ def _loop_monotonicity(t, theta, x, k_max):
 
 def _norm_references(t, x, thetas, k_max):
     """The iterate norms of one `_relaxed_runs` run of thetas from x, in
-    long double, with their bounds for the run's block size, one row per
-    theta."""
-    b = experiments._block(len(thetas), len(x))
-    refs = [_reference(splitting.relax(t, theta), x, np.zeros_like(x), k_max, b) for theta in thetas]
+    long double, with their bounds, one row per theta."""
+    refs = [_reference(splitting.relax(t, theta), x, np.zeros_like(x), k_max) for theta in thetas]
     return np.array([ref for ref, _ in refs]), np.array([bound for _, bound in refs])
 
 
@@ -832,9 +845,9 @@ def test_monotonicity_check_keeps_the_loop_verdict(k_max):
         for theta in (0.3, 1.0, 1.7):
             x = rng.normals(op.size)  # with a fixed component, so a nonzero limit
             cases.append((op.T, theta, x if theta != 1.0 else x - f @ (f.T @ x)))
-        # A fixed part of 1e5: the iterates carry a round-off of about
-        # 1e-11, so the distance stalls above the 1e-12 floor and rises
-        # again on the way to k_max = 10000.
+        # A fixed part of 1e5: both loops read False by k_max = 1000, a
+        # defect of the rule they share (see the xfail test below), so
+        # these cases only ask that the verdicts agree.
         if f.shape[1]:
             cases.append((op.T, 0.3, rng.normals(op.size) + 1e5 * f[:, 0]))
     # The zero map halves at theta = 1/2: the floor arrives at k = 40, inside
@@ -859,7 +872,25 @@ def test_monotonicity_check_keeps_the_loop_verdict(k_max):
             continue
         assert got is want, theta
         verdicts.add(got)
-    assert True in verdicts and (k_max < 10000 or False in verdicts)
+    assert True in verdicts
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the 1e-12 floor of monotonicity_check is absolute: from a fixed part of "
+    "1e5 the iterates carry a round-off of about 1e-11, so the distance stalls above "
+    "the floor and rises again",
+)
+def test_monotonicity_check_accepts_a_start_with_a_large_fixed_part():
+    verdicts = []
+    for seed in range(8):
+        op = random_operator(400 + seed)
+        f = splitting.fix_basis(op.T)
+        x = SplitMix64(7000 + seed).normals(op.size)
+        if f.shape[1]:
+            verdicts.append(experiments.monotonicity_check(op.T, 0.3, x + 1e5 * f[:, 0], 10000))
+    assert all(verdicts)
 
 
 @pytest.mark.usefixtures("block")
@@ -901,11 +932,10 @@ def test_demos_keep_the_loop_bits(block):
         hi = experiments.converge(op, 1.8, v0, eps=1e-30, k_max=200).points
         assert sym.hex() == max(abs(da - db) for (_, da), (_, db) in zip(lo, hi)).hex()
     else:
-        ref, bound = _reference(op.T, v0, limit, 5000, experiments._block(1, 4))
+        ref, bound = _reference(op.T, v0, limit, 5000)
         assert abs(final_dist - ref[5000]) <= bound[5000]
-        b2 = experiments._block(2, 4)
         for theta, dists in [(0.2, a), (1.8, b)]:
-            ref, bound = _reference(splitting.relax(op.T, theta), v0, numeric_limit, 200, b2)
+            ref, bound = _reference(splitting.relax(op.T, theta), v0, numeric_limit, 200)
             assert np.all(np.abs(dists - ref) <= bound), theta
     lines = {line.label: line.measured for line in experiments.run_demo("geometric").lines}
     assert lines["distance to closed-form limit after 5000 steps"] == f"{final_dist:.12g}"
