@@ -62,9 +62,8 @@ def _fit_rates(traces):
     return rates
 
 
-_BLOCK = 32  # iterates per stop test
-_POWERS = 16  # powers of each relaxed map formed, so iterates per matmul
-_POWERS_BYTES = 2**24  # the most the stacked powers of one loop take; more thetas run in turns
+_BLOCK = 32  # interleaved chains of each run, a power of two: iterates per matmul and stop test
+_TURN_BYTES = 2**24  # the most the powers and iterates of one loop take; more thetas run in turns
 
 
 def _operands(op, x, op_name, x_name):
@@ -93,62 +92,62 @@ def _check_run(thetas, eps, k_max):
     check_count("k_max", k_max, 0)
 
 
-def _relaxed_runs(t, thetas, v0, limit, eps, k_max):
-    """Iterate every relaxed map T_theta from v0 in one loop: the one place
-    that applies a relaxed map repeatedly.
+def _relaxed_runs(t, thetas, e0, eps, k_max):
+    """Iterate every relaxed map T_theta from e0 towards 0 in one loop: the
+    one place that applies a relaxed map repeatedly.
 
-    The powers T_theta^1 .. T_theta^b are formed once per loop, stacked
-    over the thetas, with b = _POWERS, or k_max if that is less, cut
-    before the first power that is not finite. They take m b n^2 floats
-    for m thetas of a map of size n, so thetas whose powers would pass
-    _POWERS_BYTES run in turns of as many as fit (at least one), each turn
-    a loop of its own. The iterates then come in blocks of _BLOCK: one
-    stacked matmul gives the next b iterates of every running theta from
-    the last one, and, once the block is full, one stacked subtraction and
-    one stacked dot product their squared distances to limit. The stop
-    test runs once per block: a theta stops at its first distance below
-    eps, and the stopped thetas leave the stack at the end of the block
-    (the iterates they computed past their stop are discarded), compacted
-    in place. Iterate 0 is v0, a block of its own. Returns one
-    (k_stop, dists) pair per theta: dists[k] is the distance of iterate k,
-    up to k_stop, or up to k_max with k_stop None when the budget runs
-    out. No iterate past k_max is computed. No input is checked: any theta
-    runs (T_0 = I), and eps = 0 stops no run, so with limit 0 the dists
-    are the iterate norms, even where one reaches exactly 0.
+    Each run is b interleaved chains, b = _BLOCK: iterate j + b is
+    P = fl(T_theta^b) times iterate j, so one stacked matmul of the last b
+    iterates of every running theta (rows of an (m, b, n) stack) by the
+    transposed powers gives the next b. The first iterates and P come by
+    doubling from T_theta = fl(T_theta^1): with iterates 0 .. c - 1 and
+    fl(T_theta^c), one matmul gives the iterates c .. 2 c - 1, and then
+    fl(T_theta^2c) = fl(fl(T_theta^c) fl(T_theta^c)). A power that is not
+    finite, for any theta, halves b for every theta of the loop: the chains
+    go on with the last finite power. A loop holds at most two powers and
+    2 b iterates per theta, 16 n (n + b) bytes for a map of size n, so
+    thetas past _TURN_BYTES run in turns of as many as fit (at least one),
+    each turn a loop of its own.
+
+    After each matmul one stacked dot product gives the squared norms of
+    the new iterates, the stop test runs on them, and the thetas that
+    stopped leave the stack, compacted in place (the iterates they computed
+    past their stop are discarded). Iterate 0 is e0, tested on its own.
+    Returns one (k_stop, dists) pair per theta: dists[k] is the norm of
+    iterate k, up to k_stop, the first iterate with a norm below eps, or
+    up to k_max with k_stop None when the budget runs out. No iterate past
+    k_max, and no power past the last one a matmul needs, is computed. No
+    input is checked: any theta runs (T_0 = I), and eps = 0 stops no run,
+    so the dists are the iterate norms, even where one reaches exactly 0.
 
     With b = 1 each iterate is one matmul of the last, the stepwise loop.
-    With b > 1 iterate j of a matmul is fl(T_theta^j) times its start, so
-    it takes its rounding in another order; both orders keep every iterate
-    within ((1 + gamma_n)^k - 1) |T_theta|^k |v0| of the exact T_theta^k v0
-    (Higham, Accuracy and Stability of Numerical Algorithms, 3.5). As b
-    does not depend on the thetas, a theta's distances are the same bits
-    in any run, alone or with others, unless a power of some theta in the
-    loop overflows, which cuts b for all of them.
+    Otherwise iterate k is the product of fl(T_theta^c) and an earlier
+    iterate, for powers c of two, which rounds in another order; every
+    order keeps the iterate within a product bound of the exact
+    T_theta^k e0 (Higham, Accuracy and Stability of Numerical Algorithms,
+    3.5). As b does not depend on the thetas, a theta's dists are the same
+    bits in any loop, alone or with others, unless a power of some theta
+    of the loop is not finite, which halves b for all of them.
     """
     if not thetas:
         return []
-    m, n = len(thetas), v0.shape[0]
-    turn = max(1, _POWERS_BYTES // (8 * _POWERS * n * n))  # thetas whose powers fit
+    m, n = len(thetas), e0.shape[0]
+    turn = max(1, _TURN_BYTES // (16 * n * (n + _BLOCK)))  # thetas whose two powers and blocks fit
     if m > turn:
-        turns = [thetas[i : i + turn] for i in range(0, m, turn)]
-        return [run for part in turns for run in _relaxed_runs(t, part, v0, limit, eps, k_max)]
-    powers = _powers(t, thetas, min(_POWERS, max(k_max, 1)))
-    b = powers.shape[1] // n  # iterates per matmul
-    start = np.empty((m, n, 1))  # the last iterate of each running theta, as a column
-    start[..., 0] = v0
-    ys = np.empty((m, _BLOCK * n))  # the iterates of one block, then their differences from limit
-    blocks = ys.reshape(m, _BLOCK, n)
-    squares = np.empty((m, _BLOCK))  # their squared distances
-    d = v0 - limit
-    squares[:, 0] = np.matmul(d[None, :], d[:, None])
+        return [run for i in range(0, m, turn) for run in _relaxed_runs(t, thetas[i : i + turn], e0, eps, k_max)]
+    power = np.stack([splitting.relax(t.T, theta) for theta in thetas])  # fl(T_theta^c), transposed
+    ys = np.empty((m, 2 * _BLOCK, n))  # iterates as rows: the last c, then the next c
+    ys[:, 0] = e0
+    squares = np.empty((m, _BLOCK, 1, 1))  # the squared norms of the new iterates
+    squares[:, 0] = e0 @ e0
     dists = np.empty((m, min(k_max + 1, 64)))  # grows by doubling
     k_stops = [None] * m
     active = np.arange(m)
-    k0, s = 0, 1  # the block holds the iterates k0 .. k0 + s - 1
-    shape = None  # the (live, s) that the operands below were made for
+    b, c = _BLOCK, 1  # the chains, and the power of T_theta that the next matmul applies
+    new, k0, s = 0, 0, 1  # the rows new .. new + s - 1 of ys hold the iterates k0 .. k0 + s - 1
     while True:
         live = len(active)
-        dist = np.sqrt(squares[:live, :s])
+        dist = np.sqrt(squares[:live, :s, 0, 0])
         while dists.shape[1] < k0 + s:
             dists = np.concatenate([dists, np.empty_like(dists)], axis=1)
         if live == m:
@@ -165,46 +164,36 @@ def _relaxed_runs(t, thetas, v0, limit, eps, k_max):
                 break
             keep = np.flatnonzero(~hit)
             for j, i in enumerate(keep.tolist()):  # j <= i, so no row is read after it is overwritten
-                powers[j] = powers[i]
-                start[j] = start[i]
+                power[j] = power[i]
+                ys[j] = ys[i]
             active = active[keep]
             live = len(active)
         k0 += s
         if k0 > k_max:
             break
-        s = min(_BLOCK, k_max + 1 - k0)
-        if (live, s) != shape:  # a block's operands, made once per shape
-            shape = (live, s)
-            block = blocks[:live, :s]
-            matmuls, last = [], start[:live]
-            for j in range(0, s, b):
-                c = min(b, s - j)
-                matmuls.append((powers[:live, : c * n], last, ys[:live, j * n : (j + c) * n, None]))
-                last = block[:, j + c - 1, :, None]
-            rows, columns, square = block[..., None, :], block[..., :, None], squares[:live, :s, None, None]
-        for power, x, y in matmuls:
-            np.matmul(power, x, out=y)
-        start[:live] = last
-        np.subtract(block, limit, out=block)
-        np.matmul(rows, columns, out=square)
+        if c < min(k0, b):  # doubling: iterates 0 .. k0 - 1 are the last c = k0 after squaring
+            with np.errstate(over="ignore", invalid="ignore"):
+                square = np.matmul(power[:live], power[:live])
+            if np.isfinite(square).all():
+                power, c = square, 2 * c
+            else:
+                b = c
+        lo = new + s - c  # the last c iterates, k0 - c .. k0 - 1
+        new, s = (lo + c) % (2 * b), min(c, k_max + 1 - k0)
+        rows = ys[:live, new : new + s]
+        np.matmul(ys[:live, lo : lo + s], power[:live], out=rows)
+        np.matmul(rows[..., None, :], rows[..., :, None], out=squares[:live, :s])
     return [(ks, dists[i, : (k_max if ks is None else ks) + 1]) for i, ks in enumerate(k_stops)]
 
 
-def _powers(t, thetas, b):
-    """T_theta^1 .. T_theta^b for each theta, as rows of one (m, b n, n)
-    stack (power j in rows (j - 1) n .. j n - 1), cut before the first power
-    with an entry that is not finite."""
-    n = t.shape[0]
-    powers = np.empty((len(thetas), b * n, n))
-    for i, theta in enumerate(thetas):
-        powers[i, :n] = splitting.relax(t, theta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, b):
-            power = powers[:, j * n : (j + 1) * n]
-            np.matmul(powers[:, :n], powers[:, (j - 1) * n : j * n], out=power)
-            if not np.isfinite(power).all():
-                return powers[:, : j * n]
-    return powers
+def _error(f, v0):
+    """The start of a run to the limit f f^T v0 (f an orthonormal basis of
+    the fixed subspace): v0 less its projection on f, projected off f once
+    more, since a projection leaves a part of about eps ||v0|| along f that
+    no step shrinks ("twice is enough", Parlett, The Symmetric Eigenvalue
+    Problem)."""
+    e0 = v0 - f @ (f.T @ v0)
+    return e0 - f @ (f.T @ e0)
 
 
 def converge(op, theta, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
@@ -215,15 +204,16 @@ def converge(op, theta, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     first iteration whose distance drops below eps, or None if the budget
     runs out; the measured rate is exp of the least-squares slope of the
     log-distance over the last half of the usable trace (`_fit_rates`). The
-    run is the one-theta case of `_relaxed_runs`: one matmul per _POWERS
-    iterates, from the powers of the relaxed map, and the stop test once
-    per block of _BLOCK iterates; it gives the bits of the same theta's run
-    in `theta_sweep`. Every input is checked before the first step.
+    run iterates the error, from v0 less its part in the fixed subspace
+    (`_error`), to 0, so its distances carry a round-off of the error's
+    size, not of the limit's. It is the one-theta case of `_relaxed_runs`,
+    _BLOCK interleaved chains with one matmul and one stop test per
+    _BLOCK iterates, and gives the bits of the same theta's run in
+    `theta_sweep`. Every input is checked before the first step.
     """
     t, v0 = _operands(op, v0, "op", "v0")
     _check_run([theta], eps, k_max)
-    f = splitting.fix_basis(t)
-    [(k_stop, dists)] = _relaxed_runs(t, [theta], v0, f @ (f.T @ v0), eps, k_max)
+    [(k_stop, dists)] = _relaxed_runs(t, [theta], _error(splitting.fix_basis(t), v0), eps, k_max)
     [rate] = _fit_rates([dists])
     return ConvergenceTrace(theta, list(enumerate(dists.tolist())), k_stop, rate)
 
@@ -242,21 +232,21 @@ def theta_sweep(op, thetas, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     T_theta has the eigenvalues theta lam + 1 - theta and the fixed subspace
     of T, so one `splitting.sweep_analysis` of T serves every theta: the
     analysis a report reads, without the report's two defects. It factors
-    T - I once, for the fixed basis and the limit point. The runs share
-    one `_relaxed_runs` loop: the powers of every relaxed map are formed
-    once, one stacked matmul gives _POWERS iterates of every running
-    theta, and the stop test runs once per block of _BLOCK iterates. Each
-    run's rate is the closed-form slope of its own log-distance tail
-    (`_fit_rates`). Every input is checked before the first step. The
-    predicted rate is max |theta lam + 1 - theta| over the eigenvalues lam
-    off 1, by `predicted_rate` for iso-averaged maps with rho1 < 1.
+    T - I once, for the fixed basis and the start of the error (`_error`),
+    which every run iterates to 0. The runs share one `_relaxed_runs`
+    loop: one power T_theta^_BLOCK of each relaxed map, formed by
+    squaring, and one stacked matmul per _BLOCK iterates of every running
+    theta, with the stop test after it. Each run's rate is the closed-form
+    slope of its own log-distance tail (`_fit_rates`). Every input is
+    checked before the first step. The predicted rate is
+    max |theta lam + 1 - theta| over the eigenvalues lam off 1, by
+    `predicted_rate` for iso-averaged maps with rho1 < 1.
     """
     t, v0 = _operands(op, v0, "op", "v0")
     thetas = list(thetas)
     _check_run(thetas, eps, k_max)
     analysis = splitting.sweep_analysis(t)
-    f = analysis.fix_basis
-    runs = _relaxed_runs(t, thetas, v0, f @ (f.T @ v0), eps, k_max)
+    runs = _relaxed_runs(t, thetas, _error(analysis.fix_basis, v0), eps, k_max)
     rates = _fit_rates([dists for _, dists in runs])
     records = []
     for theta, (k_stop, _), rate in zip(thetas, runs, rates):
@@ -271,7 +261,7 @@ def theta_sweep(op, thetas, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
 
 def _norms(t, thetas, x, k_max):
     """||T_theta^k x|| for k = 0 .. k_max, one row per theta."""
-    runs = _relaxed_runs(t, thetas, x, np.zeros_like(x), 0.0, k_max)
+    runs = _relaxed_runs(t, thetas, x, 0.0, k_max)
     return np.array([dists for _, dists in runs])
 
 
@@ -336,9 +326,11 @@ def monotonicity_check(op, theta, x, k_max=DEFAULT_K_MAX):
     ||x_k||^2 = ||limit||^2 + ||x_k - limit||^2, so the norms decrease
     strictly exactly when the distances to the limit do; the distances
     are the ones read, since the norms stop changing at round-off near
-    ||limit|| long before the distances reach the floor. One run to the
-    limit stops at the first iterate within 1e-12 of it (or at k_max); the
-    distances up to that iterate must decrease strictly.
+    ||limit|| long before the distances reach the floor. One run of the
+    error (`_error`) stops at the first iterate within 1e-12 of 0 (or at
+    k_max); the distances up to that iterate must decrease strictly. The
+    error carries a round-off of its own size, not of the limit's, so a
+    large fixed part in x moves no verdict.
     """
     t, x = _operands(op, x, "op", "x")
     if not splitting.is_iso_averaged(t):
@@ -352,7 +344,7 @@ def monotonicity_check(op, theta, x, k_max=DEFAULT_K_MAX):
     inside = excluded @ (excluded.T @ x)
     if float(np.linalg.norm(x - inside)) <= 1e-12 * (1.0 + float(np.linalg.norm(x))):
         raise ExcludedInputError("start lies in the excluded subspace")
-    [(_, dists)] = _relaxed_runs(t, [theta], x, f @ (f.T @ x), _FLOOR, k_max)
+    [(_, dists)] = _relaxed_runs(t, [theta], _error(f, x), _FLOOR, k_max)
     return bool(np.all(dists[1:] < dists[:-1]))
 
 
@@ -584,13 +576,13 @@ def _demo_geometric():
     f = splitting.fix_basis(op.T)
     numeric_limit = f @ (f.T @ v0)
 
-    [(_, dists)] = _relaxed_runs(op.T, [1.0], v0, limit, 0.0, 5000)
+    [(_, dists)] = _relaxed_runs(op.T, [1.0], v0 - limit, 0.0, 5000)
     final_dist = float(dists[5000])
 
     thetas = [i / 5.0 for i in range(1, 10)]
     stops = {r.theta: r.k_stop for r in theta_sweep(op, thetas, v0)}
 
-    (_, lo), (_, hi) = _relaxed_runs(op.T, [0.2, 1.8], v0, numeric_limit, 0.0, 200)
+    (_, lo), (_, hi) = _relaxed_runs(op.T, [0.2, 1.8], _error(f, v0), 0.0, 200)
     sym = float(np.max(np.abs(lo - hi)))
 
     lines = (

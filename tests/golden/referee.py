@@ -8,10 +8,14 @@ the exit code and the sha256 of its stdout and of its `--out` file, as
 between two source trees: it tells that printed bytes moved, not which
 side is right. `rates` takes the tune ops that differ and, for each side,
 compares the printed stop iterations and rates with a reference: the
-same float T_theta of that side, iterated from the same start to the
-same limit in `np.longdouble`, and its rate fitted as the sweep fits
-one, in long double. From the repository root, with a second checkout in
-OLD:
+same float T_theta of that side, iterated in `np.longdouble` from the
+error e0 of the start (the start less its projection on that side's
+fixed basis f, projected off f once more, in float, as the sweep makes
+it) to 0, and its rate fitted as the sweep fits one, in long double.
+The error, not the start less the limit, since a long double iteration
+of the start carries a round-off of the limit's size that a 50-digit
+mpmath run of the same float map does not have. From the repository
+root, with a second checkout in OLD:
 
     python3 tests/golden/referee.py record OLD/src old.json
     python3 tests/golden/referee.py record src new.json
@@ -86,21 +90,18 @@ def differing(old, new):
     return (["environment"] if old["environment"] != new["environment"] else []) + moved
 
 
-def reference_run(t_thetas, v0, limit, eps, k_max, floor):
+def reference_run(t_thetas, e0, eps, k_max, floor):
     """(k_stop, rate) of each relaxed map of t_thetas, a stack of float
-    matrices, iterated stepwise from v0 in long double: k_stop is the first
-    iterate within eps of limit, or None; the rate is exp of the slope,
-    centred as the sweep centres it, of the log-distances over the last
-    half of the distances above floor and finite, or None for fewer than
-    two."""
+    matrices, iterated stepwise from e0 in long double: k_stop is the first
+    iterate with a norm below eps, or None; the rate is exp of the slope,
+    centred as the sweep centres it, of the log-norms over the last half
+    of the norms above floor and finite, or None for fewer than two."""
     t_long = t_thetas.astype(np.longdouble)
-    x = np.tile(v0.astype(np.longdouble), (len(t_long), 1))[..., None]
-    lim = limit.astype(np.longdouble)
+    x = np.tile(e0.astype(np.longdouble), (len(t_long), 1))[..., None]
     dists = np.empty((len(t_long), k_max + 1), dtype=np.longdouble)
     k_stops = [None] * len(t_long)
     for k in range(k_max + 1):
-        d = x[..., 0] - lim
-        dists[:, k] = np.sqrt(np.sum(d * d, axis=1))
+        dists[:, k] = np.sqrt(np.sum(x[..., 0] * x[..., 0], axis=1))
         for i in np.flatnonzero(dists[:, k] < eps).tolist():
             if k_stops[i] is None:
                 k_stops[i] = k
@@ -134,8 +135,10 @@ def sweep_rows(regenerate, op, workdir):
     built = splitting.build(config.graph_pair, config.spaces)
     t, v0 = built.T, cli._start_vector(config, built)
     f = splitting.sweep_analysis(t).fix_basis
+    e0 = v0 - f @ (f.T @ v0)
+    e0 = e0 - f @ (f.T @ e0)
     t_thetas = np.stack([splitting.relax(t, theta) for theta in config.thetas])
-    refs = reference_run(t_thetas, v0, f @ (f.T @ v0), config.eps, config.k_max, experiments.RATE_FLOOR)
+    refs = reference_run(t_thetas, e0, config.eps, config.k_max, experiments.RATE_FLOOR)
     return [
         [int(row["k_stop"]) if row["k_stop"] else None, row["rho1_measured"] or None, k_stop, rate]
         for row, (k_stop, rate) in zip(printed, refs)

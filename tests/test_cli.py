@@ -138,6 +138,38 @@ def test_sweep_of_an_iso_averaged_map_with_an_unfixed_one(tmp_path, capsys):
     assert [row[2] for row in rows] == ["1", "1", "1"]
 
 
+def test_a_sweep_from_a_start_with_a_large_fixed_part_stops(tmp_path, capsys):
+    # Op 1 of the benchmark's tune seed 1: three nearly parallel lines on a
+    # chain, with one fixed direction f. From the seeded start plus 1e3 f the
+    # sweep stops where it stops from the seeded start and prints the
+    # predicted rates, since it iterates the start's error, whose round-off
+    # does not grow with the fixed part.
+    cfg = {
+        "graph": {"preset": "sequential", "n": 3},
+        "ambient": 2,
+        "spaces": [
+            {"kind": "hyperplane", "normal": [0.28587517865512974, -0.7838128190476723]},
+            {"kind": "hyperplane", "normal": [0.27419330695495825, -0.9897607399211442]},
+            {"kind": "hyperplane", "normal": [0.3069523560857777, -0.9549199074216438]},
+        ],
+        "thetas": [0.5, 1.0, 1.5],
+        "eps": 1e-10,
+        "k_max": 30000,
+        "seed": 3245220485,
+        "v0": "random",
+    }
+    config = cli.load_config(cfg)
+    op = splitting.build(config.graph_pair, config.spaces)
+    f = splitting.fix_basis(op.T)
+    assert f.shape == (4, 1)
+    shifted = cli._start_vector(config, op) + 1e3 * f[:, 0]
+    for start in (shifted.tolist(), "random"):
+        assert cli.main(["sweep", "--config", _write(tmp_path, {**cfg, "v0": start})]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert [row[1] for row in rows] == ["14608", "10951", "14608"]
+        assert [row[3] for row in rows] == [row[2] for row in rows]
+
+
 def test_sweep_empty_thetas(tmp_path, capsys):
     code = cli.main(["sweep", "--config", _write(tmp_path, _config(thetas=[]))])
     assert code == 0

@@ -98,16 +98,6 @@ def test_theta_sweep_non_iso_uses_spectrum():
             assert r.rho1_predicted == pytest.approx(relaxed_rho, abs=1e-12)
 
 
-@pytest.fixture(params=["stepwise", "blocked"])
-def block(request, monkeypatch):
-    """The relaxed-run loop with _POWERS forced to 1, the stepwise loop whose
-    bits the oracles below pin, or at its default, where a run's distances
-    must lie within `_reference`'s bound of the long double run."""
-    if request.param == "stepwise":
-        monkeypatch.setattr(experiments, "_POWERS", 1)
-    return request.param
-
-
 LONG = np.longdouble
 EPS_LONG = float(np.finfo(LONG).eps)
 
@@ -116,92 +106,80 @@ def _gamma(n, u):
     return n * u / (1.0 - n * u)
 
 
-def _reference(t_theta, v0, limit, k_max):
-    """The distances to limit of T^k v0, k = 0 .. k_max, for the float
-    T = T_theta iterated stepwise in long double, and for each k a bound on
-    how far the distance of a `_relaxed_runs` run may lie from it. The run
-    computes each block of _BLOCK iterates after iterate 0 in matmuls of
-    _POWERS iterates, each from the iterate before, or in one of k_max
-    iterates if that is less; either way iterate k comes from power
-    j = (k - 1) % _BLOCK % _POWERS + 1 (with _POWERS = 1 the run is the
-    stepwise loop).
+def _reference(t_theta, e0, k_max):
+    """The norms of T^k e0, k = 0 .. k_max, for the float T = T_theta
+    iterated stepwise in long double, and for each k a bound on how far the
+    norm of a `_relaxed_runs` run may lie from it. The run's b = _BLOCK
+    chains compute iterate k from iterate k - c with the power P_c, for
+    c = min(b, 2^floor(log2 k)), where P_1 = T and P_2c = fl(P_c P_c)
+    (with b = 1 the run is the stepwise loop).
 
     The bound is fixed before any run is compared with it. It rests on
     |fl(AB) - AB| <= gamma_n |A| |B| (Higham, Accuracy and Stability of
-    Numerical Algorithms, 3.5). A matmul's iterate j is fl(P_j y) from its
-    start y, where P_1 = T and P_j = fl(T P_(j-1)); it lies within
-    c_j ||y|| of T^j y, with c_j = e_j + gamma_n || |P_j| || and e_j, a
-    bound on ||P_j - T^j||, equal to ||T|| e_(j-1) + gamma_n || |T| |P_(j-1)| ||.
-    An error of the start is carried on by ||T^j|| <= ||T||^j. The long
-    double run has the same bound with b = 1 at its own unit roundoff, and
-    a distance computed from an iterate (a subtraction, a dot product and a
-    square root) lies within gamma_(n+2) of the iterate's own distance.
-    The norms of the bound are 2-norms taken in float.
+    Numerical Algorithms, 3.5). With e_c a bound on ||P_c - T^c|| (e_1 = 0),
+    P_c P_c - T^2c = (P_c - T^c) P_c + T^c (P_c - T^c) gives
+    e_2c = gamma_n || |P_c| |P_c| || + e_c (2 ||P_c|| + e_c). So fl(P_c y)
+    lies within a_c ||y|| of T^c y, with a_c = e_c + gamma_n || |P_c| ||,
+    and an error of y is carried on by ||T^c|| <= min(||T||^c, ||P_c|| + e_c).
+    The long double run has the bound of b = 1 at its own unit roundoff,
+    and a norm computed from an iterate (a dot product and a square root)
+    lies within gamma_(n+1) of the iterate's own norm. The norms of the
+    bound are 2-norms taken in float.
     """
-    n, b = len(v0), min(experiments._BLOCK, experiments._POWERS)
+    n, b = len(e0), experiments._BLOCK
     g, g_long = _gamma(n, EPS / 2), _gamma(n, EPS_LONG / 2)
-    gd, gd_long = _gamma(n + 2, EPS / 2), _gamma(n + 2, EPS_LONG / 2)
-    a = np.abs(t_theta)
-    rho, a_norm = float(np.linalg.norm(t_theta, 2)), float(np.linalg.norm(a, 2))
-    c, e, power = [0.0, g * a_norm], 0.0, t_theta
-    for j in range(2, b + 1):
-        e = rho * e + g * float(np.linalg.norm(a @ np.abs(power), 2))
-        power = t_theta @ power
-        c.append(e + g * float(np.linalg.norm(np.abs(power), 2)))
-    t_long, x, lim = t_theta.astype(LONG), v0.astype(LONG), limit.astype(LONG)
+    gd, gd_long = _gamma(n + 1, EPS / 2), _gamma(n + 1, EPS_LONG / 2)
+    t_norm, abs_norm = float(np.linalg.norm(t_theta, 2)), float(np.linalg.norm(np.abs(t_theta), 2))
+    a, carry, power, e, c = {}, {}, t_theta, 0.0, 1
+    while True:
+        p_norm = float(np.linalg.norm(power, 2))
+        a[c] = e + g * float(np.linalg.norm(np.abs(power), 2))
+        carry[c] = min(t_norm**c, p_norm + e)
+        if c >= min(b, k_max):
+            break
+        e = g * float(np.linalg.norm(np.abs(power) @ np.abs(power), 2)) + e * (2.0 * p_norm + e)
+        power, c = power @ power, 2 * c
+    t_long, x = t_theta.astype(LONG), e0.astype(LONG)
     norms, err, err_long, ref, bound = [], [], [], [], []
     for k in range(k_max + 1):
         if k > 0:
             x = t_long @ x
-        d = x - lim
-        ref.append(np.sqrt(d @ d))
-        norms.append(float(np.sqrt(x @ x)) * (1.0 + EPS))  # at least the iterate's norm
+        ref.append(np.sqrt(x @ x))
+        norms.append(float(ref[k]) * (1.0 + EPS))  # at least the long double iterate's norm
         if k == 0:
             err.append(0.0)
             err_long.append(0.0)
         else:
-            j = (k - 1) % experiments._BLOCK % b + 1
-            k0 = k - j
-            err_long.append(g_long * a_norm * norms[k - 1] + rho * err_long[k - 1])
-            err.append(c[j] * (norms[k0] + err_long[k0] + err[k0]) + rho**j * err[k0])
-        own = ref[k] / (1.0 - gd_long)  # at least the long double iterate's own distance
+            c = min(b, 1 << (k.bit_length() - 1))
+            err_long.append(g_long * abs_norm * norms[k - 1] + t_norm * err_long[k - 1])
+            err.append(a[c] * (norms[k - c] + err_long[k - c] + err[k - c]) + carry[c] * err[k - c])
+        own = ref[k] / (1.0 - gd_long)  # at least the long double iterate's own norm
         exact = own + err_long[k]
         bound.append(err[k] + err_long[k] + gd * (exact + err[k]) + gd_long * own)
     return np.array(ref, dtype=LONG), np.array(bound, dtype=LONG)
 
 
-def _oracle_run(t, theta, v, limit, eps, k_max):
-    """One relaxed run, one theta at a time: the reference for the stacked loop."""
+def _oracle_stop(t, theta, e, eps, k_max):
+    """The stop iteration of one relaxed run of the error, one theta at a
+    time and stepwise: the reference for the stops of the stacked loop."""
     t_theta = splitting.relax(t, theta)
-    points = []
-    k_stop = None
     for k in range(k_max + 1):
-        dist = float(np.linalg.norm(v - limit))
-        points.append((k, dist))
-        if dist < eps:
-            k_stop = k
-            break
-        if k < k_max:
-            v = t_theta @ v
-    return points, k_stop
+        if float(np.linalg.norm(e)) < eps:
+            return k
+        e = t_theta @ e
+    return None
 
 
 def _assert_sweep_matches_oracle(t, thetas, v0, eps, k_max):
-    f = splitting.fix_basis(t)
-    limit = f @ (f.T @ v0)
+    e0 = experiments._error(splitting.fix_basis(t), v0)
     records = experiments.theta_sweep(t, thetas, v0, eps=eps, k_max=k_max)
     assert [r.theta for r in records] == list(thetas)
-    runs = experiments._relaxed_runs(t, list(thetas), v0, limit, eps, k_max)
+    runs = experiments._relaxed_runs(t, list(thetas), e0, eps, k_max)
     for theta, rec, (k_stop, dists) in zip(thetas, records, runs):
-        points, want_stop = _oracle_run(t, theta, v0, limit, eps, k_max)
-        assert rec.k_stop == k_stop == want_stop, theta
+        assert rec.k_stop == k_stop == _oracle_stop(t, theta, e0, eps, k_max), theta
         assert_rate(rec.rho1_measured, exact_rate(list(enumerate(dists.tolist()))))
-        # The stepwise loop's bits at _POWERS = 1, the bound of the long double run otherwise.
-        if experiments._POWERS == 1:
-            assert dists.tolist() == [dist for _, dist in points]
-        else:
-            ref, bound = _reference(splitting.relax(t, theta), v0, limit, len(dists) - 1)
-            assert np.all(np.abs(dists - ref) <= bound), theta
+        ref, bound = _reference(splitting.relax(t, theta), e0, len(dists) - 1)
+        assert np.all(np.abs(dists - ref) <= bound), theta
     if thetas:
         # converge is the one-theta case of the same loop and the same fit:
         # it gives the bits of the first theta's run among all the others.
@@ -260,7 +238,6 @@ def test_a_divergent_run_measures_its_rate():
     assert math.isinf(trace.points[-1][1])
 
 
-@pytest.mark.usefixtures("block")
 def test_stacked_sweep_matches_oracle_on_random_operators():
     thetas = [0.2, 0.6, 1.0, 1.3, 1.8]
     stops = []
@@ -273,7 +250,6 @@ def test_stacked_sweep_matches_oracle_on_random_operators():
     assert None in stops and any(k is not None and k < 300 for k in stops)
 
 
-@pytest.mark.usefixtures("block")
 def test_stacked_sweep_matches_oracle_on_a_built_operator():
     ring_seq = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
     spaces = subspaces.product([subspaces.random_subspace(2, 1, 70 + i) for i in range(4)])
@@ -285,7 +261,6 @@ def test_stacked_sweep_matches_oracle_on_a_built_operator():
     assert len(set(stops)) > 3
 
 
-@pytest.mark.usefixtures("block")
 def test_stacked_sweep_stops_at_different_iterations():
     # T = diag(1, 1/2, 0): T_theta shrinks the second coordinate by
     # 1 - theta/2 and the third by 1 - theta, so each theta stops at its own k.
@@ -301,7 +276,6 @@ def test_stacked_sweep_stops_at_different_iterations():
     assert _assert_sweep_matches_oracle(t, [0.5, 1.5], near, 1e-6, 50) == [0, 0]
 
 
-@pytest.mark.usefixtures("block")
 @pytest.mark.parametrize("k_max", [0, 1, 2, 25, 31, 32, 33])
 def test_stacked_sweep_budget_edges(k_max):
     op, v0, _, _ = experiments.three_lines_example()
@@ -317,18 +291,17 @@ HALVING = np.diag([1.0, 0.0])
 HALVING_V0 = np.array([3.0, 1.0])
 
 
-@pytest.mark.usefixtures("block")
-@pytest.mark.parametrize("k_stop", [0, 1, 31, 32, 33, 64, 65])
+@pytest.mark.parametrize("k_stop", [0, 1, 2, 3, 4, 31, 32, 33, 63, 64, 65])
 def test_stacked_sweep_stops_at_block_edges(k_stop):
-    # 2^-k < eps = 2^(1 - k_stop) first holds at k = k_stop. Iterate 0 is a
-    # block of its own, and blocks of 32 hold the iterates 1 .. 32, 33 .. 64.
+    # 2^-k < eps = 2^(1 - k_stop) first holds at k = k_stop. The stop test
+    # reads iterate 0, then each matmul's iterates: 1, 2 .. 3, 4 .. 7, up to
+    # 16 .. 31 while the power doubles, then blocks of 32 from 32 .. 63.
     eps = 2.0 ** (1 - k_stop)
     for k_max in (k_stop, k_stop + 1, 100):
         stops = _assert_sweep_matches_oracle(HALVING, [0.5, 1.5], HALVING_V0, eps, k_max)
         assert stops == [k_stop, k_stop]
 
 
-@pytest.mark.usefixtures("block")
 @pytest.mark.parametrize("k_max", [0, 1, 31, 32, 33, 39])
 def test_stacked_sweep_computes_no_iterate_past_the_budget(k_max):
     # Each run would stop at k = 40, inside the block that holds k_max + 1.
@@ -337,7 +310,6 @@ def test_stacked_sweep_computes_no_iterate_past_the_budget(k_max):
     assert _assert_sweep_matches_oracle(HALVING, [0.5], HALVING_V0, eps, 40) == [40]
 
 
-@pytest.mark.usefixtures("block")
 def test_stacked_sweep_stops_many_thetas_in_one_block():
     thetas = [0.5, 0.45, 0.55, 0.4, 1.5, 0.36]
     stops = _assert_sweep_matches_oracle(HALVING, thetas, HALVING_V0, 1e-12, 200)
@@ -347,10 +319,30 @@ def test_stacked_sweep_stops_many_thetas_in_one_block():
     assert stops == [None, 40, None]
 
 
-@pytest.mark.parametrize("block, powers", [(2, 16), (7, 16), (13, 16), (32, 7), (32, 32)])
-def test_every_block_size_keeps_the_stops_within_the_bound(monkeypatch, block, powers):
+@pytest.mark.parametrize("seed", [None, *range(10)])
+def test_one_chain_is_the_stepwise_loop(monkeypatch, seed):
+    # With b = 1 each iterate is one matmul of the last: the row times the
+    # transposed relaxed map, and its norm the square root of one dot product.
+    monkeypatch.setattr(experiments, "_BLOCK", 1)
+    if seed is None:
+        t, v0, eps = HALVING, HALVING_V0, 1e-12
+    else:
+        t = random_operator(seed).T
+        v0, eps = SplitMix64(1000 + seed).normals(t.shape[0]), 1e-9
+    thetas = [0.2, 0.6, 1.0, 1.3, 1.8]
+    e0 = experiments._error(splitting.fix_basis(t), v0)
+    for theta, (k_stop, dists) in zip(thetas, experiments._relaxed_runs(t, thetas, e0, eps, 300)):
+        t_theta, e, want = splitting.relax(t.T, theta), e0, [math.sqrt(e0 @ e0)]
+        while len(want) <= 300 and want[-1] >= eps:
+            e = e @ t_theta
+            want.append(math.sqrt(e @ e))
+        assert dists.tolist() == want, theta
+        assert k_stop == (len(want) - 1 if want[-1] < eps else None)
+
+
+@pytest.mark.parametrize("block", [1, 2, 4, 16, 64])
+def test_every_block_size_keeps_the_stops_within_the_bound(monkeypatch, block):
     monkeypatch.setattr(experiments, "_BLOCK", block)
-    monkeypatch.setattr(experiments, "_POWERS", powers)
     thetas = [0.2, 0.6, 1.0, 1.3, 1.8]
     for seed in range(6):
         t = random_operator(seed).T
@@ -366,32 +358,29 @@ def test_blocked_distances_agree_with_a_long_double_run(seed):
     t = random_operator(300 + seed).T
     thetas = np.random.default_rng(seed).uniform(0.02, 1.98, 7).tolist()
     v0 = SplitMix64(3000 + seed).normals(t.shape[0])
-    f = splitting.fix_basis(t)
-    limit = f @ (f.T @ v0)
-    runs = experiments._relaxed_runs(t, thetas, v0, limit, 0.0, 3 * experiments._BLOCK + 5)
+    e0 = experiments._error(splitting.fix_basis(t), v0)
+    runs = experiments._relaxed_runs(t, thetas, e0, 0.0, 3 * experiments._BLOCK + 5)
     for theta, (_, dists) in zip(thetas, runs):
-        ref, bound = _reference(splitting.relax(t, theta), v0, limit, len(dists) - 1)
+        ref, bound = _reference(splitting.relax(t, theta), e0, len(dists) - 1)
         assert np.all(np.abs(dists - ref) <= bound), theta
         # The bound is far below the distances it bounds.
         assert np.all(bound <= 1e-12 * float(np.linalg.norm(v0)))
 
 
-@pytest.mark.parametrize("scale, b", [(1e200, 1), (1e110, 2)])
-def test_the_powers_stop_before_the_first_that_overflows(scale, b):
-    # diag(scale, 1/2) from (0, 1): every iterate is (0, 2^-k), but a power
-    # that overflows to inf would turn the zero into nan.
+@pytest.mark.parametrize("scale", [1e200, 1e110, 1e60, 1e30, 1e15, 1e9])
+def test_the_chains_halve_until_their_power_is_finite(scale):
+    # diag(scale, 1/2) from (0, 1): every iterate is (0, 2^-k), exactly, but
+    # a power that overflows to inf would turn the zero into nan. The scales
+    # overflow T^2, T^4, .. T^32 in turn, so b halves to 1, 2, .. 16, or none.
     t = np.diag([scale, 0.5])
-    assert experiments._powers(t, [1.0], 32).shape == (1, 2 * b, 2)
-    [(_, dists)] = experiments._relaxed_runs(t, [1.0], np.array([0.0, 1.0]), np.zeros(2), 0.0, 40)
-    assert dists.tolist() == [2.0**-k for k in range(41)]
+    [(_, dists)] = experiments._relaxed_runs(t, [1.0], np.array([0.0, 1.0]), 0.0, 100)
+    assert dists.tolist() == [2.0**-k for k in range(101)]
 
 
 def test_a_huge_budget_costs_no_memory_when_the_run_stops_early():
     tracemalloc.start()
     try:
-        [(k_stop, dists)] = experiments._relaxed_runs(
-            HALVING, [0.5], HALVING_V0, np.array([3.0, 0.0]), 2.0**-19, 10**9
-        )
+        [(k_stop, dists)] = experiments._relaxed_runs(HALVING, [0.5], np.array([0.0, 1.0]), 2.0**-19, 10**9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -400,33 +389,31 @@ def test_a_huge_budget_costs_no_memory_when_the_run_stops_early():
 
 
 def test_thetas_past_the_byte_budget_run_in_turns_with_the_same_bits(monkeypatch):
-    # The powers of nineteen 48 x 48 relaxed maps take 5.6 MB; with a
-    # budget of 1 MiB they run in turns of three, in loops of their own,
-    # and every theta keeps the bits of the whole run.
+    # Two powers and two blocks of nineteen 48 x 48 relaxed maps take
+    # 1.2 MB; with a budget of 256 KiB they run in turns of four, in loops
+    # of their own, within the budget, and every theta keeps the bits of
+    # the whole run.
     spaces = subspaces.product([subspaces.random_subspace(4, 2, 90 + i) for i in range(13)])
     t = splitting.build(graphs.pair(graphs.preset("ring", 13)), spaces).T
     assert t.shape == (48, 48)
     thetas = [0.1 * i for i in range(1, 20)]
-    v0 = SplitMix64(91).normals(48)
-    f = splitting.fix_basis(t)
-    limit = f @ (f.T @ v0)
+    e0 = experiments._error(splitting.fix_basis(t), SplitMix64(91).normals(48))
     peaks, runs = [], []
-    for budget in (experiments._POWERS_BYTES, 2**20):
-        monkeypatch.setattr(experiments, "_POWERS_BYTES", budget)
+    for budget in (experiments._TURN_BYTES, 2**18):
+        monkeypatch.setattr(experiments, "_TURN_BYTES", budget)
         tracemalloc.start()
         try:
-            runs.append(experiments._relaxed_runs(t, thetas, v0, limit, 1e-3, 200))
+            runs.append(experiments._relaxed_runs(t, thetas, e0, 1e-3, 200))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[0] > 5 * 2**20 and peaks[1] < 2**20 + 2**18
+    assert peaks[0] > 2**20 and peaks[1] < 2**18 + 2**16
     whole, turns = runs
     assert [(k, d.tolist()) for k, d in whole] == [(k, d.tolist()) for k, d in turns]
     stops = [k_stop for k_stop, _ in whole]
     assert None in stops and len(set(stops)) > 5
 
 
-@pytest.mark.usefixtures("block")
 def test_stacked_sweep_single_and_empty_theta_lists():
     op, v0, _, _ = experiments.three_lines_example()
     _assert_sweep_matches_oracle(op.T, [1.0], v0, 1e-8, 500)
@@ -714,23 +701,9 @@ def test_overflowing_norms_give_no_convexity_verdict():
 
 # The relaxed-map loops of the checks and demos as they were before
 # `_relaxed_runs` ran them: one theta at a time, one 2-d matvec per step and
-# np.linalg.norm per iterate. With _BLOCK at 1 the routed checks keep their
-# bits; at the default block their figures lie within the bound of the long
+# np.linalg.norm per iterate, the monotonicity loop on the error, as the
+# check now runs it. The checks' figures lie within the bound of the long
 # double run (`_reference`), carried through the check's own arithmetic.
-
-def _loop_symmetry(t, x, thetas, k_max):
-    worst = 0.0
-    for theta in thetas:
-        ya = x.copy()
-        yb = x.copy()
-        ta = splitting.relax(t, theta)
-        tb = splitting.relax(t, 2.0 - theta)
-        for _ in range(k_max):
-            ya = ta @ ya
-            yb = tb @ yb
-            worst = max(worst, abs(float(np.linalg.norm(ya)) - float(np.linalg.norm(yb))))
-    return worst
-
 
 def _loop_norm(t, theta, x, k):
     y = x.copy()
@@ -740,28 +713,15 @@ def _loop_norm(t, theta, x, k):
     return float(np.linalg.norm(y))
 
 
-def _loop_convexity(t, x, k, grid):
-    grid = sorted(float(g) for g in grid)
-    worst = -math.inf
-    for lo, hi in zip(grid, grid[1:]):
-        gap = _loop_norm(t, 0.5 * (lo + hi), x, k) - 0.5 * (
-            _loop_norm(t, lo, x, k) + _loop_norm(t, hi, x, k)
-        )
-        worst = max(worst, gap)
-    return worst
-
-
 def _loop_monotonicity(t, theta, x, k_max):
-    f = splitting.fix_basis(t)
-    limit = f @ (f.T @ x)
+    e = experiments._error(splitting.fix_basis(t), x)
     t_theta = splitting.relax(t, theta)
-    y = x.copy()
-    prev = float(np.linalg.norm(y - limit))
+    prev = float(np.linalg.norm(e))
     for _ in range(k_max):
         if prev <= 1e-12:
             break
-        y = t_theta @ y
-        cur = float(np.linalg.norm(y - limit))
+        e = t_theta @ e
+        cur = float(np.linalg.norm(e))
         if not cur < prev:
             return False
         prev = cur
@@ -771,42 +731,32 @@ def _loop_monotonicity(t, theta, x, k_max):
 def _norm_references(t, x, thetas, k_max):
     """The iterate norms of one `_relaxed_runs` run of thetas from x, in
     long double, with their bounds, one row per theta."""
-    refs = [_reference(splitting.relax(t, theta), x, np.zeros_like(x), k_max) for theta in thetas]
+    refs = [_reference(splitting.relax(t, theta), x, k_max) for theta in thetas]
     return np.array([ref for ref, _ in refs]), np.array([bound for _, bound in refs])
 
 
-def _assert_symmetry_within_the_bound(got, t, x, thetas, k_max):
+@pytest.mark.parametrize("k_max", [1, 2, 31, 32, 33, 70])
+def test_symmetry_check_lies_within_the_bound(k_max):
     # |max_i u_i - max_i v_i| <= max_i |u_i - v_i|, and a float subtraction
     # adds its rounding, at most eps/2 of the computed difference.
-    ref, bound = _norm_references(t, x, thetas + [2.0 - theta for theta in thetas], k_max)
-    m = len(thetas)
-    gap = np.abs(ref[:m] - ref[m:])
-    slack = bound[:m] + bound[m:]
-    tol = slack + EPS / 2 * (gap + slack) + EPS_LONG * gap
-    assert abs(got - float(np.max(gap))) <= float(np.max(tol)), (got, float(np.max(gap)))
-
-
-@pytest.mark.parametrize("k_max", [1, 2, 31, 32, 33, 70])
-def test_symmetry_check_keeps_the_loop_bits(block, k_max):
     thetas = [0.1, 0.5, 1.0, 1.3]
     for t, x in _subjects():
         got = experiments.symmetry_check(t, x, thetas, k_max)
-        if block == "stepwise":
-            assert got.hex() == _loop_symmetry(t, x, thetas, k_max).hex()
-        else:
-            _assert_symmetry_within_the_bound(got, t, x, thetas, k_max)
+        ref, bound = _norm_references(t, x, thetas + [2.0 - theta for theta in thetas], k_max)
+        m = len(thetas)
+        gap = np.abs(ref[:m] - ref[m:])
+        slack = bound[:m] + bound[m:]
+        tol = slack + EPS / 2 * (gap + slack) + EPS_LONG * gap
+        assert abs(got - float(np.max(gap))) <= float(np.max(tol)), (got, float(np.max(gap)))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 31, 32, 33])
-def test_convexity_check_keeps_the_loop_bits(block, k):
+def test_convexity_check_lies_within_the_bound(k):
     grid = [0.0, 0.25, 0.5, 1.0, 1.4, 2.0]  # theta = 0 (T_0 = I) and theta = 2
     mids = [0.5 * (lo + hi) for lo, hi in zip(grid, grid[1:])]
     shift = np.array([[0.0, 1.0], [0.0, 0.0]])
     for t, x in [*_subjects(), (shift, np.array([0.0, 1.0]))]:
         got = experiments.convexity_check(t, x, k, grid, require_normal=False)
-        if block == "stepwise":
-            assert got.hex() == _loop_convexity(t, x, k, grid).hex()
-            continue
         ref, bound = _norm_references(t, x, grid + mids, k)
         f, mu = ref[:, k], bound[:, k]
         lo, hi, mid = f[: len(mids)], f[1 : len(grid)], f[len(grid) :]
@@ -834,7 +784,6 @@ def _subjects():
     yield _zero_map().T, np.array([0.6, -0.8])
 
 
-@pytest.mark.usefixtures("block")
 @pytest.mark.parametrize("k_max", [0, 1, 31, 32, 33, 10000])
 def test_monotonicity_check_keeps_the_loop_verdict(k_max):
     cases = []
@@ -845,13 +794,10 @@ def test_monotonicity_check_keeps_the_loop_verdict(k_max):
         for theta in (0.3, 1.0, 1.7):
             x = rng.normals(op.size)  # with a fixed component, so a nonzero limit
             cases.append((op.T, theta, x if theta != 1.0 else x - f @ (f.T @ x)))
-        # A fixed part of 1e5: both loops read False by k_max = 1000, a
-        # defect of the rule they share (see the xfail test below), so
-        # these cases only ask that the verdicts agree.
         if f.shape[1]:
             cases.append((op.T, 0.3, rng.normals(op.size) + 1e5 * f[:, 0]))
     # The zero map halves at theta = 1/2: the floor arrives at k = 40, inside
-    # the block 33 .. 64, and the distances decrease to the end.
+    # the block 32 .. 63, and the distances decrease to the end.
     cases.append((_zero_map().T, 0.5, np.array([0.6, -0.8])))
     # diag(1, 0) at theta = 1/2 from (3, 1): the norms flatten at round-off
     # near 3 long before the floor, but the distance 2^-k to the limit (3, 0)
@@ -875,14 +821,9 @@ def test_monotonicity_check_keeps_the_loop_verdict(k_max):
     assert True in verdicts
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the 1e-12 floor of monotonicity_check is absolute: from a fixed part of "
-    "1e5 the iterates carry a round-off of about 1e-11, so the distance stalls above "
-    "the floor and rises again",
-)
 def test_monotonicity_check_accepts_a_start_with_a_large_fixed_part():
+    # The run iterates the error, whose round-off scales with the error and
+    # not with the fixed part of 1e5, so the distances reach the 1e-12 floor.
     verdicts = []
     for seed in range(8):
         op = random_operator(400 + seed)
@@ -890,10 +831,9 @@ def test_monotonicity_check_accepts_a_start_with_a_large_fixed_part():
         x = SplitMix64(7000 + seed).normals(op.size)
         if f.shape[1]:
             verdicts.append(experiments.monotonicity_check(op.T, 0.3, x + 1e5 * f[:, 0], 10000))
-    assert all(verdicts)
+    assert verdicts and all(verdicts)
 
 
-@pytest.mark.usefixtures("block")
 def test_monotonicity_check_accepts_the_three_lines_start():
     # The start has a fixed part: the norms approach ||limit|| = 10.06 and
     # stop changing at round-off long before the distances reach the floor,
@@ -905,9 +845,9 @@ def test_monotonicity_check_accepts_the_three_lines_start():
         assert _loop_monotonicity(op.T, theta, v0, experiments.DEFAULT_K_MAX)
 
 
-def test_demos_keep_the_loop_bits(block):
-    # The relaxed maps of the shift block have dyadic powers, so every
-    # block size computes the same norms.
+def test_demo_figures_lie_within_the_bound():
+    # The relaxed maps of the shift block have dyadic powers, so the loop
+    # computes the norms of the stepwise one.
     shift = np.array([[0.0, 1.0], [0.0, 0.0]])
     x = np.array([0.0, 1.0])
     f0, f_half, f1 = (_loop_norm(shift, theta, x, 2) for theta in (0.0, 0.5, 1.0))
@@ -916,27 +856,19 @@ def test_demos_keep_the_loop_bits(block):
     lines = experiments.run_demo("not-normal").lines
     assert [line.measured for line in lines[:3]] == [f"{v:.12g}" for v in (f_half, f_half, 0.5 * (f0 + f1))]
 
+    # The geometric demo iterates v0 less the closed-form limit, and the
+    # error of the sweeps for its symmetry figure.
     op, v0, _, limit = experiments.three_lines_example()
-    [(_, dists)] = experiments._relaxed_runs(op.T, [1.0], v0, limit, 0.0, 5000)
+    [(_, dists)] = experiments._relaxed_runs(op.T, [1.0], v0 - limit, 0.0, 5000)
     final_dist = float(dists[5000])
-    f = splitting.fix_basis(op.T)
-    numeric_limit = f @ (f.T @ v0)
-    (_, a), (_, b) = experiments._relaxed_runs(op.T, [0.2, 1.8], v0, numeric_limit, 0.0, 200)
+    e0 = experiments._error(splitting.fix_basis(op.T), v0)
+    (_, a), (_, b) = experiments._relaxed_runs(op.T, [0.2, 1.8], e0, 0.0, 200)
     sym = float(np.max(np.abs(a - b)))
-    if block == "stepwise":
-        v = v0.copy()
-        for _ in range(5000):
-            v = op.T @ v
-        assert final_dist.hex() == float(np.linalg.norm(v - limit)).hex()
-        lo = experiments.converge(op, 0.2, v0, eps=1e-30, k_max=200).points
-        hi = experiments.converge(op, 1.8, v0, eps=1e-30, k_max=200).points
-        assert sym.hex() == max(abs(da - db) for (_, da), (_, db) in zip(lo, hi)).hex()
-    else:
-        ref, bound = _reference(op.T, v0, limit, 5000)
-        assert abs(final_dist - ref[5000]) <= bound[5000]
-        for theta, dists in [(0.2, a), (1.8, b)]:
-            ref, bound = _reference(splitting.relax(op.T, theta), v0, numeric_limit, 200)
-            assert np.all(np.abs(dists - ref) <= bound), theta
+    ref, bound = _reference(op.T, v0 - limit, 5000)
+    assert abs(final_dist - ref[5000]) <= bound[5000]
+    for theta, dists in [(0.2, a), (1.8, b)]:
+        ref, bound = _reference(splitting.relax(op.T, theta), e0, 200)
+        assert np.all(np.abs(dists - ref) <= bound), theta
     lines = {line.label: line.measured for line in experiments.run_demo("geometric").lines}
     assert lines["distance to closed-form limit after 5000 steps"] == f"{final_dist:.12g}"
     assert lines["distance symmetry of 0.2 and 1.8 over 200 steps"] == f"{sym:.12g}"
