@@ -98,6 +98,17 @@ def test_theta_sweep_non_iso_uses_spectrum():
             assert r.rho1_predicted == pytest.approx(relaxed_rho, abs=1e-12)
 
 
+@pytest.fixture(params=["stepwise", "blocked"])
+def block(request, monkeypatch):
+    """The relaxed-run loop with one chain (_BLOCK = 1), the stepwise loop
+    of the error whose bits `_stepwise` pins, or at its default _BLOCK
+    chains, where a run's norms must lie within `_reference`'s bound of
+    the long double run."""
+    if request.param == "stepwise":
+        monkeypatch.setattr(experiments, "_BLOCK", 1)
+    return request.param
+
+
 LONG = np.longdouble
 EPS_LONG = float(np.finfo(LONG).eps)
 
@@ -159,6 +170,19 @@ def _reference(t_theta, e0, k_max):
     return np.array(ref, dtype=LONG), np.array(bound, dtype=LONG)
 
 
+def _stepwise(t, theta, e, eps, k_max):
+    """The norms of one relaxed run from e as the loop computes them with
+    one chain: each iterate the row of the last times the transposed
+    relaxed map, its norm the square root of one dot product, up to the
+    first norm below eps, or up to k_max."""
+    t_theta = splitting.relax(t.T, theta)
+    norms = [math.sqrt(e @ e)]
+    while len(norms) <= k_max and not norms[-1] < eps:
+        e = e @ t_theta
+        norms.append(math.sqrt(e @ e))
+    return norms
+
+
 def _oracle_stop(t, theta, e, eps, k_max):
     """The stop iteration of one relaxed run of the error, one theta at a
     time and stepwise: the reference for the stops of the stacked loop."""
@@ -178,8 +202,12 @@ def _assert_sweep_matches_oracle(t, thetas, v0, eps, k_max):
     for theta, rec, (k_stop, dists) in zip(thetas, records, runs):
         assert rec.k_stop == k_stop == _oracle_stop(t, theta, e0, eps, k_max), theta
         assert_rate(rec.rho1_measured, exact_rate(list(enumerate(dists.tolist()))))
-        ref, bound = _reference(splitting.relax(t, theta), e0, len(dists) - 1)
-        assert np.all(np.abs(dists - ref) <= bound), theta
+        # The stepwise loop's bits with one chain, the bound of the long double run otherwise.
+        if experiments._BLOCK == 1:
+            assert dists.tolist() == _stepwise(t, theta, e0, eps, k_max), theta
+        else:
+            ref, bound = _reference(splitting.relax(t, theta), e0, len(dists) - 1)
+            assert np.all(np.abs(dists - ref) <= bound), theta
     if thetas:
         # converge is the one-theta case of the same loop and the same fit:
         # it gives the bits of the first theta's run among all the others.
@@ -238,6 +266,7 @@ def test_a_divergent_run_measures_its_rate():
     assert math.isinf(trace.points[-1][1])
 
 
+@pytest.mark.usefixtures("block")
 def test_stacked_sweep_matches_oracle_on_random_operators():
     thetas = [0.2, 0.6, 1.0, 1.3, 1.8]
     stops = []
@@ -250,6 +279,7 @@ def test_stacked_sweep_matches_oracle_on_random_operators():
     assert None in stops and any(k is not None and k < 300 for k in stops)
 
 
+@pytest.mark.usefixtures("block")
 def test_stacked_sweep_matches_oracle_on_a_built_operator():
     ring_seq = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
     spaces = subspaces.product([subspaces.random_subspace(2, 1, 70 + i) for i in range(4)])
@@ -261,6 +291,7 @@ def test_stacked_sweep_matches_oracle_on_a_built_operator():
     assert len(set(stops)) > 3
 
 
+@pytest.mark.usefixtures("block")
 def test_stacked_sweep_stops_at_different_iterations():
     # T = diag(1, 1/2, 0): T_theta shrinks the second coordinate by
     # 1 - theta/2 and the third by 1 - theta, so each theta stops at its own k.
@@ -276,6 +307,7 @@ def test_stacked_sweep_stops_at_different_iterations():
     assert _assert_sweep_matches_oracle(t, [0.5, 1.5], near, 1e-6, 50) == [0, 0]
 
 
+@pytest.mark.usefixtures("block")
 @pytest.mark.parametrize("k_max", [0, 1, 2, 25, 31, 32, 33])
 def test_stacked_sweep_budget_edges(k_max):
     op, v0, _, _ = experiments.three_lines_example()
@@ -291,17 +323,20 @@ HALVING = np.diag([1.0, 0.0])
 HALVING_V0 = np.array([3.0, 1.0])
 
 
+@pytest.mark.usefixtures("block")
 @pytest.mark.parametrize("k_stop", [0, 1, 2, 3, 4, 31, 32, 33, 63, 64, 65])
 def test_stacked_sweep_stops_at_block_edges(k_stop):
-    # 2^-k < eps = 2^(1 - k_stop) first holds at k = k_stop. The stop test
-    # reads iterate 0, then each matmul's iterates: 1, 2 .. 3, 4 .. 7, up to
-    # 16 .. 31 while the power doubles, then blocks of 32 from 32 .. 63.
+    # 2^-k < eps = 2^(1 - k_stop) first holds at k = k_stop. With 32 chains
+    # the stop test reads iterate 0, then each matmul's iterates: 1, 2 .. 3,
+    # 4 .. 7, up to 16 .. 31 while the power doubles, then blocks of 32 from
+    # 32 .. 63; with one chain it reads every iterate.
     eps = 2.0 ** (1 - k_stop)
     for k_max in (k_stop, k_stop + 1, 100):
         stops = _assert_sweep_matches_oracle(HALVING, [0.5, 1.5], HALVING_V0, eps, k_max)
         assert stops == [k_stop, k_stop]
 
 
+@pytest.mark.usefixtures("block")
 @pytest.mark.parametrize("k_max", [0, 1, 31, 32, 33, 39])
 def test_stacked_sweep_computes_no_iterate_past_the_budget(k_max):
     # Each run would stop at k = 40, inside the block that holds k_max + 1.
@@ -310,6 +345,7 @@ def test_stacked_sweep_computes_no_iterate_past_the_budget(k_max):
     assert _assert_sweep_matches_oracle(HALVING, [0.5], HALVING_V0, eps, 40) == [40]
 
 
+@pytest.mark.usefixtures("block")
 def test_stacked_sweep_stops_many_thetas_in_one_block():
     thetas = [0.5, 0.45, 0.55, 0.4, 1.5, 0.36]
     stops = _assert_sweep_matches_oracle(HALVING, thetas, HALVING_V0, 1e-12, 200)
@@ -332,10 +368,7 @@ def test_one_chain_is_the_stepwise_loop(monkeypatch, seed):
     thetas = [0.2, 0.6, 1.0, 1.3, 1.8]
     e0 = experiments._error(splitting.fix_basis(t), v0)
     for theta, (k_stop, dists) in zip(thetas, experiments._relaxed_runs(t, thetas, e0, eps, 300)):
-        t_theta, e, want = splitting.relax(t.T, theta), e0, [math.sqrt(e0 @ e0)]
-        while len(want) <= 300 and want[-1] >= eps:
-            e = e @ t_theta
-            want.append(math.sqrt(e @ e))
+        want = _stepwise(t, theta, e0, eps, 300)
         assert dists.tolist() == want, theta
         assert k_stop == (len(want) - 1 if want[-1] < eps else None)
 
@@ -414,6 +447,7 @@ def test_thetas_past_the_byte_budget_run_in_turns_with_the_same_bits(monkeypatch
     assert None in stops and len(set(stops)) > 5
 
 
+@pytest.mark.usefixtures("block")
 def test_stacked_sweep_single_and_empty_theta_lists():
     op, v0, _, _ = experiments.three_lines_example()
     _assert_sweep_matches_oracle(op.T, [1.0], v0, 1e-8, 500)
@@ -702,7 +736,8 @@ def test_overflowing_norms_give_no_convexity_verdict():
 # The relaxed-map loops of the checks and demos as they were before
 # `_relaxed_runs` ran them: one theta at a time, one 2-d matvec per step and
 # np.linalg.norm per iterate, the monotonicity loop on the error, as the
-# check now runs it. The checks' figures lie within the bound of the long
+# check now runs it. With one chain the checks keep the bits of `_stepwise`;
+# with the default chains their figures lie within the bound of the long
 # double run (`_reference`), carried through the check's own arithmetic.
 
 def _loop_norm(t, theta, x, k):
@@ -736,14 +771,18 @@ def _norm_references(t, x, thetas, k_max):
 
 
 @pytest.mark.parametrize("k_max", [1, 2, 31, 32, 33, 70])
-def test_symmetry_check_lies_within_the_bound(k_max):
+def test_symmetry_check_keeps_the_loop_bits(block, k_max):
     # |max_i u_i - max_i v_i| <= max_i |u_i - v_i|, and a float subtraction
     # adds its rounding, at most eps/2 of the computed difference.
     thetas = [0.1, 0.5, 1.0, 1.3]
+    both, m = thetas + [2.0 - theta for theta in thetas], len(thetas)
     for t, x in _subjects():
         got = experiments.symmetry_check(t, x, thetas, k_max)
-        ref, bound = _norm_references(t, x, thetas + [2.0 - theta for theta in thetas], k_max)
-        m = len(thetas)
+        if block == "stepwise":
+            norms = np.array([_stepwise(t, theta, x, 0.0, k_max) for theta in both])
+            assert got.hex() == float(np.max(np.abs(norms[:m] - norms[m:]))).hex()
+            continue
+        ref, bound = _norm_references(t, x, both, k_max)
         gap = np.abs(ref[:m] - ref[m:])
         slack = bound[:m] + bound[m:]
         tol = slack + EPS / 2 * (gap + slack) + EPS_LONG * gap
@@ -751,12 +790,17 @@ def test_symmetry_check_lies_within_the_bound(k_max):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 31, 32, 33])
-def test_convexity_check_lies_within_the_bound(k):
+def test_convexity_check_keeps_the_loop_bits(block, k):
     grid = [0.0, 0.25, 0.5, 1.0, 1.4, 2.0]  # theta = 0 (T_0 = I) and theta = 2
     mids = [0.5 * (lo + hi) for lo, hi in zip(grid, grid[1:])]
     shift = np.array([[0.0, 1.0], [0.0, 0.0]])
     for t, x in [*_subjects(), (shift, np.array([0.0, 1.0]))]:
         got = experiments.convexity_check(t, x, k, grid, require_normal=False)
+        if block == "stepwise":
+            f = np.array([_stepwise(t, theta, x, 0.0, k)[k] for theta in grid + mids])
+            ends, mid = f[: len(grid)], f[len(grid) :]
+            assert got.hex() == float(np.max(mid - 0.5 * (ends[:-1] + ends[1:]))).hex()
+            continue
         ref, bound = _norm_references(t, x, grid + mids, k)
         f, mu = ref[:, k], bound[:, k]
         lo, hi, mid = f[: len(mids)], f[1 : len(grid)], f[len(grid) :]
@@ -784,6 +828,7 @@ def _subjects():
     yield _zero_map().T, np.array([0.6, -0.8])
 
 
+@pytest.mark.usefixtures("block")
 @pytest.mark.parametrize("k_max", [0, 1, 31, 32, 33, 10000])
 def test_monotonicity_check_keeps_the_loop_verdict(k_max):
     cases = []
@@ -834,6 +879,7 @@ def test_monotonicity_check_accepts_a_start_with_a_large_fixed_part():
     assert verdicts and all(verdicts)
 
 
+@pytest.mark.usefixtures("block")
 def test_monotonicity_check_accepts_the_three_lines_start():
     # The start has a fixed part: the norms approach ||limit|| = 10.06 and
     # stop changing at round-off long before the distances reach the floor,
@@ -845,9 +891,9 @@ def test_monotonicity_check_accepts_the_three_lines_start():
         assert _loop_monotonicity(op.T, theta, v0, experiments.DEFAULT_K_MAX)
 
 
-def test_demo_figures_lie_within_the_bound():
-    # The relaxed maps of the shift block have dyadic powers, so the loop
-    # computes the norms of the stepwise one.
+def test_demos_keep_the_loop_bits(block):
+    # The relaxed maps of the shift block have dyadic powers, so every
+    # chain count computes the norms of the stepwise loop.
     shift = np.array([[0.0, 1.0], [0.0, 0.0]])
     x = np.array([0.0, 1.0])
     f0, f_half, f1 = (_loop_norm(shift, theta, x, 2) for theta in (0.0, 0.5, 1.0))
@@ -864,11 +910,16 @@ def test_demo_figures_lie_within_the_bound():
     e0 = experiments._error(splitting.fix_basis(op.T), v0)
     (_, a), (_, b) = experiments._relaxed_runs(op.T, [0.2, 1.8], e0, 0.0, 200)
     sym = float(np.max(np.abs(a - b)))
-    ref, bound = _reference(op.T, v0 - limit, 5000)
-    assert abs(final_dist - ref[5000]) <= bound[5000]
-    for theta, dists in [(0.2, a), (1.8, b)]:
-        ref, bound = _reference(splitting.relax(op.T, theta), e0, 200)
-        assert np.all(np.abs(dists - ref) <= bound), theta
+    if block == "stepwise":
+        assert final_dist.hex() == _stepwise(op.T, 1.0, v0 - limit, 0.0, 5000)[5000].hex()
+        lo, hi = (_stepwise(op.T, theta, e0, 0.0, 200) for theta in (0.2, 1.8))
+        assert sym.hex() == max(abs(da - db) for da, db in zip(lo, hi)).hex()
+    else:
+        ref, bound = _reference(op.T, v0 - limit, 5000)
+        assert abs(final_dist - ref[5000]) <= bound[5000]
+        for theta, dists in [(0.2, a), (1.8, b)]:
+            ref, bound = _reference(splitting.relax(op.T, theta), e0, 200)
+            assert np.all(np.abs(dists - ref) <= bound), theta
     lines = {line.label: line.measured for line in experiments.run_demo("geometric").lines}
     assert lines["distance to closed-form limit after 5000 steps"] == f"{final_dist:.12g}"
     assert lines["distance symmetry of 0.2 and 1.8 over 200 steps"] == f"{sym:.12g}"
