@@ -68,12 +68,15 @@ _TURN_BYTES = 2**24  # the most the powers and iterates of one loop take; more t
 
 def _operands(op, x, op_name, x_name):
     """The map (an operator's T, or a matrix) and the start as float arrays;
-    a ValueError names a map that is not finite, or a start that is not a
-    vector of the map's size with a finite squared norm: an entry that is
-    not finite fails that test, and so does a finite start such as 1e200,
-    whose distances would all read inf."""
+    a ValueError names a map that is not a non-empty square matrix (with
+    its shape as passed) or not finite, or a start that is not a vector of
+    the map's size with a finite squared norm: an entry that is not finite
+    fails that test, and so does a finite start such as 1e200, whose
+    distances would all read inf."""
     t = op.T if isinstance(op, splitting.SplittingOperator) else np.asarray(op, dtype=float)
     x = np.asarray(x, dtype=float)
+    if t.ndim != 2 or t.shape[0] != t.shape[1] or not t.size:
+        raise ValueError(f"{op_name} of shape {t.shape} is not a non-empty square matrix")
     if not np.all(np.isfinite(t)):
         raise ValueError(f"{op_name} must be finite")
     with np.errstate(over="ignore"):

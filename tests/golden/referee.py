@@ -11,7 +11,8 @@ compares the printed stop iterations and rates with a reference: the
 same float T_theta of that side, iterated in `np.longdouble` from the
 error e0 of the start (the start less its projection on that side's
 fixed basis f, projected off f once more, in float, as the sweep makes
-it) to 0, and its rate fitted as the sweep fits one, in long double.
+it) to 0 by `tests/relaxed_reference.py`, which the sweep tests share,
+and its rate fitted as the sweep fits one, in long double.
 The error, not the start less the limit, since a long double iteration
 of the start carries a round-off of the limit's size that a 50-digit
 mpmath run of the same float map does not have. From the repository
@@ -47,6 +48,8 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))  # the tests directory, for the one long double reference
+from relaxed_reference import long_double_norms  # noqa: E402
 SEEDS = range(1, 9)
 
 
@@ -91,25 +94,14 @@ def differing(old, new):
 
 
 def reference_run(t_thetas, e0, eps, k_max, floor):
-    """(k_stop, rate) of each relaxed map of t_thetas, a stack of float
-    matrices, iterated stepwise from e0 in long double: k_stop is the first
-    iterate with a norm below eps, or None; the rate is exp of the slope,
-    centred as the sweep centres it, of the log-norms over the last half
-    of the norms above floor and finite, or None for fewer than two."""
-    t_long = t_thetas.astype(np.longdouble)
-    x = np.tile(e0.astype(np.longdouble), (len(t_long), 1))[..., None]
-    dists = np.empty((len(t_long), k_max + 1), dtype=np.longdouble)
-    k_stops = [None] * len(t_long)
-    for k in range(k_max + 1):
-        dists[:, k] = np.sqrt(np.sum(x[..., 0] * x[..., 0], axis=1))
-        for i in np.flatnonzero(dists[:, k] < eps).tolist():
-            if k_stops[i] is None:
-                k_stops[i] = k
-        if None not in k_stops:
-            break
-        x = t_long @ x
+    """(k_stop, rate) of each float map of the stack t_thetas, from its long
+    double norms: k_stop is the first k whose norm is below eps, or None; the
+    rate is exp of the centred slope of the log-norms over the last half of
+    those above floor and finite, as the sweep fits it, or None for fewer than two."""
     rows = []
-    for row, k_stop in zip(dists, k_stops):
+    for row in long_double_norms(t_thetas, e0, eps, k_max):
+        below = np.flatnonzero(row < eps)
+        k_stop = int(below[0]) if len(below) else None
         row = row[: (k_max if k_stop is None else k_stop) + 1]
         usable = np.flatnonzero((row > floor) & (row < np.inf))
         tail = usable[len(usable) // 2 :]

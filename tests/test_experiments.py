@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import EPS, assert_rate, exact_rate, random_operator
+from relaxed_reference import EPS_LONG, long_double_norms, norm_bounds
 
 from graphsplit import experiments, graphs, matlin, splitting, subspaces
 from graphsplit._rng import SplitMix64
@@ -102,72 +103,19 @@ def test_theta_sweep_non_iso_uses_spectrum():
 def block(request, monkeypatch):
     """The relaxed-run loop with one chain (_BLOCK = 1), the stepwise loop
     of the error whose bits `_stepwise` pins, or at its default _BLOCK
-    chains, where a run's norms must lie within `_reference`'s bound of
-    the long double run."""
+    chains; the sweep tests hold both within `relaxed_reference.norm_bounds`
+    of the long double run of `relaxed_reference.long_double_norms`."""
     if request.param == "stepwise":
         monkeypatch.setattr(experiments, "_BLOCK", 1)
     return request.param
 
 
-LONG = np.longdouble
-EPS_LONG = float(np.finfo(LONG).eps)
-
-
-def _gamma(n, u):
-    return n * u / (1.0 - n * u)
-
-
-def _reference(t_theta, e0, k_max):
-    """The norms of T^k e0, k = 0 .. k_max, for the float T = T_theta
-    iterated stepwise in long double, and for each k a bound on how far the
-    norm of a `_relaxed_runs` run may lie from it. The run's b = _BLOCK
-    chains compute iterate k from iterate k - c with the power P_c, for
-    c = min(b, 2^floor(log2 k)), where P_1 = T and P_2c = fl(P_c P_c)
-    (with b = 1 the run is the stepwise loop).
-
-    The bound is fixed before any run is compared with it. It rests on
-    |fl(AB) - AB| <= gamma_n |A| |B| (Higham, Accuracy and Stability of
-    Numerical Algorithms, 3.5). With e_c a bound on ||P_c - T^c|| (e_1 = 0),
-    P_c P_c - T^2c = (P_c - T^c) P_c + T^c (P_c - T^c) gives
-    e_2c = gamma_n || |P_c| |P_c| || + e_c (2 ||P_c|| + e_c). So fl(P_c y)
-    lies within a_c ||y|| of T^c y, with a_c = e_c + gamma_n || |P_c| ||,
-    and an error of y is carried on by ||T^c|| <= min(||T||^c, ||P_c|| + e_c).
-    The long double run has the bound of b = 1 at its own unit roundoff,
-    and a norm computed from an iterate (a dot product and a square root)
-    lies within gamma_(n+1) of the iterate's own norm. The norms of the
-    bound are 2-norms taken in float.
-    """
-    n, b = len(e0), experiments._BLOCK
-    g, g_long = _gamma(n, EPS / 2), _gamma(n, EPS_LONG / 2)
-    gd, gd_long = _gamma(n + 1, EPS / 2), _gamma(n + 1, EPS_LONG / 2)
-    t_norm, abs_norm = float(np.linalg.norm(t_theta, 2)), float(np.linalg.norm(np.abs(t_theta), 2))
-    a, carry, power, e, c = {}, {}, t_theta, 0.0, 1
-    while True:
-        p_norm = float(np.linalg.norm(power, 2))
-        a[c] = e + g * float(np.linalg.norm(np.abs(power), 2))
-        carry[c] = min(t_norm**c, p_norm + e)
-        if c >= min(b, k_max):
-            break
-        e = g * float(np.linalg.norm(np.abs(power) @ np.abs(power), 2)) + e * (2.0 * p_norm + e)
-        power, c = power @ power, 2 * c
-    t_long, x = t_theta.astype(LONG), e0.astype(LONG)
-    norms, err, err_long, ref, bound = [], [], [], [], []
-    for k in range(k_max + 1):
-        if k > 0:
-            x = t_long @ x
-        ref.append(np.sqrt(x @ x))
-        norms.append(float(ref[k]) * (1.0 + EPS))  # at least the long double iterate's norm
-        if k == 0:
-            err.append(0.0)
-            err_long.append(0.0)
-        else:
-            c = min(b, 1 << (k.bit_length() - 1))
-            err_long.append(g_long * abs_norm * norms[k - 1] + t_norm * err_long[k - 1])
-            err.append(a[c] * (norms[k - c] + err_long[k - c] + err[k - c]) + carry[c] * err[k - c])
-        own = ref[k] / (1.0 - gd_long)  # at least the long double iterate's own norm
-        exact = own + err_long[k]
-        bound.append(err[k] + err_long[k] + gd * (exact + err[k]) + gd_long * own)
-    return np.array(ref, dtype=LONG), np.array(bound, dtype=LONG)
+def _long_double(t, thetas, e0, eps, k_max):
+    """The long double norms of the relaxed runs of thetas from e0, one row
+    per theta, and their bounds at the loop's chain count."""
+    t_thetas = np.stack([splitting.relax(t, theta) for theta in thetas])
+    ref = long_double_norms(t_thetas, e0, eps, k_max)
+    return ref, norm_bounds(t_thetas, ref, experiments._BLOCK)
 
 
 def _stepwise(t, theta, e, eps, k_max):
@@ -183,38 +131,36 @@ def _stepwise(t, theta, e, eps, k_max):
     return norms
 
 
-def _oracle_stop(t, theta, e, eps, k_max):
-    """The stop iteration of one relaxed run of the error, one theta at a
-    time and stepwise: the reference for the stops of the stacked loop."""
-    t_theta = splitting.relax(t, theta)
-    for k in range(k_max + 1):
-        if float(np.linalg.norm(e)) < eps:
-            return k
-        e = t_theta @ e
-    return None
-
-
 def _assert_sweep_matches_oracle(t, thetas, v0, eps, k_max):
     e0 = experiments._error(splitting.fix_basis(t), v0)
     records = experiments.theta_sweep(t, thetas, v0, eps=eps, k_max=k_max)
     assert [r.theta for r in records] == list(thetas)
     runs = experiments._relaxed_runs(t, list(thetas), e0, eps, k_max)
-    for theta, rec, (k_stop, dists) in zip(thetas, records, runs):
-        assert rec.k_stop == k_stop == _oracle_stop(t, theta, e0, eps, k_max), theta
+    refs, bounds = _long_double(t, thetas, e0, eps, k_max)
+    for theta, rec, (k_stop, dists), ref, bound in zip(thetas, records, runs, refs, bounds):
+        # Every norm lies within its bound of the long double norm. Where each
+        # also lies farther than its bound from eps, or is the long double norm
+        # exactly (the 2^-k of HALVING), the long double run decides the stop
+        # exactly; where one does not, the stepwise float loop is the oracle.
+        ref, bound = ref[: len(dists)], bound[: len(dists)]
+        assert np.all(np.abs(dists - ref) <= bound), theta
+        if np.all((np.abs(ref - eps) > bound) | (dists == ref)):
+            below = np.flatnonzero(ref < eps)
+            want = int(below[0]) if len(below) else None
+        else:
+            stepwise = _stepwise(t, theta, e0, eps, k_max)
+            want = len(stepwise) - 1 if stepwise[-1] < eps else None
+        assert rec.k_stop == k_stop == want, theta
         assert_rate(rec.rho1_measured, exact_rate(list(enumerate(dists.tolist()))))
-        # The stepwise loop's bits with one chain, the bound of the long double run otherwise.
+        # The stepwise loop's bits with one chain.
         if experiments._BLOCK == 1:
             assert dists.tolist() == _stepwise(t, theta, e0, eps, k_max), theta
-        else:
-            ref, bound = _reference(splitting.relax(t, theta), e0, len(dists) - 1)
-            assert np.all(np.abs(dists - ref) <= bound), theta
-    if thetas:
-        # converge is the one-theta case of the same loop and the same fit:
-        # it gives the bits of the first theta's run among all the others.
-        k_stop, dists = runs[0]
-        trace = experiments.converge(t, thetas[0], v0, eps=eps, k_max=k_max)
-        assert trace.points == list(enumerate(dists.tolist()))
-        assert (trace.k_stop, trace.measured_rate) == (k_stop, records[0].rho1_measured)
+    # converge is the one-theta case of the same loop and the same fit: it
+    # gives the bits of the first theta's run among all the others.
+    k_stop, dists = runs[0]
+    trace = experiments.converge(t, thetas[0], v0, eps=eps, k_max=k_max)
+    assert trace.points == list(enumerate(dists.tolist()))
+    assert (trace.k_stop, trace.measured_rate) == (k_stop, records[0].rho1_measured)
     return [k_stop for k_stop, _ in runs]
 
 
@@ -384,20 +330,29 @@ def test_every_block_size_keeps_the_stops_within_the_bound(monkeypatch, block):
     _assert_sweep_matches_oracle(HALVING, [0.5, 0.45, 1.4], HALVING_V0, 1e-12, 70)
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", [None, *range(8)])
 def test_blocked_distances_agree_with_a_long_double_run(seed):
     # Random operators and thetas, over three full blocks and part of a
-    # fourth: every distance lies within the bound of `_reference`.
-    t = random_operator(300 + seed).T
-    thetas = np.random.default_rng(seed).uniform(0.02, 1.98, 7).tolist()
-    v0 = SplitMix64(3000 + seed).normals(t.shape[0])
+    # fourth: every distance lies within the bound of the long double run.
+    if seed is None:
+        t, thetas, v0 = HALVING, [0.5, 1.5], HALVING_V0
+    else:
+        t = random_operator(300 + seed).T
+        thetas = np.random.default_rng(seed).uniform(0.02, 1.98, 7).tolist()
+        v0 = SplitMix64(3000 + seed).normals(t.shape[0])
     e0 = experiments._error(splitting.fix_basis(t), v0)
-    runs = experiments._relaxed_runs(t, thetas, e0, 0.0, 3 * experiments._BLOCK + 5)
-    for theta, (_, dists) in zip(thetas, runs):
-        ref, bound = _reference(splitting.relax(t, theta), e0, len(dists) - 1)
+    k_max = 3 * experiments._BLOCK + 5
+    runs = experiments._relaxed_runs(t, thetas, e0, 0.0, k_max)
+    refs, bounds = _long_double(t, thetas, e0, 0.0, k_max)
+    for theta, (_, dists), ref, bound in zip(thetas, runs, refs, bounds):
         assert np.all(np.abs(dists - ref) <= bound), theta
         # The bound is far below the distances it bounds.
         assert np.all(bound <= 1e-12 * float(np.linalg.norm(v0)))
+    if seed is None:
+        # |1 - theta| = 1/2: the long double norms are exactly 2^-k, and both
+        # runs to eps = 2^-39 stop at k = 40, their rows ending there.
+        assert np.array_equal(refs, [[2.0**-k for k in range(k_max + 1)]] * 2)
+        assert np.array_equal(_long_double(t, thetas, e0, 2.0**-39, k_max)[0], refs[:, :41])
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e110, 1e60, 1e30, 1e15, 1e9])
@@ -567,18 +522,21 @@ def test_monotonicity_check_strict_decrease():
         assert experiments.monotonicity_check(op, theta, x)
 
 
+def _zero_map():
+    # Orthogonal lines: the two reflectors compose to -I, so the pairwise
+    # operator is the zero map, its kernel is everything, and iterates at
+    # theta = 1 have norm exactly 0.
+    u1 = subspaces.from_generators([np.array([1.0, 0.0])])
+    u2 = subspaces.from_generators([np.array([0.0, 1.0])])
+    return splitting.build(graphs.pair(graphs.preset("sequential", 2)), subspaces.product([u1, u2]))
+
+
 def test_monotonicity_check_excluded_inputs():
     op, v0, _, _ = experiments.three_lines_example()
     f = splitting.fix_basis(op.T)
     with pytest.raises(experiments.ExcludedInputError):
         experiments.monotonicity_check(op, 0.5, f[:, 0])
-    # Orthogonal lines: the two reflectors compose to -I, so the pairwise
-    # operator is the zero map and its kernel is everything.
-    u1 = subspaces.from_generators([np.array([1.0, 0.0])])
-    u2 = subspaces.from_generators([np.array([0.0, 1.0])])
-    zero_op = splitting.build(
-        graphs.pair(graphs.preset("sequential", 2)), subspaces.product([u1, u2])
-    )
+    zero_op = _zero_map()
     assert np.max(np.abs(zero_op.T)) <= 1e-12
     kernel = matlin.null_space(zero_op.T)
     assert kernel.shape[1] == zero_op.size
@@ -666,6 +624,7 @@ def test_demo_unknown_name():
 
 NAN_MAP = np.full((4, 4), np.nan)
 GOOD_MAP = np.eye(4) - np.diag([0.5, 0.5, 0.0, 0.0])
+EMPTY, WIDE = np.zeros((0, 0)), np.ones((2, 3))
 
 
 @pytest.mark.parametrize(
@@ -700,6 +659,13 @@ GOOD_MAP = np.eye(4) - np.diag([0.5, 0.5, 0.0, 0.0])
         ("i", lambda op, v0: subspaces.coordinate_product(3, 1.5, 2)),
         ("dim", lambda op, v0: subspaces.random_subspace(3, 1.5, 1)),
         ("dim", lambda op, v0: subspaces.random_subspace(3, True, 1)),
+        (r"op of shape \(0, 0\)", lambda op, v0: experiments.converge(EMPTY, 1.0, v0[:0])),
+        (r"op of shape \(0, 0\)", lambda op, v0: experiments.theta_sweep(EMPTY, [1.0], v0[:0])),
+        (r"t of shape \(0, 0\)", lambda op, v0: experiments.symmetry_check(EMPTY, v0[:0], [0.5], 3)),
+        (r"t of shape \(0, 0\)", lambda op, v0: experiments.convexity_check(EMPTY, v0[:0], 2, [0, 1])),
+        (r"op of shape \(0, 0\)", lambda op, v0: experiments.monotonicity_check(EMPTY, 0.5, v0[:0])),
+        (r"op of shape \(2, 3\)", lambda op, v0: experiments.converge(WIDE, 1.0, v0[:2])),
+        (r"t of shape \(2, 3\)", lambda op, v0: experiments.symmetry_check(WIDE, v0[:2], [0.5], 3)),
     ],
 )
 def test_bad_inputs_name_their_argument(name, call):
@@ -733,42 +699,9 @@ def test_overflowing_norms_give_no_convexity_verdict():
     assert math.isnan(gap)
 
 
-# The relaxed-map loops of the checks and demos as they were before
-# `_relaxed_runs` ran them: one theta at a time, one 2-d matvec per step and
-# np.linalg.norm per iterate, the monotonicity loop on the error, as the
-# check now runs it. With one chain the checks keep the bits of `_stepwise`;
-# with the default chains their figures lie within the bound of the long
-# double run (`_reference`), carried through the check's own arithmetic.
-
-def _loop_norm(t, theta, x, k):
-    y = x.copy()
-    t_theta = splitting.relax(t, theta)
-    for _ in range(k):
-        y = t_theta @ y
-    return float(np.linalg.norm(y))
-
-
-def _loop_monotonicity(t, theta, x, k_max):
-    e = experiments._error(splitting.fix_basis(t), x)
-    t_theta = splitting.relax(t, theta)
-    prev = float(np.linalg.norm(e))
-    for _ in range(k_max):
-        if prev <= 1e-12:
-            break
-        e = t_theta @ e
-        cur = float(np.linalg.norm(e))
-        if not cur < prev:
-            return False
-        prev = cur
-    return True
-
-
-def _norm_references(t, x, thetas, k_max):
-    """The iterate norms of one `_relaxed_runs` run of thetas from x, in
-    long double, with their bounds, one row per theta."""
-    refs = [_reference(splitting.relax(t, theta), x, k_max) for theta in thetas]
-    return np.array([ref for ref, _ in refs]), np.array([bound for _, bound in refs])
-
+# With one chain the checks and demos keep the bits of `_stepwise`; with
+# the default chains their figures lie within the bound of the long double
+# run (`_long_double`), carried through the check's own arithmetic.
 
 @pytest.mark.parametrize("k_max", [1, 2, 31, 32, 33, 70])
 def test_symmetry_check_keeps_the_loop_bits(block, k_max):
@@ -782,7 +715,7 @@ def test_symmetry_check_keeps_the_loop_bits(block, k_max):
             norms = np.array([_stepwise(t, theta, x, 0.0, k_max) for theta in both])
             assert got.hex() == float(np.max(np.abs(norms[:m] - norms[m:]))).hex()
             continue
-        ref, bound = _norm_references(t, x, both, k_max)
+        ref, bound = _long_double(t, both, x, 0.0, k_max)
         gap = np.abs(ref[:m] - ref[m:])
         slack = bound[:m] + bound[m:]
         tol = slack + EPS / 2 * (gap + slack) + EPS_LONG * gap
@@ -801,7 +734,7 @@ def test_convexity_check_keeps_the_loop_bits(block, k):
             ends, mid = f[: len(grid)], f[len(grid) :]
             assert got.hex() == float(np.max(mid - 0.5 * (ends[:-1] + ends[1:]))).hex()
             continue
-        ref, bound = _norm_references(t, x, grid + mids, k)
+        ref, bound = _long_double(t, grid + mids, x, 0.0, k)
         f, mu = ref[:, k], bound[:, k]
         lo, hi, mid = f[: len(mids)], f[1 : len(grid)], f[len(grid) :]
         gaps = mid - 0.5 * (lo + hi)
@@ -811,14 +744,6 @@ def test_convexity_check_keeps_the_loop_bits(block, k):
         size = np.abs(mid) + np.abs(lo) + np.abs(hi) + 3 * np.max(mu)
         tol = slack + EPS * size + 2 * EPS_LONG * size
         assert abs(got - float(np.max(gaps))) <= float(np.max(tol)), (got, float(np.max(gaps)))
-
-
-def _zero_map():
-    # Orthogonal lines: the pairwise operator is the zero map, so iterates at
-    # theta = 1 have norm exactly 0.
-    u1 = subspaces.from_generators([np.array([1.0, 0.0])])
-    u2 = subspaces.from_generators([np.array([0.0, 1.0])])
-    return splitting.build(graphs.pair(graphs.preset("sequential", 2)), subspaces.product([u1, u2]))
 
 
 def _subjects():
@@ -853,10 +778,8 @@ def test_monotonicity_check_keeps_the_loop_verdict(k_max):
     cases += [(HALVING, 0.5, np.array([c, 2.0**40 * 1e-12])) for c in (1e-4, 2e5)]
     verdicts = set()
     for t, theta, x in cases:
-        try:
-            want = _loop_monotonicity(t, theta, x, k_max)
-        except ValueError:
-            continue
+        e0 = experiments._error(splitting.fix_basis(t), x)
+        want = bool(np.all(np.diff(_stepwise(t, theta, e0, experiments._FLOOR, k_max)) < 0))
         try:
             got = experiments.monotonicity_check(t, theta, x, k_max)
         except experiments.ExcludedInputError:
@@ -888,7 +811,8 @@ def test_monotonicity_check_accepts_the_three_lines_start():
     assert float(np.linalg.norm(limit)) > 10.0
     for theta in (0.5, 1.0, 1.5):
         assert experiments.monotonicity_check(op, theta, v0)
-        assert _loop_monotonicity(op.T, theta, v0, experiments.DEFAULT_K_MAX)
+        e0 = experiments._error(splitting.fix_basis(op.T), v0)
+        assert np.all(np.diff(_stepwise(op.T, theta, e0, experiments._FLOOR, experiments.DEFAULT_K_MAX)) < 0)
 
 
 def test_demos_keep_the_loop_bits(block):
@@ -896,7 +820,7 @@ def test_demos_keep_the_loop_bits(block):
     # chain count computes the norms of the stepwise loop.
     shift = np.array([[0.0, 1.0], [0.0, 0.0]])
     x = np.array([0.0, 1.0])
-    f0, f_half, f1 = (_loop_norm(shift, theta, x, 2) for theta in (0.0, 0.5, 1.0))
+    f0, f_half, f1 = (_stepwise(shift, theta, x, 0.0, 2)[2] for theta in (0.0, 0.5, 1.0))
     got = experiments._norms(shift, [0.0, 0.5, 1.0], x, 2)[:, 2].tolist()
     assert [v.hex() for v in got] == [v.hex() for v in (f0, f_half, f1)]
     lines = experiments.run_demo("not-normal").lines
@@ -915,11 +839,10 @@ def test_demos_keep_the_loop_bits(block):
         lo, hi = (_stepwise(op.T, theta, e0, 0.0, 200) for theta in (0.2, 1.8))
         assert sym.hex() == max(abs(da - db) for da, db in zip(lo, hi)).hex()
     else:
-        ref, bound = _reference(op.T, v0 - limit, 5000)
-        assert abs(final_dist - ref[5000]) <= bound[5000]
-        for theta, dists in [(0.2, a), (1.8, b)]:
-            ref, bound = _reference(splitting.relax(op.T, theta), e0, 200)
-            assert np.all(np.abs(dists - ref) <= bound), theta
+        ref, bound = _long_double(op.T, [1.0], v0 - limit, 0.0, 5000)
+        assert abs(final_dist - ref[0, 5000]) <= bound[0, 5000]
+        refs, bounds = _long_double(op.T, [0.2, 1.8], e0, 0.0, 200)
+        assert np.all(np.abs(np.stack([a, b]) - refs) <= bounds)
     lines = {line.label: line.measured for line in experiments.run_demo("geometric").lines}
     assert lines["distance to closed-form limit after 5000 steps"] == f"{final_dist:.12g}"
     assert lines["distance symmetry of 0.2 and 1.8 over 200 steps"] == f"{sym:.12g}"

@@ -21,12 +21,8 @@ def _load(name):
     return module
 
 
-def _golden():
-    return _load("regenerate")
-
-
 def test_every_golden_output_keeps_its_bytes(tmp_path):
-    golden = _golden()
+    golden = _load("regenerate")
     manifest = json.loads(golden.MANIFEST.read_text(encoding="utf-8"))
     here = golden.environment()
     # Digests of floating-point output hold for one numpy and platform only:
