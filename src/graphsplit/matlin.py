@@ -4,7 +4,10 @@ Everything operates on plain float64 numpy arrays. Factorizations are
 implemented directly rather than delegated: Householder QR with optional
 column pivoting, Hessenberg reduction followed by Francis double-shift QR
 iteration for general (possibly complex) spectra, and the Hessenberg-reduced
-Gram plus Sturm bisection for spectral norms. This keeps the numerical
+Gram plus Sturm bisection for spectral norms. The QR iteration follows
+LAPACK's dlahqr with eigenvalues only: small dense bulge reflectors on the
+active window, explicit shifts and the offset exceptional shift, and
+dlanv2's discriminant for 2x2 blocks. This keeps the numerical
 behavior fully under our control at the desk scale this library targets (a
 few hundred rows).
 """
@@ -153,55 +156,111 @@ def _hessenberg(a):
 
 
 def _eig2x2(a, b, c, d):
-    """Closed-form eigenvalues of [[a, b], [c, d]] as a conjugate-safe pair."""
+    """Closed-form eigenvalues of [[a, b], [c, d]] as a conjugate-safe pair.
+
+    The discriminant is dlanv2's ((a - d)/2)^2 + b c, not p^2 - det, which
+    cancels when the two eigenvalues are close.
+    """
     p = 0.5 * (a + d)
-    det = a * d - b * c
-    disc = p * p - det
+    half = 0.5 * (a - d)
+    disc = half * half + b * c
     if disc >= 0.0:
-        q = np.sqrt(disc)
+        q = math.sqrt(disc)
         l1 = p + q if p >= 0.0 else p - q
-        l2 = det / l1 if l1 != 0.0 else 0.0
+        l2 = (a * d - b * c) / l1 if l1 != 0.0 else 0.0
         return [complex(l1), complex(l2)]
-    im = np.sqrt(-disc)
+    im = math.sqrt(-disc)
     return [complex(p, im), complex(p, -im)]
 
 
-def _francis_sweep(h, lo, hi, exceptional):
-    """One implicit double-shift QR sweep on the active block h[lo:hi+1].
+def _bulge_reflector(x, y, z=0.0):
+    """I - beta v v^T as a dense 3x3 array, or None when (y, z) = 0.
 
-    The shift and bulge scalars are Python floats read with h.item: the same
-    IEEE double operations as on numpy scalars, for less overhead.
+    v (v[0] = 1) and beta follow _house_vec's formulas for the column
+    (x, y, z), in Python floats. The 2x2 reflector of a column (x, y) is the leading
+    block of the 3x3 one of (x, y, 0).
+    """
+    sigma = y * y + z * z
+    if sigma == 0.0:
+        return None
+    mu = math.hypot(x, math.sqrt(sigma))
+    v0 = x - mu if x <= 0.0 else -sigma / (x + mu)
+    beta = 2.0 * v0 * v0 / (sigma + v0 * v0)
+    v1, v2 = y / v0, z / v0
+    b1, b2 = beta * v1, beta * v2
+    b12 = b1 * v2
+    return np.array(
+        [[1.0 - beta, -b1, -b2], [-b1, 1.0 - b1 * v1, -b12], [-b2, -b12, 1.0 - b2 * v2]]
+    )
+
+
+def _shift_pair(a, b, c, d):
+    """dlahqr's double shift from the block [[a, b], [c, d]], as (re, im).
+
+    The block is scaled by the sum of its magnitudes and solved by
+    `_eig2x2`. A conjugate pair of eigenvalues gives re +- i im. A real pair
+    gives its member nearer d, to be taken twice (im = 0), which is what
+    lets a cluster of real eigenvalues converge.
+    """
+    s = abs(a) + abs(b) + abs(c) + abs(d)
+    if s == 0.0:
+        return 0.0, 0.0
+    d /= s
+    l1, l2 = _eig2x2(a / s, b / s, c / s, d)
+    if l1.imag != 0.0:
+        return l1.real * s, l1.imag * s
+    near = l1 if abs(l1.real - d) <= abs(l2.real - d) else l2
+    return near.real * s, 0.0
+
+
+def _francis_sweep(h, lo, hi, exceptional):
+    """One implicit double-shift QR sweep on the active window h[lo:hi+1, lo:hi+1].
+
+    The shifts are dlahqr's `_shift_pair` of the trailing 2x2 block or, in
+    an exceptional sweep, of dlahqr's offset block [[h11, -0.4375 s],
+    [s, h11]], s = |h[hi, hi-1]| + |h[hi-1, hi-2]| and h11 = 0.75 s +
+    h[hi, hi], which breaks stalled cycles. The first column of the double
+    shift is formed from the explicit shifts, scaled as dlahqr scales it.
+    As dlahqr does when only eigenvalues are wanted, each bulge reflector is
+    applied to the window alone: from the left to the columns max(lo, j-1)
+    to hi of its three rows, from the right to the rows lo to min(j+3, hi)
+    of its three columns, each as one small dense product. The scalars are
+    Python floats read with h.item.
     """
     if exceptional:
-        # Ad-hoc shift pair to break stalled symmetric cycles.
         s = abs(h.item(hi, hi - 1)) + abs(h.item(hi - 1, hi - 2))
-        tr = 1.5 * s
-        det = -0.4375 * s * s
+        d = 0.75 * s + h.item(hi, hi)
+        re, im = _shift_pair(d, -0.4375 * s, s, d)
     else:
         a, b = h.item(hi - 1, hi - 1), h.item(hi - 1, hi)
         c, d = h.item(hi, hi - 1), h.item(hi, hi)
-        tr = a + d
-        det = a * d - b * c
-    h00, h01 = h.item(lo, lo), h.item(lo, lo + 1)
-    h10, h11, h21 = h.item(lo + 1, lo), h.item(lo + 1, lo + 1), h.item(lo + 2, lo + 1)
-    x = h00 * h00 + h01 * h10 - tr * h00 + det
-    y = h10 * (h00 + h11 - tr)
-    z = h10 * h21
+        re, im = _shift_pair(a, b, c, d)
+    h00, h10 = h.item(lo, lo), h.item(lo + 1, lo)
+    s = abs(h00 - re) + abs(im) + abs(h10)
+    h10 /= s
+    x = h10 * h.item(lo, lo + 1) + (h00 - re) * ((h00 - re) / s) + im * (im / s)
+    y = h10 * (h00 + h.item(lo + 1, lo + 1) - re - re)
+    z = h10 * h.item(lo + 2, lo + 1)
+    s = abs(x) + abs(y) + abs(z)
+    x, y, z = x / s, y / s, z / s
     for j in range(lo, hi - 1):
-        v, beta = _house_vec((x, y, z))
-        if beta != 0.0:
-            _reflect_rows(h[j : j + 3, :], v, beta)
-            _reflect_cols(h[:, j : j + 3], v, beta)
+        r = _bulge_reflector(x, y, z)
+        if r is not None:
+            c0, r1 = max(lo, j - 1), min(j + 4, hi + 1)
+            h[j : j + 3, c0 : hi + 1] = r @ h[j : j + 3, c0 : hi + 1]
+            h[lo:r1, j : j + 3] = h[lo:r1, j : j + 3] @ r
         if j > lo:
             h[j + 1, j - 1] = 0.0
             h[j + 2, j - 1] = 0.0
         x = h.item(j + 1, j)
         y = h.item(j + 2, j)
         z = h.item(j + 3, j) if j < hi - 2 else 0.0
-    v, beta = _house_vec((x, y))
-    if beta != 0.0:
-        _reflect_rows(h[hi - 1 : hi + 1, :], v, beta)
-        _reflect_cols(h[:, hi - 1 : hi + 1], v, beta)
+    r = _bulge_reflector(x, y)
+    if r is not None:
+        r = r[:2, :2]
+        c0 = max(lo, hi - 2)
+        h[hi - 1 : hi + 1, c0 : hi + 1] = r @ h[hi - 1 : hi + 1, c0 : hi + 1]
+        h[lo : hi + 1, hi - 1 : hi + 1] = h[lo : hi + 1, hi - 1 : hi + 1] @ r
     h[hi, hi - 2] = 0.0
 
 
@@ -209,10 +268,14 @@ def general_eigenvalues(a):
     """All eigenvalues of a real square matrix, closed under conjugation.
 
     Hessenberg reduction followed by implicit double-shift (Francis) QR
-    iteration; 1x1 and 2x2 trailing blocks are solved in closed form as
-    they deflate. Raises NoConvergenceError if the budget of 100 n sweeps
-    is exhausted, which does not happen for the well-scaled inputs this
-    package produces. a is first scaled by the power of two 2^-e with
+    iteration on the active window h[lo:hi+1, lo:hi+1], the trailing block
+    above the last small subdiagonal entry, as `_francis_sweep` describes:
+    dlahqr's shifts, with its offset exceptional pair every tenth sweep
+    without a deflation. 1x1 and 2x2 trailing blocks are solved in closed
+    form as they deflate, the 2x2 by `_eig2x2` with dlanv2's discriminant,
+    which keeps close eigenvalues to round-off. Raises NoConvergenceError
+    if the budget of 100 n sweeps is exhausted, which does not happen for
+    the well-scaled inputs this package produces. a is first scaled by the power of two 2^-e with
     max|a| in [2^(e-1), 2^e), as in operator_norm, and the eigenvalues are
     scaled back: both steps are exact, so a tiny or huge a neither
     underflows nor overflows in the shift polynomial.
@@ -241,9 +304,11 @@ def general_eigenvalues(a):
         lo = hi
         while lo > 0:
             # Zeroing a subdiagonal below eps * ||H||_F is a backward-stable
-            # perturbation (the Frobenius norm is invariant across sweeps),
-            # and the norm floor is what lets clusters of close eigenvalues
-            # deflate once they have converged to round-off level.
+            # perturbation: scale is ||H||_F taken once at entry, which the
+            # full similarity would preserve (the sweeps update the window
+            # only, so the blocks of h outside it go stale). The norm floor
+            # is what lets clusters of close eigenvalues deflate once they
+            # have converged to round-off level.
             small = eps * max(abs(h.item(lo - 1, lo - 1)) + abs(h.item(lo, lo)), scale)
             if abs(h.item(lo, lo - 1)) <= small:
                 h[lo, lo - 1] = 0.0

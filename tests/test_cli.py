@@ -578,9 +578,13 @@ def test_stdin_config_subprocess():
     assert proc.stdout.startswith("theta,k_stop,")
 
 
-# The certify configs on which Francis QR stalls on a cluster: the graph
-# pair, n, the ambient dimension and (dim, seed) of each node space.
+# Certify configs with a cluster of close eigenvalues, on which Francis QR
+# found no deflation in 1000 sweeps: the first seven with the fixed
+# exceptional shift, the last three with dlahqr's offset exceptional shift
+# but without its explicit shifts. The graph pair, n, the ambient dimension
+# and (dim, seed) of each node space.
 _BIPARALLEL = ("biparallel", "parallel_up", 3, 5)
+_RING6 = ("ring", "sequential", 6, 5)
 _FRANCIS_STALLS = [
     (*_BIPARALLEL, [(3, 2832112859), (4, 1455162260), (1, 3801847808)]),
     (*_BIPARALLEL, [(3, 4242862471), (4, 235042638), (2, 1939700341)]),
@@ -595,15 +599,12 @@ _FRANCIS_STALLS = [
         6,
         [(5, 2684161753), (1, 3521371587), (5, 1028505731), (1, 2779916391), (4, 835842921)],
     ),
+    (*_RING6, [(4, 2068109628), (1, 1233703565), (1, 2864283075), (2, 1924254299), (1, 2924073127), (4, 2059313609)]),
+    (*_RING6, [(4, 1609070577), (1, 3843717254), (4, 1952251403), (2, 1310897984), (1, 560757981), (4, 3061659072)]),
+    (*_RING6, [(4, 3425558031), (2, 1229317544), (1, 2468917477), (2, 716446026), (1, 1993787516), (4, 2547596108)]),
 ]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 1: Francis QR finds no deflation after 1000 sweeps on "
-    "these clusters, and analyze exits 3",
-)
 @pytest.mark.parametrize("stall", _FRANCIS_STALLS)
 def test_analyze_converges_on_clustered_maps(tmp_path, capsys, stall):
     graph, subgraph, n, ambient, spaces = stall

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_properties import SETTINGS
 
-from graphsplit import matlin, splitting
+from graphsplit import cli, matlin, splitting
 from graphsplit._rng import SplitMix64
 
 
@@ -320,7 +320,7 @@ def test_operator_norm_on_built_operators():
 
 # The Householder kernel as it was written with np.outer and numpy scalars,
 # kept as a bitwise oracle: the shared reflection helpers form the same
-# products in the same order, so every factor and spectrum keeps its bits.
+# products in the same order, so every QR factor and norm keeps its bits.
 
 def _outer_house_vec(x):
     v = np.array(x, dtype=float)
@@ -373,45 +373,11 @@ def _outer_hessenberg(a):
     return h
 
 
-def _outer_francis_sweep(h, lo, hi, exceptional):
-    if exceptional:
-        s = abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2])
-        tr = 1.5 * s
-        det = -0.4375 * s * s
-    else:
-        tr = h[hi - 1, hi - 1] + h[hi, hi]
-        det = h[hi - 1, hi - 1] * h[hi, hi] - h[hi - 1, hi] * h[hi, hi - 1]
-    x = h[lo, lo] * h[lo, lo] + h[lo, lo + 1] * h[lo + 1, lo] - tr * h[lo, lo] + det
-    y = h[lo + 1, lo] * (h[lo, lo] + h[lo + 1, lo + 1] - tr)
-    z = h[lo + 1, lo] * h[lo + 2, lo + 1]
-    for j in range(lo, hi - 1):
-        v, beta = _outer_house_vec(np.array([x, y, z]))
-        if beta != 0.0:
-            h[j : j + 3, :] -= beta * np.outer(v, v @ h[j : j + 3, :])
-            h[:, j : j + 3] -= beta * np.outer(h[:, j : j + 3] @ v, v)
-        if j > lo:
-            h[j + 1, j - 1] = 0.0
-            h[j + 2, j - 1] = 0.0
-        x = h[j + 1, j]
-        y = h[j + 2, j]
-        z = h[j + 3, j] if j < hi - 2 else 0.0
-    v, beta = _outer_house_vec(np.array([x, y]))
-    if beta != 0.0:
-        h[hi - 1 : hi + 1, :] -= beta * np.outer(v, v @ h[hi - 1 : hi + 1, :])
-        h[:, hi - 1 : hi + 1] -= beta * np.outer(h[:, hi - 1 : hi + 1] @ v, v)
-    h[hi, hi - 2] = 0.0
-
-
 def _outer_kernel(monkeypatch, fn, a):
-    """fn(a) with the np.outer Hessenberg reduction and Francis sweep."""
+    """fn(a) with the np.outer Hessenberg reduction."""
     with monkeypatch.context() as m:
         m.setattr(matlin, "_hessenberg", _outer_hessenberg)
-        m.setattr(matlin, "_francis_sweep", _outer_francis_sweep)
         return fn(a)
-
-
-def _spectrum_bytes(eigs):
-    return np.array(eigs, dtype=complex).tobytes()
 
 
 def _random_matrices(seed, count, square):
@@ -447,12 +413,49 @@ def test_qr_keeps_the_bits_of_the_outer_product_kernel():
             assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
-def test_eigenvalues_keep_the_bits_of_the_outer_product_kernel(monkeypatch):
+# Built maps whose T^T T has a cluster of double eigenvalues on which a
+# Francis QR with the fixed exceptional shift (1.5 s, -0.4375 s^2) found no
+# deflation in 100 n sweeps: (graph, subgraph, n, ambient, (dim, seed) of
+# each node space).
+_GRAM_STALLS = [
+    ("sequential", "sequential", 4, 5, [(3, 1224489171), (1, 4070260502), (2, 1717724349), (3, 786228931)]),
+    (
+        "biparallel",
+        "parallel_up",
+        6,
+        6,
+        [(5, 1905806820), (5, 3715357315), (2, 4221894625), (4, 3562550211), (5, 1639458529), (5, 2768753728)],
+    ),
+]
+
+
+def _built_gram(graph, subgraph, n, ambient, spaces):
+    config = cli.load_config({
+        "graph": {"preset": graph, "n": n},
+        "subgraph": {"preset": subgraph, "n": n},
+        "ambient": ambient,
+        "spaces": [{"kind": "random", "dim": dim, "seed": seed} for dim, seed in spaces],
+    })
+    t = splitting.build(config.graph_pair, config.spaces).T
+    return t.T @ t
+
+
+def test_eigenvalues_match_numpy_on_built_and_random_matrices():
+    # Built G = G' operators of every preset on 3 to 6 nodes and their T^T T
+    # are normal, so each eigenvalue lies within the backward error of an
+    # exact one (Bauer-Fike); close pairs among them, which a 2x2 step that
+    # cancels gets wrong in the eighth digit, are compared one by one. So
+    # are the symmetric _GRAM_STALLS. The random square matrices, built maps
+    # and cyclic shifts hold no cluster of ill-conditioned eigenvalues, so
+    # one tolerance serves every input.
+    equal = [random_operator(seed, n_lo=3).T for seed in range(240)]
     cyclic = [np.roll(np.eye(n), 1, axis=0) for n in range(2, 9)]
-    cases = [*_random_matrices(22, 200, square=True), *_built_matrices(range(60)), *cyclic]
+    cases = [*equal, *(t.T @ t for t in equal), *_random_matrices(22, 200, square=True)]
+    cases += [_built_gram(*stall) for stall in _GRAM_STALLS]
+    cases += [*_built_matrices(range(60)), *cyclic]
     for a in cases:
-        want = _outer_kernel(monkeypatch, matlin.general_eigenvalues, a)
-        assert _spectrum_bytes(matlin.general_eigenvalues(a)) == _spectrum_bytes(want)
+        tol = 1e-12 * (1.0 + np.linalg.norm(a, 2))
+        assert eig_multiset_close(matlin.general_eigenvalues(a), np.linalg.eigvals(a), tol)
 
 
 def test_operator_norm_keeps_the_bits_of_the_outer_product_kernel(monkeypatch):

@@ -281,12 +281,6 @@ def test_theta_one_is_the_optimal_relaxation():
     assert _worst_relaxation_gap() <= 1e-7
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 1: the 2x2 step of Francis QR computes disc = p^2 - det, "
-    "which cancels for close eigenvalues (worst gap 1.05e-8 on these operators)",
-)
 def test_theta_one_is_the_optimal_relaxation_to_round_off():
     assert _worst_relaxation_gap() <= 1e-12
 
