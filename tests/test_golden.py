@@ -9,6 +9,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 import graphsplit
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -80,3 +82,31 @@ def test_the_referee_rates_one_tune_op(tmp_path, capsys):
     rows = [[5, "0.5", 5, 0.5], [7, "0.25", 6, 0.2500000001], [None, None, 9, None]]
     summary = referee.rate_summary(rows)
     assert (summary["rows"], summary["k_stop_mismatches"], summary["equal_rates"]) == (2, 2, 1)
+
+
+def test_the_referee_scores_the_eigenvalues_of_one_certify_op(tmp_path, capsys):
+    mpmath = pytest.importorskip("mpmath")
+    referee = _load("referee")
+    src = Path(graphsplit.__file__).resolve().parent.parent
+    regenerate = referee.load_regenerate(src)
+    label, op = next((label, op) for label, op in referee.ops(regenerate) if label.startswith("certify "))
+    record = referee.run(regenerate, [(label, op)], src)
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(record), encoding="utf-8")
+    record["ops"][label]["out"] = "moved"
+    new.write_text(json.dumps(record), encoding="utf-8")
+    assert referee.main(["eigs", str(old), str(new)]) == 0
+    first, old_line, new_line, paired, rule = capsys.readouterr().out.splitlines()
+    assert first == "1 certify and tune ops differ"
+    # Both sides run this tree: the same T, the same figures and errors.
+    assert old_line.startswith("old: 1 ops, 0 failed; ")
+    assert new_line == "new" + old_line[3:]
+    assert paired.startswith("paired, new against old: closer on 0 and farther on 0 of ")
+    assert rule.startswith("rule: pass (largest error ")
+    assert referee.sign_test(0, 4) and not referee.sign_test(0, 5)
+    # A pair 1e-9 apart is a cluster of three eigenvalues (radius
+    # (3 eps)^(1/2) = 2.6e-8); 0.5 stands alone.
+    assert referee.clusters([1.0, 1.0 + 1e-9, 0.5], 1.0) == [[0, 1], [2]]
+    with mpmath.workdps(referee.EIG_DIGITS):
+        assert referee.rounded(mpmath.mpf("0.12345678901250000001"), 1.0) == 0.123456789013
+        assert referee.rounded(mpmath.mpf("1e-52"), 1.0) == 0.0
