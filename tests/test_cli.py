@@ -599,9 +599,21 @@ _FRANCIS_STALLS = [
         6,
         [(5, 2684161753), (1, 3521371587), (5, 1028505731), (1, 2779916391), (4, 835842921)],
     ),
-    (*_RING6, [(4, 2068109628), (1, 1233703565), (1, 2864283075), (2, 1924254299), (1, 2924073127), (4, 2059313609)]),
-    (*_RING6, [(4, 1609070577), (1, 3843717254), (4, 1952251403), (2, 1310897984), (1, 560757981), (4, 3061659072)]),
-    (*_RING6, [(4, 3425558031), (2, 1229317544), (1, 2468917477), (2, 716446026), (1, 1993787516), (4, 2547596108)]),
+    (
+        *_RING6,
+        [(4, 2068109628), (1, 1233703565), (1, 2864283075),
+         (2, 1924254299), (1, 2924073127), (4, 2059313609)],
+    ),
+    (
+        *_RING6,
+        [(4, 1609070577), (1, 3843717254), (4, 1952251403),
+         (2, 1310897984), (1, 560757981), (4, 3061659072)],
+    ),
+    (
+        *_RING6,
+        [(4, 3425558031), (2, 1229317544), (1, 2468917477),
+         (2, 716446026), (1, 1993787516), (4, 2547596108)],
+    ),
 ]
 
 

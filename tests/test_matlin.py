@@ -418,13 +418,26 @@ def test_qr_keeps_the_bits_of_the_outer_product_kernel():
 # deflation in 100 n sweeps: (graph, subgraph, n, ambient, (dim, seed) of
 # each node space).
 _GRAM_STALLS = [
-    ("sequential", "sequential", 4, 5, [(3, 1224489171), (1, 4070260502), (2, 1717724349), (3, 786228931)]),
+    (
+        "sequential",
+        "sequential",
+        4,
+        5,
+        [(3, 1224489171), (1, 4070260502), (2, 1717724349), (3, 786228931)],
+    ),
     (
         "biparallel",
         "parallel_up",
         6,
         6,
-        [(5, 1905806820), (5, 3715357315), (2, 4221894625), (4, 3562550211), (5, 1639458529), (5, 2768753728)],
+        [
+            (5, 1905806820),
+            (5, 3715357315),
+            (2, 4221894625),
+            (4, 3562550211),
+            (5, 1639458529),
+            (5, 2768753728),
+        ],
     ),
 ]
 
