@@ -9,7 +9,7 @@
 import numpy as np
 
 from graphsplit import (
-    build, certificates, full, graphs, pair, preset, product, witness_search,
+    build, full, graphs, pair, preset, product, spectral_report, witness_search,
 )
 from graphsplit.experiments import with_extra_edge
 
@@ -24,10 +24,10 @@ d = 2
 print(f"{'pair':36s} {'normal?':9s} {'iso?':7s} {'witness'}")
 for label, gp in catalog:
     op = build(gp, product([full(d)] * gp.g.n))
-    cert = certificates(op.T)
+    report = spectral_report(op.T)
     res = witness_search(gp, d)
     witness = f"node {res.index} (defect {res.defect:.3f})" if res.found else "none"
-    print(f"{label:36s} {str(cert.is_normal):9s} {str(cert.is_iso_averaged):7s} {witness}")
+    print(f"{label:36s} {str(report.is_normal):9s} {str(report.is_iso_averaged):7s} {witness}")
 
 print(
     "\nThe ring-over-chain operator is iso-averaged with full spaces, yet a"
@@ -37,9 +37,9 @@ print(
 # The quadratic relaxation law for the normality defect, on the non-normal pair.
 gp = with_extra_edge(preset("parallel_down", 4), (1, 2))
 op = build(gp, product([full(1)] * 4))
-base = certificates(op.T).normality_defect
+base = spectral_report(op.T).normality_defect
 print(f"\nnormality defect of the non-normal pair: {base:.6f}")
 for theta in (0.5, 1.5):
     t_theta = theta * op.T + (1 - theta) * np.eye(op.size)
-    relaxed = certificates(t_theta).normality_defect
+    relaxed = spectral_report(t_theta).normality_defect
     print(f"  theta={theta}: defect {relaxed:.6f} = theta^2 * base ({theta**2 * base:.6f})")

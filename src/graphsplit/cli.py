@@ -26,6 +26,7 @@ from ._json import integer, known_fields, real, reals
 from ._rng import SplitMix64
 
 MAX_THETAS = 10_000  # values a thetas range may expand to
+MAX_SIZE = 1000  # the largest graph.n, subgraph.n, ambient and lifted size (n - 1) * ambient
 _CONFIG_FIELDS = ("graph", "subgraph", "ambient", "spaces", "thetas", "eps", "k_max", "seed", "v0")
 _RANGE_FIELDS = ("start", "stop", "step")
 
@@ -69,6 +70,29 @@ def _known_fields(field, obj, fields):
         raise ValueError(f"{field}: {exc}") from None
 
 
+def _check_sizes(obj):
+    """Raise a ValueError naming the field if graph.n, subgraph.n, ambient or
+    the lifted size (graph.n - 1) * ambient is a whole number above MAX_SIZE,
+    before any graph, subspace or random draw is built from them; a value
+    that is not a whole number is left to the field's own check."""
+    graphs_given = [key for key in ("graph", "subgraph") if isinstance(obj.get(key), dict)]
+    sizes = {f"{key}.n": obj[key].get("n") for key in graphs_given}
+    sizes["ambient"] = obj.get("ambient")
+    whole = {}
+    for field, value in sizes.items():
+        try:
+            whole[field] = integer(value)
+        except ValueError:
+            continue
+        if whole[field] > MAX_SIZE:
+            raise ValueError(f"{field}: must be at most {MAX_SIZE}")
+    lifted = max(whole.get("graph.n", 0) - 1, 0) * max(whole.get("ambient", 0), 0)
+    if lifted > MAX_SIZE:
+        raise ValueError(
+            f"ambient: the lifted size (graph.n - 1) * ambient = {lifted} is above {MAX_SIZE}"
+        )
+
+
 def _expand_thetas(spec):
     if isinstance(spec, dict):
         _known_fields("thetas", spec, _RANGE_FIELDS)
@@ -101,6 +125,7 @@ def load_config(obj, seed=None, eps=None):
     _known_fields("config", obj, _CONFIG_FIELDS)
     if "graph" not in obj:
         raise ValueError('config: missing "graph"')
+    _check_sizes(obj)
     try:
         g = graphs.from_json(obj["graph"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -174,15 +199,17 @@ def cmd_analyze(config):
     """Spectral report of the configured operator as a JSON-ready dict."""
     op = splitting.build(config.graph_pair, config.spaces)
     report = splitting.spectral_report(op.T)
-    eigenvalues = sorted(
-        (_sig12(lam.real), _sig12(lam.imag)) for lam in report.eigenvalues
-    )
+    # Each field is computed as it is read, in this order: the defects and
+    # their verdicts, then the fixed basis and the spectrum.
     out = {
         "normality_defect": _sig12(report.normality_defect),
         "iso_defect": _sig12(report.iso_defect),
         "is_normal": report.is_normal,
         "is_iso_averaged": report.is_iso_averaged,
-        "eigenvalues": [{"re": re, "im": im} for re, im in eigenvalues],
+        "eigenvalues": [
+            {"re": re, "im": im}
+            for re, im in sorted((_sig12(lam.real), _sig12(lam.imag)) for lam in report.eigenvalues)
+        ],
         "rho1": _sig12(report.rho1),
         "fix_dim": report.fix_dim,
     }

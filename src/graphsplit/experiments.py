@@ -216,7 +216,8 @@ def converge(op, theta, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     """
     t, v0 = _operands(op, v0, "op", "v0")
     _check_run([theta], eps, k_max)
-    [(k_stop, dists)] = _relaxed_runs(t, [theta], _error(splitting.fix_basis(t), v0), eps, k_max)
+    e0 = _error(splitting.spectral_report(t).fix_basis, v0)
+    [(k_stop, dists)] = _relaxed_runs(t, [theta], e0, eps, k_max)
     [rate] = _fit_rates([dists])
     return ConvergenceTrace(theta, list(enumerate(dists.tolist())), k_stop, rate)
 
@@ -233,30 +234,32 @@ def theta_sweep(op, thetas, v0, eps=DEFAULT_EPS, k_max=DEFAULT_K_MAX):
     """One convergence run per relaxation parameter, from one analysis of T.
 
     T_theta has the eigenvalues theta lam + 1 - theta and the fixed subspace
-    of T, so one `splitting.sweep_analysis` of T serves every theta: the
-    analysis a report reads, without the report's two defects. It factors
-    T - I once, for the fixed basis and the start of the error (`_error`),
-    which every run iterates to 0. The runs share one `_relaxed_runs`
-    loop: one power T_theta^_BLOCK of each relaxed map, formed by
-    squaring, and one stacked matmul per _BLOCK iterates of every running
-    theta, with the stop test after it. Each run's rate is the closed-form
-    slope of its own log-distance tail (`_fit_rates`). Every input is
-    checked before the first step. The predicted rate is
+    of T, so one `splitting.spectral_report` of T serves every theta; the
+    sweep reads no defect of it. rho1 is read first, so that a failed
+    self-check stops the sweep before its first step, and then the fixed
+    basis (one factorization of T - I) for the start of the error
+    (`_error`), which every run iterates to 0. The runs share one
+    `_relaxed_runs` loop: one power T_theta^_BLOCK of each relaxed map,
+    formed by squaring, and one stacked matmul per _BLOCK iterates of
+    every running theta, with the stop test after it. Each run's rate is
+    the closed-form slope of its own log-distance tail (`_fit_rates`).
+    Every input is checked before the first step. The predicted rate is
     max |theta lam + 1 - theta| over the eigenvalues lam off 1, by
     `predicted_rate` for iso-averaged maps with rho1 < 1.
     """
     t, v0 = _operands(op, v0, "op", "v0")
     thetas = list(thetas)
     _check_run(thetas, eps, k_max)
-    analysis = splitting.sweep_analysis(t)
-    runs = _relaxed_runs(t, thetas, _error(analysis.fix_basis, v0), eps, k_max)
+    report = splitting.spectral_report(t)
+    rho1 = report.rho1  # the spectrum and its self-checks, before the first step
+    runs = _relaxed_runs(t, thetas, _error(report.fix_basis, v0), eps, k_max)
     rates = _fit_rates([dists for _, dists in runs])
     records = []
     for theta, (k_stop, _), rate in zip(thetas, runs, rates):
-        if analysis.is_iso_averaged and analysis.rho1 < 1.0:
-            predicted = splitting.predicted_rate(analysis.rho1, theta)
+        if report.is_iso_averaged and rho1 < 1.0:
+            predicted = splitting.predicted_rate(rho1, theta)
         else:
-            relaxed = (theta * lam + (1.0 - theta) for lam in analysis.eigenvalues_off_one)
+            relaxed = (theta * lam + (1.0 - theta) for lam in report.eigenvalues_off_one)
             predicted = max(map(abs, relaxed), default=0.0)
         records.append(SweepRecord(theta, k_stop, predicted, rate))
     return records
@@ -282,7 +285,7 @@ def symmetry_check(t, x, thetas, k_max):
     Vanishes (to round-off) exactly for iso-averaged maps: for one step,
     ||T_theta x||^2 - ||T_(2 - theta) x||^2 = 2 (theta - 1) x^T A x with
     A = 2 T^T T - T - T^T, whose spectral norm is the iso defect of
-    `splitting.certificates`. Compares the iterates 1 .. k_max of every
+    `splitting.spectral_report`. Compares the iterates 1 .. k_max of every
     theta and its mirror, all in one `_relaxed_runs` run; the gap of an
     iso-averaged map is round-off, so its bits depend on the order in which
     the run rounds its iterates.
@@ -307,9 +310,9 @@ def convexity_check(t, x, k, grid, require_normal=True):
     grid = sorted(_finite_points("grid", grid, 2))
     check_count("k", k, 0)
     if require_normal:
-        cert = splitting.certificates(t)
-        if not cert.is_normal:
-            raise ValueError(f"normality defect {cert.normality_defect:.3e} is too large")
+        report = splitting.spectral_report(t)
+        if not report.is_normal:
+            raise ValueError(f"normality defect {report.normality_defect:.3e} is too large")
     mids = [0.5 * (lo + hi) for lo, hi in zip(grid, grid[1:])]
     f = _norms(t, grid + mids, x, k)[:, k]
     ends, mid = f[: len(grid)], f[len(grid) :]
@@ -336,10 +339,11 @@ def monotonicity_check(op, theta, x, k_max=DEFAULT_K_MAX):
     large fixed part in x moves no verdict.
     """
     t, x = _operands(op, x, "op", "x")
-    if not splitting.is_iso_averaged(t):
+    report = splitting.spectral_report(t)
+    if not report.is_iso_averaged:
         raise ValueError("strict decrease is only guaranteed for iso-averaged maps")
     _check_run([theta], _FLOOR, k_max)
-    f = splitting.fix_basis(t)
+    f = report.fix_basis
     if theta == 1.0:
         excluded = matlin.column_space(np.hstack([f, matlin.null_space(t)]))
     else:
@@ -373,11 +377,11 @@ def witness_search(graph_pair, d):
     witness threshold. When the graph and subgraph coincide no witness
     exists and the maximal defect observed stays at round-off level.
 
-    Each node's defect is screened at WITNESS_TOL (`screened_iso_defect`):
-    a found witness's defect is exact, bit for bit the iso defect of its
-    map's `certificates`, and so is a node's defect above the screen; a
-    node below it reports its Frobenius bound, at most WITNESS_TOL / 2, and
-    takes no spectral norm.
+    Each node's defect is screened at WITNESS_TOL: a node whose Frobenius
+    bound 2 ||A||_F is at most WITNESS_TOL reports ||A||_F, at most
+    WITNESS_TOL / 2, and takes no spectral norm; every other node, a found
+    witness among them, reports the iso defect of its map's
+    `splitting.spectral_report`, bit for bit.
 
     The result depends on nothing but the frozen graph pair and d, so a
     search runs once per (pair, d) (the last 256 are kept) and an equal
@@ -396,10 +400,11 @@ def _witness_search(graph_pair, d):
     worst = 0.0
     for i in range(1, n + 1):
         op = splitting.build(graph_pair, subspaces.coordinate_product(n, i, d))
-        iso = splitting.screened_iso_defect(op.T, WITNESS_TOL)
-        if iso > WITNESS_TOL:
-            return WitnessResult(True, i, iso)
-        worst = max(worst, iso)
+        iso = splitting.spectral_report(op.T).iso
+        defect = iso.frobenius if iso.upper() <= WITNESS_TOL else iso.exact()
+        if defect > WITNESS_TOL:
+            return WitnessResult(True, i, defect)
+        worst = max(worst, defect)
     return WitnessResult(False, None, worst)
 
 
@@ -429,8 +434,8 @@ def pair_catalog():
 @dataclass
 class TrialRecord:
     """One trial of `graph_equality_trials`: its verdicts, as `verify` prints
-    them. For G = G', consistent is the iso verdict of the built map
-    (`splitting.is_iso_averaged`); for G != G', whether `witness_search`
+    them. For G = G', consistent is the iso verdict of the built map's
+    `splitting.spectral_report`; for G != G', whether `witness_search`
     found a witness, and at which node."""
 
     pair_name: str
@@ -462,7 +467,8 @@ def graph_equality_trials(seed, trials):
                     for _ in range(n)
                 ]
                 op = splitting.build(gp, subspaces.product(factors))
-                records.append(TrialRecord(name, n, d, True, splitting.is_iso_averaged(op.T), None))
+                iso_averaged = splitting.spectral_report(op.T).is_iso_averaged
+                records.append(TrialRecord(name, n, d, True, iso_averaged, None))
             else:
                 res = witness_search(gp, d)
                 records.append(TrialRecord(name, n, d, False, res.found, res.index))
@@ -510,7 +516,7 @@ def _demo_not_normal():
     x = np.array([0.0, 1.0])
     f0, f_half, f1 = _norms(t, [0.0, 0.5, 1.0], x, 2)[:, 2].tolist()
     target = math.sqrt(5.0) / 4.0
-    normality = splitting.certificates(t).normality_defect
+    normality = splitting.spectral_report(t).normality_defect
     lines = (
         _close("norm of squared relaxed iterate at 1/2", f_half, target, 1e-12),
         _bound("midpoint value vs endpoint average 1/2", f_half, ">", 0.5 * (f0 + f1)),
@@ -531,9 +537,9 @@ def _demo_relaxed_projector():
     for theta in thetas:
         tt = splitting.relax(t, theta)
         worst_exact = max(worst_exact, float(np.max(np.abs(tt - np.diag([1.0, 1.0 - theta])))))
-        cert = splitting.certificates(tt)
-        worst_normal = max(worst_normal, cert.normality_defect)
-        iso[theta] = cert.iso_defect
+        report = splitting.spectral_report(tt)
+        worst_normal = max(worst_normal, report.normality_defect)
+        iso[theta] = report.iso_defect
     off_defects = [defect for theta, defect in iso.items() if theta not in (0.0, 1.0)]
     lines = (
         _close("worst deviation from diag(1, 1-theta)", worst_exact, 0.0, 0.0),
@@ -576,7 +582,7 @@ def three_lines_example():
 
 def _demo_geometric():
     op, v0, mu, limit = three_lines_example()
-    f = splitting.fix_basis(op.T)
+    f = splitting.spectral_report(op.T).fix_basis
     numeric_limit = f @ (f.T @ v0)
 
     [(_, dists)] = _relaxed_runs(op.T, [1.0], v0 - limit, 0.0, 5000)
@@ -621,7 +627,7 @@ def _demo_parallel_down_extra():
     z = graphs.incidence(gp.gp)
     op = splitting.build(gp, spaces, z=z)
     expected = matlin.kron_lift(parallel_down_extra_c(n), d)
-    normality = splitting.certificates(op.T).normality_defect
+    normality = splitting.spectral_report(op.T).normality_defect
     lines = (
         _close("deviation from the closed-form C", float(np.max(np.abs(op.C - expected))), 0.0, 1e-10),
         _bound("normality defect", normality, ">", 1e-3),
@@ -644,12 +650,12 @@ def _demo_biparallel():
     spaces = subspaces.product([subspaces.full(d)] * n)
     op = splitting.build(gp, spaces, z=graphs.incidence(gp.gp))
     expected = matlin.kron_lift(np.diag([0.5] * (n - 2) + [0.0]), d)
-    cert = splitting.certificates(op.T)
+    report = splitting.spectral_report(op.T)
     witness = witness_search(gp, d)
     lines = (
         _close("deviation from block-diagonal C", float(np.max(np.abs(op.C - expected))), 0.0, 1e-10),
-        _bound("normality defect", cert.normality_defect, "<=", 1e-9),
-        _close("iso defect (eigenvalue 1/2 off the circle)", cert.iso_defect, 0.5, 1e-9),
+        _bound("normality defect", report.normality_defect, "<=", 1e-9),
+        _close("iso defect (eigenvalue 1/2 off the circle)", report.iso_defect, 0.5, 1e-9),
         _bound("coordinate-product witness defect", witness.defect, ">", WITNESS_TOL),
     )
     return DemoReport("biparallel", lines)
@@ -661,7 +667,7 @@ def _demo_malitsky_tam():
     spaces = subspaces.product([subspaces.full(d)] * n)
     op = splitting.build(gp, spaces, z=graphs.incidence(gp.gp))
     expected = matlin.kron_lift(malitsky_tam_c(n), d)
-    iso = splitting.certificates(op.T).iso_defect
+    iso = splitting.spectral_report(op.T).iso_defect
     witness = witness_search(gp, d)
     lines = (
         _close("deviation from the half-permutation C", float(np.max(np.abs(op.C - expected))), 0.0, 1e-10),

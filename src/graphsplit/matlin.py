@@ -275,10 +275,12 @@ def general_eigenvalues(a):
     form as they deflate, the 2x2 by `_eig2x2` with dlanv2's discriminant,
     which keeps close eigenvalues to round-off. Raises NoConvergenceError
     if the budget of 100 n sweeps is exhausted, which does not happen for
-    the well-scaled inputs this package produces. a is first scaled by the power of two 2^-e with
-    max|a| in [2^(e-1), 2^e), as in operator_norm, and the eigenvalues are
-    scaled back: both steps are exact, so a tiny or huge a neither
-    underflows nor overflows in the shift polynomial.
+    the well-scaled inputs this package produces.
+
+    The matrix is first scaled by the power of two 2^-e with max|a| in
+    [2^(e-1), 2^e), as in operator_norm, and the eigenvalues are scaled
+    back: both steps are exact, so a tiny or huge a neither underflows nor
+    overflows in the shift polynomial.
     """
     a = _as_matrix(a)
     n = a.shape[0]

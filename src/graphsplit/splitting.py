@@ -6,26 +6,21 @@ dense matrix T = I - C, with C = Zbar^T M^{-1} P Zbar, and as a matrix-free
 forward-substitution sweep; the two routes are kept in agreement by tests
 and serve as each other's oracle.
 
-Certificates quantify how far T is from being normal (T^T T = T T^T) and
-from being iso-averaged, the average of an isometry and the identity
-(2 T^T T = T + T^T). Iso-averagedness is what makes the relaxed map's
-convergence rate an explicit function of the relaxation parameter, and it
-holds for every choice of node subspaces exactly when G = G'.
+The report of T (`spectral_report`) quantifies how far T is from being
+normal (T^T T = T T^T) and from being iso-averaged, the average of an
+isometry and the identity (2 T^T T = T + T^T). Iso-averagedness is what
+makes the relaxed map's convergence rate an explicit function of the
+relaxation parameter, and it holds for every choice of node subspaces
+exactly when G = G'. The report also holds the fixed subspace of T, its
+spectrum and its subdominant radius. It is one record over T whose fields
+are computed when first read: a caller pays for the fields it reads, and
+each quantity is computed once per report.
 
 One rule, `_within`, turns a quantity into a verdict against ||T||: a
 defect counts as zero up to DEFECT_TOL (1 + ||T||^2), an eigenvalue at 1
 must lie within EIGENVALUE_ONE_TOL (1 + ||T||), and T is the identity when
 ||T - I|| <= RANK_TOL (1 + ||T||). Frobenius bounds decide first (`_Norm`),
 and a spectral norm is taken only where they cannot, with its verdicts.
-`is_iso_averaged` and `sweep_analysis` decide iso-averagedness by that
-rule on the bounds of A = 2 T^T T - T - T^T, with the verdict of
-`certificates`. `screened_iso_defect` returns a bound below a screen, and
-above it the iso defect of `certificates`, bit for bit.
-
-T is analysed along one path, `_analysis`: the iso verdict, the fixed basis
-from one factorization of T - I, and the spectrum. `sweep_analysis` is that
-analysis alone, with no certificate norm; `spectral_report` is that
-analysis plus the two defects it prints.
 """
 
 import functools
@@ -184,14 +179,6 @@ def relax(t, theta):
     return theta * t + (1.0 - theta) * np.eye(t.shape[0])
 
 
-@dataclass(frozen=True)
-class Certificates:
-    normality_defect: float
-    iso_defect: float
-    is_normal: bool
-    is_iso_averaged: bool
-
-
 class _Norm:
     """||A||_2 of a square N x N matrix A: ||A||_F is formed once, and ||A||_2
     is taken on demand, at most once.
@@ -245,159 +232,123 @@ def _within(x, tol, norm, squared=False):
     return x <= ceiling and x <= threshold(norm.exact())
 
 
-def _iso_matrix(t, gram):
-    """A = 2 T^T T - T - T^T, whose spectral norm is the iso defect."""
-    return 2.0 * gram - t - t.T
+class SpectralReport:
+    """The analysis of a checked T: each field is computed on its first read
+    and kept, so each quantity is computed once, and only when read.
 
-
-def certificates(t):
-    """Structural defects of a square matrix and their verdicts.
-
-    The defects are the spectral norms of T^T T - T T^T and of
-    2 T^T T - T - T^T; each counts as zero up to DEFECT_TOL (1 + ||T||^2),
-    by the rule of `_within`. The isometry defect of 2T - I is 2 iso_defect,
-    since (2T - I)^T (2T - I) - I = 2 (2 T^T T - T - T^T).
+    The fields share one `_Norm` of T, one Gram matrix T^T T and `iso`, the
+    `_Norm` of A = 2 T^T T - T - T^T. The two defects are the spectral norms
+    of T^T T - T T^T and of A, and each counts as zero up to
+    DEFECT_TOL (1 + ||T||^2) by the rule of `_within`: the iso verdict reads
+    the bounds of A first, and takes ||A||_2 only in their window. The
+    isometry defect of 2T - I is 2 iso_defect, since
+    (2T - I)^T (2T - I) - I = 2 (2 T^T T - T - T^T).
     """
-    t = _checked(t)
-    norm = _Norm(t)
-    gram = t.T @ t
-    normality = matlin.operator_norm(gram - t @ t.T)
-    iso = matlin.operator_norm(_iso_matrix(t, gram))
-    normal, iso_averaged = (_within(x, DEFECT_TOL, norm, squared=True) for x in (normality, iso))
-    return Certificates(normality, iso, normal, iso_averaged)
 
+    def __init__(self, t):
+        self._t = t
 
-def screened_iso_defect(t, tol):
-    """The iso defect of T where it may exceed tol, else a bound at most tol / 2:
-    ||A||_F when the upper bound 2 ||A||_F of `_Norm` is at most tol, with no
-    spectral norm, else the iso defect of `certificates`, bit for bit."""
-    t = _checked(t)
-    a = _Norm(_iso_matrix(t, t.T @ t))
-    return a.frobenius if a.upper() <= tol else a.exact()
+    @functools.cached_property
+    def _norm(self):
+        return _Norm(self._t)
 
+    @functools.cached_property
+    def _gram(self):
+        return self._t.T @ self._t
 
-def is_iso_averaged(t):
-    """Whether T is iso-averaged: the verdict of `certificates` by the rule of
-    `_within` on A = 2 T^T T - T - T^T, with no defect. The bounds of A
-    decide first, and ||A||_2 is taken only in the window between them, with
-    ||T||_2 only where that leaves it open."""
-    t = _checked(t)
-    return _within(_Norm(_iso_matrix(t, t.T @ t)), DEFECT_TOL, _Norm(t), squared=True)
+    @functools.cached_property
+    def iso(self):
+        return _Norm(2.0 * self._gram - self._t - self._t.T)
 
+    @functools.cached_property
+    def normality_defect(self):
+        return matlin.operator_norm(self._gram - self._t @ self._t.T)
 
-def fix_basis(t):
-    """Orthonormal basis of the fixed subspace ker(T - I), by `_fix_basis`."""
-    t = _checked(t)
-    return _fix_basis(t, _Norm(t))
+    @functools.cached_property
+    def iso_defect(self):
+        return self.iso.exact()
 
+    @functools.cached_property
+    def is_normal(self):
+        return _within(self.normality_defect, DEFECT_TOL, self._norm, squared=True)
 
-def _fix_basis(t, norm):
-    """The fixed basis of a checked t, with norm its `_Norm`: I when
-    ||T - I||_2 <= RANK_TOL (1 + ||T||_2), else the null space of T - I.
-    The identity test scales with T itself: when T is the identity up to
-    round-off every direction is fixed, which a rank decision relative to the
-    (noise-level) difference matrix would miss."""
-    delta = t - np.eye(t.shape[0])
-    if _within(_Norm(delta), matlin.RANK_TOL, norm):
-        return np.eye(t.shape[0])
-    return matlin.null_space(delta)
+    @functools.cached_property
+    def is_iso_averaged(self):
+        return _within(self.iso, DEFECT_TOL, self._norm, squared=True)
 
+    @functools.cached_property
+    def fix_basis(self):
+        """Orthonormal basis of the fixed subspace ker(T - I): I when
+        ||T - I||_2 <= RANK_TOL (1 + ||T||_2), else the null space of T - I.
+        The identity test scales with T itself: when T is the identity up to
+        round-off every direction is fixed, which a rank decision relative to
+        the (noise-level) difference matrix would miss."""
+        delta = self._t - np.eye(self._t.shape[0])
+        if _within(_Norm(delta), matlin.RANK_TOL, self._norm):
+            return np.eye(self._t.shape[0])
+        return matlin.null_space(delta)
 
-@dataclass(frozen=True)
-class SpectralReport(Certificates):
-    eigenvalues: tuple  # complex, sorted by (re, im)
-    eigenvalues_off_one: tuple  # the eigenvalues not identified with 1, same order
-    fix_dim: int
-    rho1: float
+    @property
+    def fix_dim(self):
+        return self.fix_basis.shape[1]
+
+    @functools.cached_property
+    def _spectrum(self):
+        """(eigenvalues, eigenvalues_off_one, rho1): the one home of the band
+        at 1 and the half-circle check, read after the iso verdict and the
+        fixed basis.
+
+        The eigenvalues, sorted by (re, im), at 1 are the fix_dim eigenvalues
+        nearest 1. Each must lie within 1e-7 (1 + ||T||) of 1, by the rule of
+        `_within`; one outside means the eigensolver and the rank disagree, a
+        self-check failure that names both counts. The subdominant radius is
+        the largest modulus of the other eigenvalues, with 0 as the floor when
+        none remain, so an extra eigenvalue near 1 (a defective 1, or one just
+        above 1) shows in it. When the map is classified iso-averaged every
+        eigenvalue must sit on the circle of radius 1/2 centered at 1/2, or
+        the eigensolver and the certificate disagree, also a self-check
+        failure.
+        """
+        iso_averaged, fix_dim = self.is_iso_averaged, self.fix_dim
+        eigs = sorted(matlin.general_eigenvalues(self._t), key=lambda lam: (lam.real, lam.imag))
+        at_one = set(sorted(range(len(eigs)), key=lambda i: abs(eigs[i] - 1.0))[:fix_dim])
+
+        def near_one(lam):
+            return _within(abs(lam - 1.0), EIGENVALUE_ONE_TOL, self._norm)
+
+        if not all(near_one(eigs[i]) for i in at_one):
+            band = sum(map(near_one, eigs))
+            raise SelfCheckFailedError(
+                f"eigenvalues within the band at 1 ({band}) disagree with the "
+                f"fixed-subspace dimension ({fix_dim})"
+            )
+        off_one = tuple(lam for i, lam in enumerate(eigs) if i not in at_one)
+        if iso_averaged:
+            worst = max((abs(abs(lam - 0.5) - 0.5) for lam in eigs), default=0.0)
+            if worst > EIGENVALUE_ONE_TOL:
+                raise SelfCheckFailedError(
+                    f"iso-averaged map has an eigenvalue off the half-circle (distance {worst:.3e})"
+                )
+        rho1 = max((abs(lam) for lam in off_one), default=0.0)
+        return tuple(eigs), off_one, rho1
+
+    @property
+    def eigenvalues(self):
+        return self._spectrum[0]
+
+    @property
+    def eigenvalues_off_one(self):
+        return self._spectrum[1]
+
+    @property
+    def rho1(self):
+        return self._spectrum[2]
 
 
 def spectral_report(t):
-    """Eigenvalues, fixed-subspace dimension, subdominant radius, and flags.
-
-    Extends the `certificates` record with the `_analysis` of T, under one
-    `_Norm` of T: the two defects are taken first, as `certificates` takes
-    them, and the iso verdict reads the `_Norm` of A that holds the iso
-    defect. fix_dim is the column count of the fixed basis.
-    """
-    t = _checked(t)
-    norm = _Norm(t)
-    gram = t.T @ t
-    normality = matlin.operator_norm(gram - t @ t.T)
-    iso = _Norm(_iso_matrix(t, gram))
-    defects = (normality, iso.exact(), _within(normality, DEFECT_TOL, norm, squared=True))
-    a = _analysis(t, norm, iso)
-    fix_dim = a.fix_basis.shape[1]
-    return SpectralReport(*defects, a.is_iso_averaged, a.eigenvalues, a.eigenvalues_off_one, fix_dim, a.rho1)
-
-
-def _spectrum(t, norm, fix_dim, iso_averaged):
-    """(eigenvalues, eigenvalues_off_one, rho1) of a checked t, with norm its
-    `_Norm`, fix_dim the dimension of its fixed subspace and iso_averaged its
-    iso verdict; the one home of the band at 1 and the half-circle check.
-
-    The eigenvalues at 1 are the fix_dim eigenvalues nearest 1. Each must lie
-    within 1e-7 (1 + ||T||) of 1, by the rule of `_within`; one outside
-    means the eigensolver and the rank disagree, a self-check failure that
-    names both counts. The subdominant radius is the largest modulus of the
-    other eigenvalues, with 0 as the floor when none remain, so an extra
-    eigenvalue near 1 (a defective 1, or one just above 1) shows in it. When
-    the map is classified iso-averaged every eigenvalue must sit on the
-    circle of radius 1/2 centered at 1/2, or the eigensolver and the
-    certificate disagree, also a self-check failure.
-    """
-    eigs = sorted(matlin.general_eigenvalues(t), key=lambda lam: (lam.real, lam.imag))
-    at_one = set(sorted(range(len(eigs)), key=lambda i: abs(eigs[i] - 1.0))[:fix_dim])
-
-    def near_one(lam):
-        return _within(abs(lam - 1.0), EIGENVALUE_ONE_TOL, norm)
-
-    if not all(near_one(eigs[i]) for i in at_one):
-        band = sum(map(near_one, eigs))
-        raise SelfCheckFailedError(
-            f"eigenvalues within the band at 1 ({band}) disagree with the "
-            f"fixed-subspace dimension ({fix_dim})"
-        )
-    off_one = tuple(lam for i, lam in enumerate(eigs) if i not in at_one)
-    if iso_averaged:
-        worst = max((abs(abs(lam - 0.5) - 0.5) for lam in eigs), default=0.0)
-        if worst > EIGENVALUE_ONE_TOL:
-            raise SelfCheckFailedError(
-                f"iso-averaged map has an eigenvalue off the half-circle (distance {worst:.3e})"
-            )
-    rho1 = max((abs(lam) for lam in off_one), default=0.0)
-    return tuple(eigs), off_one, rho1
-
-
-@dataclass(frozen=True, eq=False)
-class SweepAnalysis:
-    """The analysis of T that its report and its relaxation sweeps read: the
-    fixed basis, the iso verdict, and the sorted eigenvalues, those off 1
-    and their largest modulus rho1."""
-
-    fix_basis: np.ndarray
-    is_iso_averaged: bool
-    eigenvalues: tuple
-    eigenvalues_off_one: tuple
-    rho1: float
-
-
-def sweep_analysis(t):
-    """The `_analysis` of T, with no certificate norm: the bounds of A decide
-    the iso verdict, and ||A||_2 is taken only in their window."""
-    t = _checked(t)
-    return _analysis(t, _Norm(t), _Norm(_iso_matrix(t, t.T @ t)))
-
-
-def _analysis(t, norm, iso):
-    """The `SweepAnalysis` of a checked t, with norm the `_Norm` of T and iso
-    that of A = 2 T^T T - T - T^T: the iso verdict by the rule of `_within`,
-    the fixed basis of `_fix_basis` (one factorization of T - I), and the
-    spectrum of `_spectrum` at the basis's column count, with its
-    self-checks."""
-    iso_averaged = _within(iso, DEFECT_TOL, norm, squared=True)
-    f = _fix_basis(t, norm)
-    eigs, off_one, rho1 = _spectrum(t, norm, f.shape[1], iso_averaged)
-    return SweepAnalysis(f, iso_averaged, eigs, off_one, rho1)
+    """The `SpectralReport` of T, which is checked here: 2-d, square and
+    finite. Nothing else is computed until a field is read."""
+    return SpectralReport(_checked(t))
 
 
 def predicted_rate(rho1, theta):

@@ -1,4 +1,6 @@
 import math
+import types
+from pathlib import Path
 
 import numpy as np
 
@@ -6,6 +8,7 @@ from graphsplit import experiments, graphs, splitting, subspaces
 from graphsplit._rng import SplitMix64
 
 EPS = float(np.finfo(float).eps)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def eig_multiset_close(got, want, tol):
@@ -84,3 +87,37 @@ def random_operator(seed, n_lo=2, n_hi=6):
         if np.max(np.abs(op.T - np.eye(op.size))) > 1e-12:
             return op
     raise RuntimeError("could not draw a non-identity operator")
+
+
+# The fields of a report, in the order `cli.cmd_analyze` reads them, and the
+# fixed basis, which a sweep reads.
+REPORT_FIELDS = (
+    "normality_defect",
+    "iso_defect",
+    "is_normal",
+    "is_iso_averaged",
+    "eigenvalues",
+    "eigenvalues_off_one",
+    "rho1",
+    "fix_dim",
+    "fix_basis",
+)
+
+
+def full_report(t):
+    """The report of t with every field read, so that everything it computes
+    is computed by the time it returns."""
+    report = splitting.spectral_report(t)
+    for field in REPORT_FIELDS:
+        getattr(report, field)
+    return report
+
+
+def perfbench_module(name):
+    """perfbench/<name>.py as a module, run from its source, so that no file
+    under perfbench/ is written."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module

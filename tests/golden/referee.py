@@ -172,7 +172,7 @@ def sweep_rows(regenerate, op, workdir):
     config = cli.load_config(op.config)
     built = splitting.build(config.graph_pair, config.spaces)
     t, v0 = built.T, cli._start_vector(config, built)
-    f = splitting.sweep_analysis(t).fix_basis
+    f = splitting.spectral_report(t).fix_basis
     e0 = v0 - f @ (f.T @ v0)
     e0 = e0 - f @ (f.T @ e0)
     t_thetas = np.stack([splitting.relax(t, theta) for theta in config.thetas])
@@ -210,7 +210,7 @@ def side_rows(command, src, labels):
 def spectrum_row(regenerate, op, workdir):
     """T and what one certify or tune op prints from its eigenvalues, run
     with the graphsplit that regenerate imported: the hex bytes of T, and,
-    unless the op fails, the fix_dim and eigenvalues of its analysis, the
+    unless the op fails, the fix_dim and eigenvalues of its report, the
     iso verdict and the thetas of a tune op, each printed figure checked
     against the op's output."""
     from graphsplit import cli, splitting
@@ -222,30 +222,30 @@ def spectrum_row(regenerate, op, workdir):
     row = {"t": t.tobytes().hex()}
     if not out_path.exists():
         return row
-    analysis = splitting.sweep_analysis(t)
+    report = splitting.spectral_report(t)
     text = out_path.read_text(encoding="utf-8")
     if op.command == "analyze":
         printed = json.loads(text)
-        figures = sorted((cli._sig12(lam.real), cli._sig12(lam.imag)) for lam in analysis.eigenvalues)
-        rho1 = cli._sig12(analysis.rho1)
+        figures = sorted((cli._sig12(lam.real), cli._sig12(lam.imag)) for lam in report.eigenvalues)
+        rho1 = cli._sig12(report.rho1)
         if [(e["re"], e["im"]) for e in printed["eigenvalues"]] != figures or printed["rho1"] != rho1:
-            raise SystemExit(f"{op}: the printed eigenvalues are not those of the analysis of T")
+            raise SystemExit(f"{op}: the printed eigenvalues are not those of the report of T")
     else:
         thetas = [float(theta) for theta in config.thetas]
         printed = [line["rho1_predicted"] for line in csv.DictReader(io.StringIO(text))]
-        args = analysis.is_iso_averaged, analysis.eigenvalues_off_one, analysis.rho1
+        args = report.is_iso_averaged, report.eigenvalues_off_one, report.rho1
         if printed != [cli._fmt(predicted_rate(*args, theta, math.sqrt)) for theta in thetas]:
-            raise SystemExit(f"{op}: the printed rates are not those of the analysis of T")
+            raise SystemExit(f"{op}: the printed rates are not those of the report of T")
         row["thetas"] = thetas
-    row["fix_dim"] = analysis.fix_basis.shape[1]
-    row["iso"] = analysis.is_iso_averaged
-    row["eigenvalues"] = [[lam.real, lam.imag] for lam in analysis.eigenvalues]
+    row["fix_dim"] = report.fix_dim
+    row["iso"] = report.is_iso_averaged
+    row["eigenvalues"] = [[lam.real, lam.imag] for lam in report.eigenvalues]
     return row
 
 
 def off_one(eigenvalues, fix_dim):
     """(the eigenvalues less the fix_dim nearest 1, their largest modulus
-    rho1), as `splitting._spectrum` takes them."""
+    rho1), as `splitting.SpectralReport` takes them."""
     at_one = set(sorted(range(len(eigenvalues)), key=lambda i: abs(eigenvalues[i] - 1))[:fix_dim])
     rest = [lam for i, lam in enumerate(eigenvalues) if i not in at_one]
     return rest, max((abs(lam) for lam in rest), default=0)

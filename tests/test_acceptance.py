@@ -75,7 +75,7 @@ def test_criterion_05_graph_equality_characterization():
             ok = ok and res.found and res.defect > 1e-6
     mt = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
     op = splitting.build(mt, subspaces.product([subspaces.full(2)] * 4))
-    ok = ok and splitting.certificates(op.T).iso_defect <= 1e-9
+    ok = ok and splitting.spectral_report(op.T).iso_defect <= 1e-9
     _report(5, "iso-averagedness classifies exactly by graph equality", ok)
 
 
@@ -97,7 +97,7 @@ def test_criterion_06_closed_form_c_matrices():
         op = splitting.build(gp, subspaces.product([subspaces.full(d)] * 4), z=graphs.incidence(gp.gp))
         expected = matlin.kron_lift(experiments.parallel_down_extra_c(4), d)
         ok = ok and np.max(np.abs(op.C - expected)) <= 1e-10
-        ok = ok and splitting.certificates(op.T).normality_defect > 1e-3
+        ok = ok and splitting.spectral_report(op.T).normality_defect > 1e-3
     _report(6, "closed-form C matrices for the three catalog pairs", ok)
 
 
@@ -146,7 +146,7 @@ def test_criterion_10_strict_decrease():
     ok = True
     for seed in range(1, 11):
         op = random_operator(seed=400 + seed)
-        f = splitting.fix_basis(op.T)
+        f = splitting.spectral_report(op.T).fix_basis
         kernel = matlin.null_space(op.T)
         rng = SplitMix64(1400 + seed)
         for theta in (0.3, 1.0, 1.7):

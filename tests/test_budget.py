@@ -1,23 +1,21 @@
-"""The norm budget: callers take only the norms and factors they read, with
-the same expressions, so the same bits, as the full certificates."""
+"""The norm budget: a report computes only the fields that are read, each
+once, with the same expressions, so the same bits, as a fully read report."""
 
 import dataclasses
-import importlib.util
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import eig_multiset_close, random_operator
+from conftest import (
+    REPORT_FIELDS, eig_multiset_close, full_report, perfbench_module, random_operator,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 from test_properties import SAME, SETTINGS, configurations
 
 from graphsplit import cli, experiments, graphs, matlin, splitting, subspaces
 from graphsplit._rng import SplitMix64
-
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 @pytest.fixture
@@ -49,7 +47,7 @@ def _exact_within(x, tol, nrm, squared):
     return x <= tol * (1.0 + (nrm * nrm if squared else nrm))
 
 
-# The iso defect and verdict of `certificates` with no screen, by the same
+# The iso defect and verdict of a report with no screen, by the same
 # expressions, so the same bits: the oracles of the screened defect and verdict.
 
 def _iso_defect(t):
@@ -63,12 +61,12 @@ def _iso_verdict(t):
 
 
 def _assert_same_certificate(t):
-    cert = splitting.certificates(t)
+    report = splitting.spectral_report(t)
     iso, verdict = _iso_verdict(t)
-    assert _iso_defect(t).hex() == cert.iso_defect.hex()
-    assert iso.hex() == cert.iso_defect.hex()
-    assert verdict is cert.is_iso_averaged
-    return cert
+    assert _iso_defect(t).hex() == report.iso_defect.hex()
+    assert iso.hex() == report.iso_defect.hex()
+    assert verdict is report.is_iso_averaged
+    return report
 
 
 # Scales c T with c = 1 + eta: for iso-averaged T the iso defect of c T is
@@ -78,12 +76,12 @@ ETAS = [0.0, *np.geomspace(1e-11, 1e-6, 51).tolist()]
 
 @pytest.mark.parametrize("seed", range(6))
 def test_report_takes_two_norms(norm_calls, seed):
-    splitting.spectral_report(random_operator(seed).T)
+    full_report(random_operator(seed).T)
     assert len(norm_calls) == 2
 
 
 def test_a_near_identity_report_takes_only_its_defects(norm_calls):
-    report = splitting.spectral_report(np.eye(4) + 1e-13 * np.ones((4, 4)))
+    report = full_report(np.eye(4) + 1e-13 * np.ones((4, 4)))
     assert report.fix_dim == 4
     # 2 ||T - I||_F is at most RANK_TOL, both defects are at most DEFECT_TOL
     # and every eigenvalue lies within EIGENVALUE_ONE_TOL of 1: the bounds
@@ -91,30 +89,23 @@ def test_a_near_identity_report_takes_only_its_defects(norm_calls):
     assert len(norm_calls) == 2
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("budget_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
 def test_every_certify_report_takes_two_norms(norm_calls):
     """The benchmark's seed-1 certify configs: each report takes its two
     defects, and no bound leaves the verdicts or the at-one band to ||T||."""
-    ops = _workloads().certify_ops(1)
+    ops = perfbench_module("workloads").certify_ops(1)
     assert ops
     for op in ops:
         config = cli.load_config(op.config)
         t = splitting.build(config.graph_pair, config.spaces).T
         before = len(norm_calls)
-        splitting.spectral_report(t)
+        full_report(t)
         assert len(norm_calls) - before == 2, op.config
 
 
 def test_every_tune_sweep_takes_no_norm(norm_calls, tmp_path):
     """The benchmark's seed-1 tune sweeps: the bounds decide every iso
     verdict, identity test and band, so no sweep takes a spectral norm."""
-    ops = _workloads().tune_ops(1)
+    ops = perfbench_module("workloads").tune_ops(1)
     assert ops
     config_path, out_path = tmp_path / "config.json", tmp_path / "out.csv"
     for op in ops:
@@ -149,24 +140,6 @@ def test_a_report_and_a_sweep_each_form_one_basis(monkeypatch, tmp_path, capsys)
     capsys.readouterr()
 
 
-@SETTINGS
-@given(configurations(), st.sampled_from(ETAS))
-def test_a_sweep_analysis_has_the_bits_of_a_report(config, eta):
-    t = (1.0 + eta) * splitting.build(*config).T
-    analysis = splitting.sweep_analysis(t)
-    report = splitting.spectral_report(t)
-
-    def bits(eigs):
-        return [(lam.real.hex(), lam.imag.hex()) for lam in eigs]
-
-    assert np.array_equal(analysis.fix_basis, splitting.fix_basis(t))
-    assert analysis.fix_basis.shape[1] == report.fix_dim
-    assert analysis.is_iso_averaged is report.is_iso_averaged
-    assert bits(analysis.eigenvalues) == bits(report.eigenvalues)
-    assert bits(analysis.eigenvalues_off_one) == bits(report.eigenvalues_off_one)
-    assert analysis.rho1.hex() == report.rho1.hex()
-
-
 def test_an_equal_graph_trial_and_a_non_witness_node_take_no_norm(norm_calls):
     experiments._witness_search.cache_clear()
     records = experiments.graph_equality_trials(seed=3, trials=4)
@@ -199,7 +172,7 @@ def test_verdict_takes_the_norm_of_t_only_above_defect_tol(norm_calls):
     for eta in ETAS:
         t = (1.0 + eta) * t0
         before = len(norm_calls)
-        splitting.is_iso_averaged(t)
+        splitting.spectral_report(t).is_iso_averaged
         taken.append(len(norm_calls) - before)
         bound, ceiling = _iso_bounds(t)
         decided.add(bound)
@@ -222,11 +195,11 @@ def test_scaled_maps_run_every_branch_of_the_verdict():
     for seed in range(4):
         t = random_operator(seed).T
         for eta in ETAS:
-            cert = _assert_same_certificate((1.0 + eta) * t)
-            if cert.iso_defect <= splitting.DEFECT_TOL:
+            report = _assert_same_certificate((1.0 + eta) * t)
+            if report.iso_defect <= splitting.DEFECT_TOL:
                 branches.add("at most DEFECT_TOL")
             else:
-                branches.add("negligible" if cert.is_iso_averaged else "not negligible")
+                branches.add("negligible" if report.is_iso_averaged else "not negligible")
     assert branches == {"at most DEFECT_TOL", "negligible", "not negligible"}
 
 
@@ -236,7 +209,8 @@ def test_screened_fix_basis_equals_the_unscreened_rule(config, seed):
     t = splitting.build(*config).T
     rng = np.random.default_rng(seed)
     for case in (t, rng.standard_normal(t.shape), np.eye(t.shape[0]) - t):
-        assert np.array_equal(splitting.fix_basis(case), _unscreened_fix_basis(case))
+        basis = splitting.spectral_report(case).fix_basis
+        assert np.array_equal(basis, _unscreened_fix_basis(case))
 
 
 @pytest.mark.parametrize("kind", ["rank one", "orthogonal", "random"])
@@ -253,7 +227,7 @@ def test_fix_basis_across_the_band_edge(kind):
     bounded_until = identity_until = screened_until = 0.0
     for delta in np.geomspace(1e-12, 1e-7, 120).tolist():
         t = np.eye(n) + delta * e
-        basis = splitting.fix_basis(t)
+        basis = splitting.spectral_report(t).fix_basis
         assert np.array_equal(basis, _unscreened_fix_basis(t))
         if basis.shape[1] == n:
             identity_until = delta
@@ -284,7 +258,7 @@ def _assert_exact_norm_verdicts(t):
         report.iso_defect, splitting.DEFECT_TOL, nrm, squared=True
     )
     eigs = report.eigenvalues
-    assert report.fix_dim == splitting.fix_basis(t).shape[1]
+    assert report.fix_dim == _unscreened_fix_basis(t).shape[1]
     nearest = sorted(range(len(eigs)), key=lambda i: abs(eigs[i] - 1.0))[: report.fix_dim]
     assert all(
         _exact_within(abs(eigs[i] - 1.0), splitting.EIGENVALUE_ONE_TOL, nrm, squared=False)
@@ -333,13 +307,13 @@ VERDICT_CASES = {
 @pytest.mark.parametrize("case", VERDICT_CASES)
 def test_each_branch_of_the_verdict(norm_calls, case):
     t, iso_averaged, extra = VERDICT_CASES[case]
-    cert = splitting.certificates(t)
-    assert cert.is_iso_averaged is iso_averaged
+    report = full_report(t)
+    assert report.is_iso_averaged is iso_averaged
     assert len(norm_calls) == 2 + extra
     iso, verdict = _iso_verdict(t)
-    assert iso.hex() == cert.iso_defect.hex() and verdict is iso_averaged
-    assert cert.is_normal is _exact_within(
-        cert.normality_defect, splitting.DEFECT_TOL, matlin.operator_norm(t), squared=True
+    assert iso.hex() == report.iso_defect.hex() and verdict is iso_averaged
+    assert report.is_normal is _exact_within(
+        report.normality_defect, splitting.DEFECT_TOL, matlin.operator_norm(t), squared=True
     )
 
 
@@ -367,7 +341,7 @@ IDENTITY_CASES = {
 @pytest.mark.parametrize("case", IDENTITY_CASES)
 def test_each_branch_of_the_identity_test(norm_calls, case):
     t, identity, norms = IDENTITY_CASES[case]
-    basis = splitting.fix_basis(t)
+    basis = splitting.spectral_report(t).fix_basis
     assert len(norm_calls) == norms
     assert (basis.shape[1] == 4) is identity
     assert np.array_equal(basis, _unscreened_fix_basis(t))
@@ -399,10 +373,10 @@ def test_each_branch_of_the_at_one_band(norm_calls, case):
     if fix_dim is None:
         message = r"band at 1 \(0\) disagree with the fixed-subspace dimension \(1\)$"
         with pytest.raises(splitting.SelfCheckFailedError, match=message):
-            splitting.spectral_report(t)
+            full_report(t)
         assert len(norm_calls) == 2 + extra
         return
-    report = splitting.spectral_report(t)
+    report = full_report(t)
     assert len(norm_calls) == 2 + extra
     assert report.fix_dim == fix_dim
     # The eigenvalue above 1 is off 1 either way, so rho1 shows it (1 + 5e-8
@@ -410,6 +384,56 @@ def test_each_branch_of_the_at_one_band(norm_calls, case):
     assert report.eigenvalues[-1] in report.eigenvalues_off_one
     assert report.rho1 == abs(report.eigenvalues[-1]) > 1.0
     _assert_exact_norm_verdicts(t)
+
+
+def test_a_sweep_stops_at_a_failed_self_check_before_its_first_step(monkeypatch):
+    runs = []
+    monkeypatch.setattr(experiments, "_relaxed_runs", lambda *args: runs.append(args))
+    message = r"band at 1 \(0\) disagree with the fixed-subspace dimension \(1\)$"
+    with pytest.raises(splitting.SelfCheckFailedError, match=message):
+        experiments.theta_sweep(_jordan(3e-7), [0.5, 1.0], np.ones(3))
+    assert runs == []
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The calls of the two kernels behind the spectrum and the fixed basis."""
+    calls = []
+
+    def counting(name, original):
+        def kernel(a):
+            calls.append(name)
+            return original(a)
+
+        return kernel
+
+    for name in ("general_eigenvalues", "null_space"):
+        monkeypatch.setattr(matlin, name, counting(name, getattr(matlin, name)))
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_report_read_twice_computes_each_quantity_once(norm_calls, kernel_calls, seed):
+    t = random_operator(seed).T
+    full_report(t)
+    one_read = len(norm_calls)
+    norm_calls.clear()
+    kernel_calls.clear()
+    report = full_report(t)
+    first = {field: getattr(report, field) for field in REPORT_FIELDS}
+    # The second read returns the kept values (fix_dim is the basis's width).
+    assert report.fix_dim == first["fix_dim"]
+    for field in REPORT_FIELDS:
+        assert field == "fix_dim" or getattr(report, field) is first[field], field
+    assert kernel_calls.count("general_eigenvalues") == 1
+    assert kernel_calls.count("null_space") <= 1
+    assert len(norm_calls) == one_read
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_an_iso_verdict_alone_takes_no_spectrum_and_no_basis(kernel_calls, seed):
+    assert splitting.spectral_report(random_operator(seed).T).is_iso_averaged
+    assert kernel_calls == []
 
 
 @pytest.mark.parametrize("scale", [1e-160, 1e-170])
@@ -430,11 +454,17 @@ def test_iso_verdict_equals_the_exact_one(seed):
     decided = set()
     for eta in ETAS:
         t = (1.0 + eta) * t0
-        verdict = splitting.is_iso_averaged(t)
+        verdict = splitting.spectral_report(t).is_iso_averaged
         assert verdict is _iso_verdict(t)[1]
-        assert verdict is splitting.sweep_analysis(t).is_iso_averaged
         decided.add(_iso_bounds(t)[0])
     assert decided == {"upper", "lower", None}
+
+
+def _screened_iso_defect(t, tol):
+    """The defect of `experiments._witness_search` screened at tol: ||A||_F
+    when 2 ||A||_F is at most tol, else ||A||_2, from the report's `iso`."""
+    iso = splitting.spectral_report(t).iso
+    return iso.frobenius if iso.upper() <= tol else iso.exact()
 
 
 @SETTINGS
@@ -444,12 +474,12 @@ def test_screened_defect_is_exact_above_its_screen(config, eta):
     iso = _iso_defect(t)
     bound = float(np.linalg.norm(2.0 * (t.T @ t) - t - t.T))
     for tol in (splitting.DEFECT_TOL, experiments.WITNESS_TOL):
-        defect = splitting.screened_iso_defect(t, tol)
+        defect = _screened_iso_defect(t, tol)
         if 2.0 * bound <= tol:
             assert defect.hex() == bound.hex() and iso <= 2.0 * bound
         else:
             assert defect.hex() == iso.hex()
-    assert splitting.is_iso_averaged(t) is _iso_verdict(t)[1]
+    assert splitting.spectral_report(t).is_iso_averaged is _iso_verdict(t)[1]
 
 
 # The trials and the witness search as they were before the Frobenius screens:

@@ -8,11 +8,13 @@ import pkgutil
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
 
 import numpy as np
+from conftest import perfbench_module
 
 import graphsplit
 from graphsplit import _json, cli, experiments, matlin, splitting
@@ -160,7 +162,7 @@ def test_a_sweep_from_a_start_with_a_large_fixed_part_stops(tmp_path, capsys):
     }
     config = cli.load_config(cfg)
     op = splitting.build(config.graph_pair, config.spaces)
-    f = splitting.fix_basis(op.T)
+    f = splitting.spectral_report(op.T).fix_basis
     assert f.shape == (4, 1)
     shifted = cli._start_vector(config, op) + 1e3 * f[:, 0]
     for start in (shifted.tolist(), "random"):
@@ -405,6 +407,37 @@ def test_unknown_fields_are_named(tmp_path, message, overrides, capsys):
     _assert_config_error(tmp_path, capsys, _config(**overrides), message)
 
 
+@pytest.mark.parametrize(
+    "field,overrides",
+    [
+        # Built, each would run for hours or exhaust memory.
+        ("ambient", {"ambient": 10**6}),
+        ("ambient", {"ambient": 1e300}),
+        ("graph.n", {"graph": {"preset": "sequential", "n": 1e308}}),
+        ("graph.n", {"graph": {"preset": "ring", "n": 2**70}}),
+        ("graph.n", {"graph": {"n": 1001, "edges": []}}),
+        ("subgraph.n", {"subgraph": {"n": 1e308, "edges": []}}),
+        ("ambient: the lifted size (graph.n - 1) * ambient = 1002 is above 1000", {"ambient": 501}),
+    ],
+)
+def test_sizes_above_the_bound_are_named(tmp_path, field, overrides, capsys):
+    cfg = _config(**overrides)
+    start = time.perf_counter()
+    _assert_config_error(tmp_path, capsys, cfg, field)
+    assert cli.main(["sweep", "--config", _write(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sizes_at_the_bound_load():
+    assert cli.MAX_SIZE == 1000
+    cfg = cli.load_config(_config(ambient=500))
+    assert cfg.spaces.ambient == 500 and cfg.graph_pair.g.n == 3
+    chain = {"preset": "sequential", "n": 1000}
+    cfg = cli.load_config(_config(graph=chain, ambient=1, spaces=[{"kind": "full"}] * 1000))
+    assert cfg.graph_pair.g.n == 1000
+
+
 def test_integral_floats_load_as_integers():
     exact = cli.load_config(_config(k_max=10000))
     floats = cli.load_config(
@@ -629,3 +662,17 @@ def test_analyze_converges_on_clustered_maps(tmp_path, capsys, stall):
     code = cli.main(["analyze", "--config", _write(tmp_path, cfg)])
     capsys.readouterr()
     assert code == 0
+
+
+@pytest.mark.parametrize("workload", ["certify", "tune", "verify"])
+def test_the_benchmark_oracle_passes_the_first_op_of_each_workload(tmp_path, workload):
+    # The benchmark checks every output with these oracles, which read
+    # graphsplit's cli, build and matrix-free operator: a cut that drops a
+    # name they read fails here.
+    workloads, oracles = perfbench_module("workloads"), perfbench_module("oracles")
+    op = workloads.GENERATORS[workload](1)[0]
+    config_path, out_path = tmp_path / "config.json", tmp_path / "out.txt"
+    if op.config is not None:
+        config_path.write_text(json.dumps(op.config), encoding="utf-8")
+    assert cli.main(op.argv(str(config_path), str(out_path))) == 0
+    assert oracles.ORACLES[workload](graphsplit, op, out_path.read_text(encoding="utf-8")) == []

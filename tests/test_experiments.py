@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import EPS, assert_rate, exact_rate, random_operator
+from conftest import EPS, assert_rate, exact_rate, full_report, random_operator
 from relaxed_reference import EPS_LONG, long_double_norms, norm_bounds
 
 from graphsplit import experiments, graphs, matlin, splitting, subspaces
@@ -15,7 +15,7 @@ from graphsplit._rng import SplitMix64
 
 def test_converge_from_fixed_point():
     op, v0, _, _ = experiments.three_lines_example()
-    f = splitting.fix_basis(op.T)
+    f = splitting.spectral_report(op.T).fix_basis
     start = f @ (f.T @ v0)
     trace = experiments.converge(op, 1.0, start)
     assert trace.k_stop == 0
@@ -58,7 +58,7 @@ def test_witness_search_rejects_a_bad_dimension(d):
 def test_geometric_limit_matches_closed_form():
     op, v0, mu, limit = experiments.three_lines_example()
     assert mu == pytest.approx(-15.0 / 17.0, abs=1e-15)
-    f = splitting.fix_basis(op.T)
+    f = splitting.spectral_report(op.T).fix_basis
     assert f.shape[1] == 1
     # The fixed line is spanned by the stacked pair (mu a1, a3).
     w = np.concatenate([mu * np.array([-1.0, 6.0]), np.array([-3.0, -4.0])])
@@ -89,7 +89,7 @@ def test_theta_sweep_non_iso_uses_spectrum():
     ring_seq = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
     spaces = subspaces.product([subspaces.random_subspace(2, 1, 50 + i) for i in range(4)])
     built = splitting.build(ring_seq, spaces).T
-    assert not splitting.certificates(built).is_iso_averaged
+    assert not splitting.spectral_report(built).is_iso_averaged
     thetas = [0.1, 0.5, 1.0, 1.5, 1.9]
     for t in (np.eye(3) - np.diag([0.5, 0.5, 0.0]), built):
         records = experiments.theta_sweep(t, thetas, np.ones(t.shape[0]), k_max=50)
@@ -132,7 +132,7 @@ def _stepwise(t, theta, e, eps, k_max):
 
 
 def _assert_sweep_matches_oracle(t, thetas, v0, eps, k_max):
-    e0 = experiments._error(splitting.fix_basis(t), v0)
+    e0 = experiments._error(splitting.spectral_report(t).fix_basis, v0)
     records = experiments.theta_sweep(t, thetas, v0, eps=eps, k_max=k_max)
     assert [r.theta for r in records] == list(thetas)
     runs = experiments._relaxed_runs(t, list(thetas), e0, eps, k_max)
@@ -230,7 +230,7 @@ def test_stacked_sweep_matches_oracle_on_a_built_operator():
     ring_seq = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
     spaces = subspaces.product([subspaces.random_subspace(2, 1, 70 + i) for i in range(4)])
     t = splitting.build(ring_seq, spaces).T
-    assert not splitting.certificates(t).is_iso_averaged
+    assert not splitting.spectral_report(t).is_iso_averaged
     v0 = SplitMix64(71).normals(t.shape[0])
     thetas = [0.1 * i for i in range(1, 20)]
     stops = _assert_sweep_matches_oracle(t, thetas, v0, 1e-10, 400)
@@ -312,7 +312,7 @@ def test_one_chain_is_the_stepwise_loop(monkeypatch, seed):
         t = random_operator(seed).T
         v0, eps = SplitMix64(1000 + seed).normals(t.shape[0]), 1e-9
     thetas = [0.2, 0.6, 1.0, 1.3, 1.8]
-    e0 = experiments._error(splitting.fix_basis(t), v0)
+    e0 = experiments._error(splitting.spectral_report(t).fix_basis, v0)
     for theta, (k_stop, dists) in zip(thetas, experiments._relaxed_runs(t, thetas, e0, eps, 300)):
         want = _stepwise(t, theta, e0, eps, 300)
         assert dists.tolist() == want, theta
@@ -340,7 +340,7 @@ def test_blocked_distances_agree_with_a_long_double_run(seed):
         t = random_operator(300 + seed).T
         thetas = np.random.default_rng(seed).uniform(0.02, 1.98, 7).tolist()
         v0 = SplitMix64(3000 + seed).normals(t.shape[0])
-    e0 = experiments._error(splitting.fix_basis(t), v0)
+    e0 = experiments._error(splitting.spectral_report(t).fix_basis, v0)
     k_max = 3 * experiments._BLOCK + 5
     runs = experiments._relaxed_runs(t, thetas, e0, 0.0, k_max)
     refs, bounds = _long_double(t, thetas, e0, 0.0, k_max)
@@ -385,7 +385,7 @@ def test_thetas_past_the_byte_budget_run_in_turns_with_the_same_bits(monkeypatch
     t = splitting.build(graphs.pair(graphs.preset("ring", 13)), spaces).T
     assert t.shape == (48, 48)
     thetas = [0.1 * i for i in range(1, 20)]
-    e0 = experiments._error(splitting.fix_basis(t), SplitMix64(91).normals(48))
+    e0 = experiments._error(splitting.spectral_report(t).fix_basis, SplitMix64(91).normals(48))
     peaks, runs = [], []
     for budget in (experiments._TURN_BYTES, 2**18):
         monkeypatch.setattr(experiments, "_TURN_BYTES", budget)
@@ -452,10 +452,11 @@ def test_sweep_takes_the_fixed_basis_once(monkeypatch):
     monkeypatch.setattr(matlin, "null_space", counting)
     experiments.theta_sweep(op, [0.5, 1.0, 1.5], v0)
     assert calls == [(op.size, op.size)]
-    report = splitting.spectral_report(op.T)
+    report = full_report(op.T)
     assert len(calls) == 2
     assert not hasattr(report, "fixed_basis")
-    assert splitting.fix_basis(op.T).shape == (op.size, report.fix_dim)
+    assert report.fix_basis.shape == (op.size, report.fix_dim)
+    assert len(calls) == 2
 
 
 def test_measured_rate_tracks_prediction():
@@ -512,7 +513,7 @@ def test_convexity_check_identity_flat():
 def test_monotonicity_check_strict_decrease():
     op = random_operator(seed=61)
     rng = SplitMix64(62)
-    f = splitting.fix_basis(op.T)
+    f = splitting.spectral_report(op.T).fix_basis
     for theta in (0.5, 1.0, 1.5):
         x = rng.normals(op.size)
         x = x - f @ (f.T @ x)
@@ -533,7 +534,7 @@ def _zero_map():
 
 def test_monotonicity_check_excluded_inputs():
     op, v0, _, _ = experiments.three_lines_example()
-    f = splitting.fix_basis(op.T)
+    f = splitting.spectral_report(op.T).fix_basis
     with pytest.raises(experiments.ExcludedInputError):
         experiments.monotonicity_check(op, 0.5, f[:, 0])
     zero_op = _zero_map()
@@ -553,10 +554,10 @@ def test_monotonicity_requires_iso_averaged():
 
 
 def test_monotonicity_reads_only_the_iso_verdict(monkeypatch):
-    # The verdict, not the certificates: the bounds of A decide it on the
+    # The verdict, not the defects: the bounds of A decide it on the
     # three-lines map, so the check takes no spectral norm.
     op, v0, _, _ = experiments.three_lines_example()
-    f = splitting.fix_basis(op.T)
+    f = splitting.spectral_report(op.T).fix_basis
     x = v0 - f @ (f.T @ v0)
     calls = []
     original = matlin.operator_norm
@@ -589,7 +590,7 @@ def test_witness_search_malitsky_tam_full_spaces_stay_iso():
     gp = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
     spaces = subspaces.product([subspaces.full(2)] * 4)
     op = splitting.build(gp, spaces)
-    assert splitting.certificates(op.T).iso_defect <= 1e-9
+    assert splitting.spectral_report(op.T).iso_defect <= 1e-9
     assert experiments.witness_search(gp, 2).found
 
 
@@ -759,7 +760,7 @@ def test_monotonicity_check_keeps_the_loop_verdict(k_max):
     cases = []
     for seed in range(8):
         op = random_operator(400 + seed)
-        f = splitting.fix_basis(op.T)
+        f = splitting.spectral_report(op.T).fix_basis
         rng = SplitMix64(7000 + seed)
         for theta in (0.3, 1.0, 1.7):
             x = rng.normals(op.size)  # with a fixed component, so a nonzero limit
@@ -778,7 +779,7 @@ def test_monotonicity_check_keeps_the_loop_verdict(k_max):
     cases += [(HALVING, 0.5, np.array([c, 2.0**40 * 1e-12])) for c in (1e-4, 2e5)]
     verdicts = set()
     for t, theta, x in cases:
-        e0 = experiments._error(splitting.fix_basis(t), x)
+        e0 = experiments._error(splitting.spectral_report(t).fix_basis, x)
         want = bool(np.all(np.diff(_stepwise(t, theta, e0, experiments._FLOOR, k_max)) < 0))
         try:
             got = experiments.monotonicity_check(t, theta, x, k_max)
@@ -795,7 +796,7 @@ def test_monotonicity_check_accepts_a_start_with_a_large_fixed_part():
     verdicts = []
     for seed in range(8):
         op = random_operator(400 + seed)
-        f = splitting.fix_basis(op.T)
+        f = splitting.spectral_report(op.T).fix_basis
         x = SplitMix64(7000 + seed).normals(op.size)
         if f.shape[1]:
             verdicts.append(experiments.monotonicity_check(op.T, 0.3, x + 1e5 * f[:, 0], 10000))
@@ -811,7 +812,7 @@ def test_monotonicity_check_accepts_the_three_lines_start():
     assert float(np.linalg.norm(limit)) > 10.0
     for theta in (0.5, 1.0, 1.5):
         assert experiments.monotonicity_check(op, theta, v0)
-        e0 = experiments._error(splitting.fix_basis(op.T), v0)
+        e0 = experiments._error(splitting.spectral_report(op.T).fix_basis, v0)
         assert np.all(np.diff(_stepwise(op.T, theta, e0, experiments._FLOOR, experiments.DEFAULT_K_MAX)) < 0)
 
 
@@ -831,7 +832,7 @@ def test_demos_keep_the_loop_bits(block):
     op, v0, _, limit = experiments.three_lines_example()
     [(_, dists)] = experiments._relaxed_runs(op.T, [1.0], v0 - limit, 0.0, 5000)
     final_dist = float(dists[5000])
-    e0 = experiments._error(splitting.fix_basis(op.T), v0)
+    e0 = experiments._error(splitting.spectral_report(op.T).fix_basis, v0)
     (_, a), (_, b) = experiments._relaxed_runs(op.T, [0.2, 1.8], e0, 0.0, 200)
     sym = float(np.max(np.abs(a - b)))
     if block == "stepwise":

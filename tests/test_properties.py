@@ -67,7 +67,7 @@ def test_dense_matches_matrix_free(config):
 @SETTINGS
 @given(configurations(catalog=SAME))
 def test_equal_graphs_give_iso_averaged_maps(config):
-    assert splitting.certificates(splitting.build(*config).T).is_iso_averaged
+    assert splitting.spectral_report(splitting.build(*config).T).is_iso_averaged
 
 
 @SETTINGS
@@ -82,7 +82,7 @@ def test_equal_graphs_put_every_eigenvalue_on_the_half_circle(config):
 def test_the_isometry_defect_of_2t_minus_i_is_twice_the_iso_defect(config):
     t = splitting.build(*config).T
     r = 2.0 * t - np.eye(len(t))
-    iso = splitting.certificates(t).iso_defect
+    iso = splitting.spectral_report(t).iso_defect
     assert abs(np.linalg.norm(r.T @ r - np.eye(len(t)), 2) - 2.0 * iso) <= 1e-12 * (1.0 + iso)
 
 
@@ -109,7 +109,7 @@ def test_the_norm_symmetry_gap_is_the_iso_quadratic_form(config, theta, seed):
     w, v = np.linalg.eigh(a)
     top = v[:, np.argmax(np.abs(w))]
     gap = _squared_norm_gap(t, theta, top)
-    assert abs(abs(gap) - 2.0 * abs(theta - 1.0) * splitting.certificates(t).iso_defect) <= tol
+    assert abs(abs(gap) - 2.0 * abs(theta - 1.0) * splitting.spectral_report(t).iso_defect) <= tol
 
 
 # A distance punched into a trace that the rate fit must not read.
@@ -196,7 +196,7 @@ def test_rebased_factor_conjugates_c(config, seed):
     turned = splitting.build(op.graph_pair, op.spaces, z=op.Z @ o)
     obar = matlin.kron_lift(o, op.d)
     assert np.max(np.abs(turned.C - obar.T @ op.C @ obar)) <= 1e-9
-    before, after = splitting.certificates(op.T), splitting.certificates(turned.T)
+    before, after = splitting.spectral_report(op.T), splitting.spectral_report(turned.T)
     assert (before.is_normal, before.is_iso_averaged) == (after.is_normal, after.is_iso_averaged)
 
 
@@ -223,7 +223,7 @@ def test_coordinate_products_have_a_closed_form():
                 closed = matlin.kron_lift(np.eye(n - 1) - np.outer(z, z) / deg[i], d)
                 assert np.max(np.abs(op.T - closed)) <= 1e-13
                 r = deg_sub[i] / deg[i]
-                assert abs(splitting.certificates(op.T).iso_defect - 2.0 * r * (1.0 - r)) <= 1e-13
+                assert abs(splitting.spectral_report(op.T).iso_defect - 2.0 * r * (1.0 - r)) <= 1e-13
 
 
 def test_every_unequal_catalog_pair_has_a_witness():

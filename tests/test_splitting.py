@@ -1,10 +1,10 @@
-"""Operator assembly, matrix-free application, and spectral certificates."""
+"""Operator assembly, matrix-free application, and the spectral report."""
 
 import warnings
 
 import numpy as np
 import pytest
-from conftest import eig_multiset_close, random_operator
+from conftest import eig_multiset_close, full_report, random_operator
 
 from graphsplit import experiments, graphs, matlin, splitting, subspaces
 from graphsplit._rng import SplitMix64
@@ -195,17 +195,17 @@ def test_relax_projector_diagonal():
 
 
 def test_certificates_shift_block():
-    cert = splitting.certificates(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert cert.normality_defect == pytest.approx(1.0, abs=1e-12)
-    assert cert.iso_defect > 0.5
-    assert not cert.is_normal and not cert.is_iso_averaged
+    report = splitting.spectral_report(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert report.normality_defect == pytest.approx(1.0, abs=1e-12)
+    assert report.iso_defect > 0.5
+    assert not report.is_normal and not report.is_iso_averaged
 
 
 def test_certificates_projector_is_clean():
-    cert = splitting.certificates(np.diag([1.0, 0.0]))
-    assert cert.normality_defect == 0.0
-    assert cert.iso_defect == 0.0
-    assert cert.is_normal and cert.is_iso_averaged
+    report = splitting.spectral_report(np.diag([1.0, 0.0]))
+    assert report.normality_defect == 0.0
+    assert report.iso_defect == 0.0
+    assert report.is_normal and report.is_iso_averaged
 
 
 def test_certificates_isometry_defect_is_twice_iso_and_norm_matches_numpy():
@@ -219,10 +219,10 @@ def test_certificates_isometry_defect_is_twice_iso_and_norm_matches_numpy():
         random_operator(seed=901).T,
         splitting.build(ring_seq, spaces).T,
     ):
-        cert = splitting.certificates(t)
+        report = splitting.spectral_report(t)
         s = 2.0 * t - np.eye(t.shape[0])
         isometry = np.linalg.norm(s.T @ s - np.eye(t.shape[0]), 2)
-        assert isometry == pytest.approx(2.0 * cert.iso_defect, rel=1e-12, abs=1e-15)
+        assert isometry == pytest.approx(2.0 * report.iso_defect, rel=1e-12, abs=1e-15)
         assert matlin.operator_norm(t) == pytest.approx(np.linalg.norm(t, 2), rel=1e-12)
 
 
@@ -231,8 +231,8 @@ def test_certificates_half_shifted_permutation():
     # iso-averaged map.
     p = np.eye(4)[[1, 2, 3, 0]]
     c = 0.5 * (np.eye(4) - p)
-    assert splitting.certificates(np.eye(4) - c).iso_defect <= 1e-12
-    assert splitting.certificates(c).iso_defect <= 1e-12
+    assert splitting.spectral_report(np.eye(4) - c).iso_defect <= 1e-12
+    assert splitting.spectral_report(c).iso_defect <= 1e-12
 
 
 def test_spectral_report_identity():
@@ -247,17 +247,12 @@ def test_spectral_report_of_the_empty_map():
     assert report.is_normal and report.is_iso_averaged
     assert report.eigenvalues == report.eigenvalues_off_one == ()
     assert report.fix_dim == 0 and report.rho1 == 0.0
-    assert splitting.fix_basis(np.zeros((0, 0))).shape == (0, 0)
+    assert report.fix_basis.shape == (0, 0)
 
 
 ENTRY_POINTS = {
-    "certificates": splitting.certificates,
-    "fix_basis": splitting.fix_basis,
-    "screened_iso_defect": lambda t: splitting.screened_iso_defect(t, splitting.DEFECT_TOL),
-    "is_iso_averaged": splitting.is_iso_averaged,
     "relax": lambda t: splitting.relax(t, 0.5),
     "spectral_report": splitting.spectral_report,
-    "sweep_analysis": splitting.sweep_analysis,
 }
 
 
@@ -299,11 +294,7 @@ def test_the_analysis_of_t_calls_no_lapack(monkeypatch):
     for name in LAPACK:
         monkeypatch.setattr(np.linalg, name, barred)
     for t in ts:
-        splitting.certificates(t)
-        splitting.spectral_report(t)
-        splitting.sweep_analysis(t)
-        splitting.is_iso_averaged(t)
-        splitting.fix_basis(t)
+        full_report(t)
 
 
 def test_spectral_report_dr_sixty_degrees():
@@ -375,8 +366,8 @@ def test_rebase_rotation_preserves_defects():
     angle = np.deg2rad(30.0)
     o = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
     re = _rebase(op, o)
-    n0 = splitting.certificates(op.T)
-    n1 = splitting.certificates(re.T)
+    n0 = splitting.spectral_report(op.T)
+    n1 = splitting.spectral_report(re.T)
     assert abs(n0.normality_defect - n1.normality_defect) <= 1e-9
     assert abs(n0.iso_defect - n1.iso_defect) <= 1e-9
     lift = matlin.kron_lift(o, op.d)
@@ -417,10 +408,10 @@ def test_relaxation_scales_normality_defect_quadratically():
     # Non-normal specimen: star-to-last plus one extra edge, full spaces.
     gp = experiments.with_extra_edge(graphs.preset("parallel_down", 4), (1, 2))
     op = splitting.build(gp, subspaces.product([subspaces.full(1)] * 4))
-    base = splitting.certificates(op.T).normality_defect
+    base = splitting.spectral_report(op.T).normality_defect
     assert base > 1e-3
     for theta in (0.3, 0.8, 1.5):
-        relaxed = splitting.certificates(splitting.relax(op.T, theta)).normality_defect
+        relaxed = splitting.spectral_report(splitting.relax(op.T, theta)).normality_defect
         assert abs(relaxed - theta**2 * base) <= 1e-10
 
 
