@@ -140,6 +140,52 @@ def test_a_report_and_a_sweep_each_form_one_basis(monkeypatch, tmp_path, capsys)
     capsys.readouterr()
 
 
+def _field_bits(report, field):
+    """A field of a report as bits: hex floats, the bytes of the basis."""
+    value = getattr(report, field)
+    if field in ("eigenvalues", "eigenvalues_off_one"):
+        return [(lam.real.hex(), lam.imag.hex()) for lam in value]
+    if field == "fix_basis":
+        return value.shape, value.tobytes()
+    if field in ("normality_defect", "iso_defect", "rho1"):
+        return float(value).hex()
+    return type(value), value
+
+
+def _assert_bits_of_a_full_report(report, t):
+    full = full_report(t)
+    for field in REPORT_FIELDS:
+        assert _field_bits(report, field) == _field_bits(full, field), field
+
+
+# A caller reads only the fields it needs, in its own order (a sweep its
+# basis and rho1, a G = G' trial its iso verdict): what it reads has the bits
+# of a fully read report.
+
+@SETTINGS
+@given(configurations(), st.sampled_from(ETAS), st.permutations(REPORT_FIELDS))
+def test_fields_read_in_any_order_have_the_bits_of_a_full_report(config, eta, order):
+    t = (1.0 + eta) * splitting.build(*config).T
+    report = splitting.spectral_report(t)
+    for field in order:
+        getattr(report, field)
+    _assert_bits_of_a_full_report(report, t)
+
+
+@pytest.mark.parametrize("field", REPORT_FIELDS)
+def test_a_field_read_first_has_the_bits_of_a_full_report(field):
+    ts = [(1.0 + eta) * random_operator(seed).T for seed in range(4) for eta in ETAS[::10]]
+    for k, (_, make) in enumerate(experiments.pair_catalog()):
+        spaces = subspaces.product(
+            subspaces.random_subspace(3, 1 + (k + i) % 3, 50 * k + i) for i in range(4)
+        )
+        ts.append(splitting.build(make(4), spaces).T)
+    for t in ts:
+        report = splitting.spectral_report(t)
+        getattr(report, field)
+        _assert_bits_of_a_full_report(report, t)
+
+
 def test_an_equal_graph_trial_and_a_non_witness_node_take_no_norm(norm_calls):
     experiments._witness_search.cache_clear()
     records = experiments.graph_equality_trials(seed=3, trials=4)
