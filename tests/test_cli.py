@@ -1,8 +1,12 @@
 """CLI surface: config ingestion, output formats, determinism, exit codes."""
 
+import contextlib
+import functools
 import importlib
+import io
 import json
 import math
+import operator
 import os
 import pkgutil
 import re
@@ -15,6 +19,8 @@ import pytest
 
 import numpy as np
 from conftest import perfbench_module
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphsplit
 from graphsplit import _json, cli, experiments, matlin, splitting
@@ -436,6 +442,96 @@ def test_sizes_at_the_bound_load():
     chain = {"preset": "sequential", "n": 1000}
     cfg = cli.load_config(_config(graph=chain, ambient=1, spaces=[{"kind": "full"}] * 1000))
     assert cfg.graph_pair.g.n == 1000
+
+
+# Valid configs for both commands, both graph forms and both thetas forms,
+# with v0 as a list and as "random".
+_MUTATION_CATALOG = [
+    ("analyze", {
+        "graph": {"preset": "ring", "n": 3}, "subgraph": {"preset": "sequential", "n": 3},
+        "ambient": 2,
+        "spaces": [{"kind": "span", "vectors": [[1, 0]]}, {"kind": "hyperplane", "normal": [1, 1]},
+                   {"kind": "random", "dim": 1, "seed": 7}],
+        "thetas": [0.5, 1.5], "eps": 1e-6, "k_max": 200, "seed": 3, "v0": "random",
+    }),
+    ("sweep", {
+        "graph": {"n": 3, "edges": [[1, 2], [2, 3], [1, 3]]},
+        "subgraph": {"n": 3, "edges": [[1, 2], [2, 3]]},
+        "ambient": 2,
+        "spaces": [{"kind": "hyperplane", "normal": [1, 0]}, {"kind": "span", "vectors": [[1, 1]]},
+                   {"kind": "full"}],
+        "thetas": {"start": 0.5, "stop": 1.5, "step": 0.5}, "eps": 1e-6, "k_max": 200, "seed": 3,
+        "v0": [1, 0, 0, 1],
+    }),
+    ("sweep", {
+        "graph": {"preset": "sequential", "n": 3}, "ambient": 2,
+        "spaces": [{"kind": "random", "dim": 1, "seed": 11}, {"kind": "trivial"},
+                   {"kind": "hyperplane", "normal": [0, 1]}],
+        "thetas": [0.5, 1.0], "eps": 1e-6, "k_max": 200, "seed": 5, "v0": "random",
+    }),
+    ("analyze", {
+        "graph": {"n": 3, "edges": [[1, 2], [1, 3]]}, "ambient": 1,
+        "spaces": [{"kind": "full"}, {"kind": "random", "dim": 1, "seed": 2}, {"kind": "trivial"}],
+        "thetas": {"start": 0.25, "stop": 1.75, "step": 0.75}, "k_max": 50, "v0": [1, 2],
+    }),
+]
+_DELETE = "<delete>"
+_MUTATIONS = [_DELETE, None, True, "1", [[1, 2], [3, 4]], {"x": 1}, math.nan, math.inf, -math.inf,
+              -0.0, 0, -1, 0.5, 1.5, 1e308, 2**70]
+# The fields whose errors a mutation of each top-level field may bring about.
+_DERIVED = {"graph": {"subgraph", "ambient", "spaces", "v0"}, "ambient": {"spaces", "v0"}}
+
+
+def _json_paths(node, prefix=()):
+    """Every path below node, each key or index in turn."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    paths = []
+    for key, child in items:
+        paths += [(*prefix, key), *_json_paths(child, (*prefix, key))]
+    return paths
+
+
+_MUTATION_SITES = [(index, path) for index, (_, cfg) in enumerate(_MUTATION_CATALOG)
+                   for path in _json_paths(cfg)]
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutations")
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(st.sampled_from(_MUTATION_SITES), st.sampled_from(_MUTATIONS))
+def test_one_mutation_of_a_valid_config_exits_0_or_names_its_field(mutation_dir, site, value):
+    index, path = site
+    command, cfg = _MUTATION_CATALOG[index]
+    cfg = json.loads(json.dumps(cfg))
+    *parents, key = path
+    node = functools.reduce(operator.getitem, parents, cfg)
+    if value is _DELETE:
+        del node[key]
+    else:
+        node[key] = value
+    config_path = _write(mutation_dir, cfg)
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([command, "--config", config_path, "--out", str(mutation_dir / "out")])
+    seconds = time.perf_counter() - start
+    if key in ("n", "ambient"):
+        assert seconds < 1.0
+    assert code in (0, 2)
+    if code == 2:
+        allowed = {path[0], *_DERIVED.get(path[0], ())}
+        if value is _DELETE and not parents:
+            allowed.add("config")  # a required field is missing
+        named = re.fullmatch(r"error: (\w+)[.:\[][^\n]*\n", err.getvalue())
+        assert named and named.group(1) in allowed, err.getvalue()
 
 
 def test_integral_floats_load_as_integers():
