@@ -1,5 +1,6 @@
-"""Strict reading of decoded JSON: integer and float fields, and the field names
-of an object; and the integer check of a count argument."""
+"""Strict reading of decoded JSON, which `cli` uses to read a config: integer
+and float fields, and the field names of an object; and the integer checks
+that the library modules make of a size or count argument."""
 
 import numbers
 

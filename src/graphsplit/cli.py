@@ -7,6 +7,9 @@ and `verify` runs the randomized graph-pair consistency check. All output
 is deterministic for a fixed config and seed; floats are printed with 12
 significant digits.
 
+The config format lives here alone: `load_config` reads each field once,
+and bounds each size as it reads it, before anything is built from it.
+
 Exit status: 0 on success, 1 when a check fails, 2 on configuration errors,
 3 on an internal numerical failure (a failed self-check, an eigensolver that
 does not converge, a singular linear solve).
@@ -70,27 +73,67 @@ def _known_fields(field, obj, fields):
         raise ValueError(f"{field}: {exc}") from None
 
 
-def _check_sizes(obj):
-    """Raise a ValueError naming the field if graph.n, subgraph.n, ambient or
-    the lifted size (graph.n - 1) * ambient is a whole number above MAX_SIZE,
-    before any graph, subspace or random draw is built from them; a value
-    that is not a whole number is left to the field's own check."""
-    graphs_given = [key for key in ("graph", "subgraph") if isinstance(obj.get(key), dict)]
-    sizes = {f"{key}.n": obj[key].get("n") for key in graphs_given}
-    sizes["ambient"] = obj.get("ambient")
-    whole = {}
-    for field, value in sizes.items():
-        try:
-            whole[field] = integer(value)
-        except ValueError:
-            continue
-        if whole[field] > MAX_SIZE:
-            raise ValueError(f"{field}: must be at most {MAX_SIZE}")
-    lifted = max(whole.get("graph.n", 0) - 1, 0) * max(whole.get("ambient", 0), 0)
-    if lifted > MAX_SIZE:
-        raise ValueError(
-            f"ambient: the lifted size (graph.n - 1) * ambient = {lifted} is above {MAX_SIZE}"
-        )
+def _graph(field, obj):
+    """The graph of a config field: {"preset": name, "n": k} or
+    {"n": k, "edges": [...]}, with any other field an error. n is bounded by
+    MAX_SIZE before the graph is built; each error names field."""
+    try:
+        if not isinstance(obj, dict):
+            raise ValueError("graph fragment must be an object")
+        if "preset" in obj:
+            known_fields(obj, ("preset", "n"))
+            if "n" not in obj:
+                raise ValueError('preset graph fragment needs "n"')
+        else:
+            known_fields(obj, ("n", "edges"))
+            if "edges" not in obj or "n" not in obj:
+                raise ValueError('graph fragment needs either "preset"/"n" or "n"/"edges"')
+        n = integer(obj["n"])
+        if n <= MAX_SIZE:  # else nothing is built, and the error names n
+            if "preset" in obj:
+                return graphs.preset(obj["preset"], n)
+            return graphs.AlgorithmicGraph(n, [[integer(v) for v in e] for e in obj["edges"]])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{field}: {exc}") from exc
+    raise ValueError(f"{field}.n: must be at most {MAX_SIZE}")
+
+
+def _space(field, obj, ambient):
+    """The subspace of R^ambient of a config field, by its kind: span (a list
+    of vectors), hyperplane (a normal vector), random (dim and seed), full or
+    trivial. A field the kind does not take is an error; each error names
+    field."""
+    kind_fields = {
+        "span": ("vectors",),
+        "hyperplane": ("normal",),
+        "random": ("dim", "seed"),
+        "full": (),
+        "trivial": (),
+    }
+
+    def vector(value, what):
+        v = np.asarray(reals(value), dtype=float)
+        if v.shape != (ambient,):
+            raise ValueError(f"{what} must be a list of {ambient} numbers, got shape {v.shape}")
+        return v
+
+    try:
+        if not isinstance(obj, dict) or "kind" not in obj:
+            raise ValueError('subspace fragment must be an object with a "kind"')
+        kind = obj["kind"]
+        if not isinstance(kind, str) or kind not in kind_fields:
+            raise ValueError(f"unknown subspace kind {kind!r}")
+        known_fields(obj, ("kind", *kind_fields[kind]))
+        if kind == "span":
+            vectors = [vector(v, "span vector") for v in obj["vectors"]]
+            return subspaces.from_generators(vectors, ambient)
+        if kind == "hyperplane":
+            return subspaces.hyperplane(vector(obj["normal"], "hyperplane normal"))
+        if kind == "random":
+            return subspaces.random_subspace(ambient, integer(obj["dim"]), integer(obj["seed"]))
+        return subspaces.full(ambient) if kind == "full" else subspaces.trivial(ambient)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{field}: {exc}") from exc
 
 
 def _expand_thetas(spec):
@@ -118,39 +161,43 @@ def _expand_thetas(spec):
 def load_config(obj, seed=None, eps=None):
     """Build an ExperimentConfig from a decoded JSON object.
 
-    Command-line --seed and --eps take precedence over the file values.
+    Each field is read once, in this order: graph, whose n is bounded
+    before it is built; ambient, then the lifted size (graph.n - 1) * ambient;
+    subgraph; then spaces, thetas, eps, k_max, seed and v0. Every size is
+    bounded by MAX_SIZE before anything is built from it, and an error names
+    the first bad field read. Command-line --seed and --eps take precedence
+    over the file values.
     """
     if not isinstance(obj, dict):
         raise ValueError("config: top level must be an object")
     _known_fields("config", obj, _CONFIG_FIELDS)
     if "graph" not in obj:
         raise ValueError('config: missing "graph"')
-    _check_sizes(obj)
-    try:
-        g = graphs.from_json(obj["graph"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"graph: {exc}") from exc
-    try:
-        gp = graphs.from_json(obj["subgraph"]) if "subgraph" in obj else None
-        pair = graphs.pair(g, gp)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"subgraph: {exc}") from exc
-
+    g = _graph("graph", obj["graph"])
     if "ambient" not in obj:
         raise ValueError('config: missing "ambient"')
     ambient = _number("ambient", obj["ambient"], integer)
     if ambient < 1:
         raise ValueError("ambient: must be at least 1")
+    if ambient > MAX_SIZE:
+        raise ValueError(f"ambient: must be at most {MAX_SIZE}")
+    lifted = (g.n - 1) * ambient
+    if lifted > MAX_SIZE:
+        raise ValueError(
+            f"ambient: the lifted size (graph.n - 1) * ambient = {lifted} is above {MAX_SIZE}"
+        )
+    gp = _graph("subgraph", obj["subgraph"]) if "subgraph" in obj else None
+    try:
+        pair = graphs.pair(g, gp)
+    except ValueError as exc:
+        raise ValueError(f"subgraph: {exc}") from exc
 
     fragments = obj.get("spaces")
     if not isinstance(fragments, list) or len(fragments) != g.n:
         raise ValueError(f"spaces: need a list of exactly {g.n} subspace fragments")
-    factors = []
-    for idx, fragment in enumerate(fragments, start=1):
-        try:
-            factors.append(subspaces.from_json(fragment, ambient))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"spaces[{idx}]: {exc}") from exc
+    factors = [
+        _space(f"spaces[{idx}]", fragment, ambient) for idx, fragment in enumerate(fragments, start=1)
+    ]
 
     thetas = _expand_thetas(obj.get("thetas", []))
     for theta in thetas:
@@ -174,8 +221,8 @@ def load_config(obj, seed=None, eps=None):
         with np.errstate(over="ignore"):  # 1e200 is finite, but its square is not
             if not math.isfinite(flat @ flat):
                 raise ValueError("v0: entries and their squared norm must be finite")
-        if flat.shape[0] != (g.n - 1) * ambient:
-            raise ValueError(f"v0: expected {(g.n - 1) * ambient} numbers, got {flat.shape[0]}")
+        if flat.shape[0] != lifted:
+            raise ValueError(f"v0: expected {lifted} numbers, got {flat.shape[0]}")
         v0 = flat
 
     return ExperimentConfig(

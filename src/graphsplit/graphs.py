@@ -10,7 +10,8 @@ the factor are fresh arrays on every call, and `splitting` keeps the
 factor and its lifts once per (graph pair, d).
 
 Node indices are 1-based at the boundary (matching the usual convention
-for these methods) and 0-based in array code.
+for these methods) and 0-based in array code. A config's graphs are read
+by `cli`, which builds them with `preset` and `AlgorithmicGraph`.
 """
 
 import functools
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matlin
-from ._json import integer, known_fields, whole
+from ._json import whole
 
 PRESETS = ("sequential", "ring", "parallel_up", "parallel_down", "biparallel", "complete")
 
@@ -177,21 +178,3 @@ def _preset(name, n):
     else:  # complete
         edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return AlgorithmicGraph(n, tuple(edges))
-
-
-def from_json(obj):
-    """Graph from a JSON fragment: {"preset": name, "n": k} or {"n": k, "edges": [...]}.
-
-    Any other field is an error.
-    """
-    if not isinstance(obj, dict):
-        raise ValueError("graph fragment must be an object")
-    if "preset" in obj:
-        known_fields(obj, ("preset", "n"))
-        if "n" not in obj:
-            raise ValueError('preset graph fragment needs "n"')
-        return preset(obj["preset"], integer(obj["n"]))
-    known_fields(obj, ("n", "edges"))
-    if "edges" not in obj or "n" not in obj:
-        raise ValueError('graph fragment needs either "preset"/"n" or "n"/"edges"')
-    return AlgorithmicGraph(integer(obj["n"]), [[integer(v) for v in e] for e in obj["edges"]])

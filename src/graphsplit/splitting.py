@@ -236,7 +236,8 @@ class SpectralReport:
     """The analysis of a checked T: each field is computed on its first read
     and kept, so each quantity is computed once, and only when read.
 
-    The fields share one `_Norm` of T, one Gram matrix T^T T and `iso`, the
+    The fields share a core that every read path needs and that is built
+    with the report: one `_Norm` of T, one Gram matrix T^T T and `iso`, the
     `_Norm` of A = 2 T^T T - T - T^T. The two defects are the spectral norms
     of T^T T - T T^T and of A, and each counts as zero up to
     DEFECT_TOL (1 + ||T||^2) by the rule of `_within`: the iso verdict reads
@@ -247,18 +248,9 @@ class SpectralReport:
 
     def __init__(self, t):
         self._t = t
-
-    @functools.cached_property
-    def _norm(self):
-        return _Norm(self._t)
-
-    @functools.cached_property
-    def _gram(self):
-        return self._t.T @ self._t
-
-    @functools.cached_property
-    def iso(self):
-        return _Norm(2.0 * self._gram - self._t - self._t.T)
+        self._norm = _Norm(t)
+        self._gram = t.T @ t
+        self.iso = _Norm(2.0 * self._gram - t - t.T)
 
     @functools.cached_property
     def normality_defect(self):
@@ -347,7 +339,8 @@ class SpectralReport:
 
 def spectral_report(t):
     """The `SpectralReport` of T, which is checked here: 2-d, square and
-    finite. Nothing else is computed until a field is read."""
+    finite. Only the shared core (||T||_F, T^T T and ||A||_F) is computed
+    here; every other quantity waits until a field that needs it is read."""
     return SpectralReport(_checked(t))
 
 

@@ -3,7 +3,8 @@
 A subspace carries its basis (d x k, orthonormal columns, k possibly zero)
 and hands out the projector basis @ basis.T. Products of subspaces model
 the per-node constraint sets of a splitting method; their projectors are
-block diagonal.
+block diagonal. A config's node spaces are read by `cli`, which builds them
+with the constructors here.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matlin
-from ._json import check_count, integer, known_fields, reals
+from ._json import check_count
 from ._rng import SplitMix64
 
 
@@ -194,43 +195,3 @@ def coordinate_product(n, i, ambient):
     return ProductSubspace(
         tuple(full(ambient) if j == i else trivial(ambient) for j in range(1, n + 1))
     )
-
-
-def _vector(value, ambient, what):
-    """A list of `ambient` numbers as a float vector; anything else raises ValueError."""
-    v = np.asarray(reals(value), dtype=float)
-    if v.shape != (ambient,):
-        raise ValueError(f"{what} must be a list of {ambient} numbers, got shape {v.shape}")
-    return v
-
-
-# The fields of each subspace kind of a JSON fragment, besides "kind".
-_KIND_FIELDS = {
-    "span": ("vectors",),
-    "hyperplane": ("normal",),
-    "random": ("dim", "seed"),
-    "full": (),
-    "trivial": (),
-}
-
-
-def from_json(obj, ambient):
-    """Subspace from a JSON fragment.
-
-    Recognized kinds: span (list of vectors), hyperplane (normal vector),
-    random (dim and seed), full, trivial. A field the kind does not take is
-    an error.
-    """
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError('subspace fragment must be an object with a "kind"')
-    kind = obj["kind"]
-    if not isinstance(kind, str) or kind not in _KIND_FIELDS:
-        raise ValueError(f"unknown subspace kind {kind!r}")
-    known_fields(obj, ("kind", *_KIND_FIELDS[kind]))
-    if kind == "span":
-        return from_generators([_vector(v, ambient, "span vector") for v in obj["vectors"]], ambient)
-    if kind == "hyperplane":
-        return hyperplane(_vector(obj["normal"], ambient, "hyperplane normal"))
-    if kind == "random":
-        return random_subspace(ambient, integer(obj["dim"]), integer(obj["seed"]))
-    return full(ambient) if kind == "full" else trivial(ambient)

@@ -12,8 +12,8 @@ side is right. `rates` takes the tune ops that differ and, for each side,
 compares the printed stop iterations and rates with a reference: the
 same float T_theta of that side, iterated in `np.longdouble` from the
 error e0 of the start (the start less its projection on that side's
-fixed basis f, projected off f once more, in float, as the sweep makes
-it) to 0 by `tests/relaxed_reference.py`, which the sweep tests share,
+fixed basis f, projected off f once more, in float, by that side's
+`experiments._error`, as the sweep makes it) to 0 by `tests/relaxed_reference.py`, which the sweep tests share,
 and its rate fitted as the sweep fits one, in long double.
 The error, not the start less the limit, since a long double iteration
 of the start carries a round-off of the limit's size that a 50-digit
@@ -172,9 +172,7 @@ def sweep_rows(regenerate, op, workdir):
     config = cli.load_config(op.config)
     built = splitting.build(config.graph_pair, config.spaces)
     t, v0 = built.T, cli._start_vector(config, built)
-    f = splitting.spectral_report(t).fix_basis
-    e0 = v0 - f @ (f.T @ v0)
-    e0 = e0 - f @ (f.T @ e0)
+    e0 = experiments._error(splitting.spectral_report(t).fix_basis, v0)
     t_thetas = np.stack([splitting.relax(t, theta) for theta in config.thetas])
     refs = reference_run(t_thetas, e0, config.eps, config.k_max, experiments.RATE_FLOOR)
     return [

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphsplit
-from graphsplit import _json, cli, experiments, matlin, splitting
+from graphsplit import _json, cli, experiments, matlin, splitting, subspaces
 
 
 def _config(**overrides):
@@ -357,6 +357,42 @@ def test_a_preset_without_n_says_so(tmp_path, field, capsys):
     _assert_config_error(tmp_path, capsys, cfg, f'{field}: preset graph fragment needs "n"')
 
 
+def test_graph_forms():
+    ring = cli.load_config(
+        _config(graph={"preset": "ring", "n": 4}, ambient=1, spaces=[{"kind": "full"}] * 4)
+    )
+    assert set(ring.graph_pair.g.edges) == {(1, 2), (2, 3), (3, 4), (1, 4)}
+    chain = cli.load_config(_config(graph={"n": 3, "edges": [[1, 2], [2, 3]]}))
+    assert chain.graph_pair.g.edges == ((1, 2), (2, 3))
+    with pytest.raises(
+        ValueError, match='^graph: graph fragment needs either "preset"/"n" or "n"/"edges"$'
+    ):
+        cli.load_config(_config(graph={"n": 3}))
+    with pytest.raises(ValueError, match="^graph: graph fragment must be an object$"):
+        cli.load_config(_config(graph=[1, 2]))
+    with pytest.raises(ValueError, match="^graph: unknown preset"):
+        cli.load_config(_config(graph={"preset": ["ring"], "n": 4}))
+
+
+def _first_factor(fragment):
+    return cli.load_config(_config(ambient=3, spaces=_first_space(fragment))).spaces.factors[0]
+
+
+def test_space_kinds():
+    assert _first_factor({"kind": "full"}).dim == 3
+    assert _first_factor({"kind": "trivial"}).dim == 0
+    assert _first_factor({"kind": "span", "vectors": [[1, 0, 0], [2, 0, 0]]}).dim == 1
+    assert _first_factor({"kind": "hyperplane", "normal": [0, 0, 1]}).dim == 2
+    r = _first_factor({"kind": "random", "dim": 2, "seed": 9})
+    assert np.array_equal(r.basis, subspaces.random_subspace(3, 2, 9).basis)
+    with pytest.raises(ValueError, match=r"^spaces\[1\]: unknown subspace kind 'mystery'$"):
+        _first_factor({"kind": "mystery"})
+    with pytest.raises(
+        ValueError, match=r"^spaces\[1\]: hyperplane normal must be a list of 3 numbers"
+    ):
+        _first_factor({"kind": "hyperplane", "normal": [1, 0]})
+
+
 @pytest.mark.parametrize("name", [["ring"], {"ring": 1}, 3])
 def test_an_unhashable_or_unknown_preset_names_its_field(tmp_path, name, capsys):
     # The preset cache is consulted only after the name is checked.
@@ -424,6 +460,11 @@ def test_unknown_fields_are_named(tmp_path, message, overrides, capsys):
         ("graph.n", {"graph": {"n": 1001, "edges": []}}),
         ("subgraph.n", {"subgraph": {"n": 1e308, "edges": []}}),
         ("ambient: the lifted size (graph.n - 1) * ambient = 1002 is above 1000", {"ambient": 501}),
+        # The graph is read first, then the lifted size, then the subgraph.
+        ("graph: underlying undirected graph is not connected",
+         {"graph": {"n": 600, "edges": [[1, 2], [2, 3]]}}),
+        ("ambient: the lifted size (graph.n - 1) * ambient = 1198 is above 1000",
+         {"graph": {"preset": "sequential", "n": 600}, "subgraph": {"preset": "sequential", "n": 3}}),
     ],
 )
 def test_sizes_above_the_bound_are_named(tmp_path, field, overrides, capsys):

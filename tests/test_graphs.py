@@ -171,21 +171,8 @@ def test_presets_are_cached_and_checked_first():
     assert graphs.preset("ring", np.int64(5)) is g
     assert graphs.preset("sequential", 5) is not g
     with pytest.raises(ValueError, match="^unknown preset"):
-        graphs.from_json({"preset": ["ring"], "n": 4})
-    with pytest.raises(ValueError, match="^unknown preset"):
         graphs.preset({"ring": 1}, 4)
     # 5.0 and True would share a cache entry with 5 and 1.
     for n in (5.0, True, "5"):
         with pytest.raises(ValueError, match="^preset size must be an integer, got "):
             graphs.preset("ring", n)
-
-
-def test_from_json_forms():
-    g = graphs.from_json({"preset": "ring", "n": 4})
-    assert set(g.edges) == {(1, 2), (2, 3), (3, 4), (1, 4)}
-    h = graphs.from_json({"n": 3, "edges": [[1, 2], [2, 3]]})
-    assert h.edges == ((1, 2), (2, 3))
-    with pytest.raises(ValueError, match='^graph fragment needs either "preset"/"n" or "n"/"edges"$'):
-        graphs.from_json({"n": 3})
-    with pytest.raises(ValueError, match="^graph fragment must be an object$"):
-        graphs.from_json([1, 2])

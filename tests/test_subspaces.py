@@ -243,18 +243,3 @@ GENERATORS = "generators must be flat vectors of one length with finite entries"
 def test_bad_generators_and_normals_are_named(make, vectors, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make(vectors)
-
-
-def test_from_json_kinds():
-    assert subspaces.from_json({"kind": "full"}, 3).dim == 3
-    assert subspaces.from_json({"kind": "trivial"}, 3).dim == 0
-    u = subspaces.from_json({"kind": "span", "vectors": [[1, 0, 0], [2, 0, 0]]}, 3)
-    assert u.dim == 1
-    h = subspaces.from_json({"kind": "hyperplane", "normal": [0, 0, 1]}, 3)
-    assert h.dim == 2
-    r = subspaces.from_json({"kind": "random", "dim": 2, "seed": 9}, 3)
-    assert np.array_equal(r.basis, random_subspace(3, 2, 9).basis)
-    with pytest.raises(ValueError):
-        subspaces.from_json({"kind": "mystery"}, 3)
-    with pytest.raises(ValueError):
-        subspaces.from_json({"kind": "hyperplane", "normal": [1, 0]}, 3)
