@@ -1,6 +1,6 @@
 """Byte-identity records of the benchmark ops for one source tree, their diff,
-long double references for the sweep rates that differ and 50-digit
-references for the eigenvalues that differ.
+long double references for the sweep rates that differ, and 50-digit
+references for the eigenvalues and the defects that differ.
 
 A record holds, for every certify, tune and verify op of seeds 1 to 8 of
 `perfbench/workloads.py` (loaded by path, read only; `record --seeds 9-16`
@@ -25,6 +25,7 @@ root, with a second checkout in OLD:
     python3 tests/golden/referee.py diff old.json new.json
     python3 tests/golden/referee.py rates old.json new.json
     python3 tests/golden/referee.py eigs old.json new.json
+    python3 tests/golden/referee.py norms old.json new.json
 
 `record` imports graphsplit from the given source tree, and runs the ops of
 this checkout's workloads with it. `diff` prints one line per op that
@@ -75,6 +76,37 @@ under test share. The new side passes when
 - on each of the three paired counts, farther - closer <= 2 sqrt(closer +
   farther): a one-sided sign test that refuses a change no less accurate
   than the old side about once in 44 per count.
+
+`norms` takes the certify and verify ops that differ, and `demo all`: the
+ops that print a normality or iso defect of a report, as `analyze` does
+and as some demos do. It runs each side in a process of its own (`defects
+SRC LABEL...`) and keeps, for every report whose defects the op reads, the
+bytes of its float T and the defects read. A defect is the spectral norm
+of A = T^T T - T T^T or A = 2 T^T T - T - T^T. Its floor is
+2 N eps (1 + ||T||_F^2), the first-order bound of the error of forming
+either A in floating point (Higham, section 3.5). `norms` prints how many
+defect figures moved, how many of those the new side prints as 0 and the
+largest exact ||A||_F of them in units of the floor, the largest error of
+the others in units of their bound, and the paired count over the moved
+figures above the floor.
+
+A last line applies the pass rule of a change that moves printed defects,
+and `norms` exits 1 when it fails. For each op that differs:
+- both sides exit alike, and build the same float T bytes for each report;
+- every printed field other than the two defects (the other fields of an
+  `analyze` report, each demo line less the measured figure of a normality
+  or iso defect, every line of a `verify` summary) is byte-equal;
+- a defect that the new side prints as 0 passes only if the defect matrix
+  A, formed exactly in rationals from the float T, has ||A||_F at most 1.5
+  times the floor of the exact ||T||_F;
+- any other defect of the new side that moved is within 1.5 floor +
+  N^2 eps ||A||_2 of ||A||_2, the largest eigenvalue in modulus of that
+  exact A by `mpmath.eigsy` at 50 digits: the error of forming A, and the
+  first-order error of the norm of a Householder-reduced Gram matrix;
+- over the moved figures above the floor on both sides (an exact ||A||_F
+  above 1.5 floor, and neither side 0), farther - closer <=
+  2 sqrt(closer + farther), the sign test of `eigs`. Figures under the
+  floor are round-off on both sides, and take no sign test.
 """
 
 import argparse
@@ -84,10 +116,12 @@ import io
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +131,9 @@ sys.path.insert(0, str(HERE.parent))  # the tests directory, for the one long do
 from relaxed_reference import long_double_norms  # noqa: E402
 SEEDS = range(1, 9)
 EIG_DIGITS = 50
+EPS = float(np.finfo(float).eps)
+DEFECTS = ("normality_defect", "iso_defect")
+DEMO_LINE = re.compile(r"  \[(?:pass|FAIL)\] (?P<label>.*): measured (?P<measured>.*), expected .*")
 
 
 def load_regenerate(src):
@@ -432,6 +469,170 @@ def eigs(old, new, moved):
     return not failures
 
 
+def defect_row(regenerate, op, workdir):
+    """What one op prints and the defects it rests on, run with the
+    graphsplit that regenerate imported: its command and exit code, its
+    output, and, for each report of the run whose defects were read, the hex
+    bytes of its T and each defect read. The printed defects of an `analyze`
+    op are checked against its report."""
+    from graphsplit import cli, splitting
+
+    reports = []
+    original = splitting.spectral_report
+
+    def keeping(t):
+        reports.append(original(t))
+        return reports[-1]
+
+    splitting.spectral_report = keeping
+    try:
+        code = regenerate.record(op, workdir)["exit"]
+    finally:
+        splitting.spectral_report = original
+    out_path = workdir / "out.txt"
+    text = out_path.read_text(encoding="utf-8") if out_path.exists() else None
+    row = {"command": op.command, "exit": code, "text": text, "reports": []}
+    for report in reports:
+        # A field of the report that was read is cached in its __dict__.
+        read = {field: report.__dict__[field] for field in DEFECTS if field in report.__dict__}
+        if read:
+            row["reports"].append({"t": report._t.tobytes().hex(), **read})
+    if op.command == "analyze" and text is not None:
+        printed = json.loads(text)
+        [report] = row["reports"]
+        if any(printed[field] != cli._sig12(report[field]) for field in DEFECTS):
+            raise SystemExit(f"{op}: the printed defects are not those of the report of T")
+    return row
+
+
+def masked(row):
+    """The output of a defect row less its defect figures: an `analyze`
+    report without its two defects, and each other line with the measured
+    figure of a demo line that names a normality or iso defect masked."""
+    if row["text"] is None:
+        return None
+    if row["command"] == "analyze":
+        return {key: value for key, value in json.loads(row["text"]).items() if key not in DEFECTS}
+    lines = []
+    for line in row["text"].splitlines():
+        match = DEMO_LINE.fullmatch(line)
+        if match and ("normality defect" in match["label"] or "iso defect" in match["label"]):
+            line = line[: match.start("measured")] + "*" + line[match.end("measured") :]
+        lines.append(line)
+    return lines
+
+
+def _square(t):
+    """The hex bytes t of a square float matrix, as that matrix."""
+    matrix = np.frombuffer(bytes.fromhex(t), dtype=float)
+    return matrix.reshape(math.isqrt(matrix.size), -1)
+
+
+def _scaled(t):
+    """(M, s): the float matrix t as s t = M, M a matrix of Python ints and s
+    a power of two, so that products of M are exact."""
+    ratios = [x.as_integer_ratio() for x in t.ravel().tolist()]
+    scale = max(den for _, den in ratios)  # powers of two: each divides the largest
+    entries = [num * (scale // den) for num, den in ratios]
+    return np.array(entries, dtype=object).reshape(t.shape), scale
+
+
+def exact_defects(t):
+    """(field -> the defect matrix of field, formed exactly from the float
+    matrix t, as a matrix of ints, and its ||A||_F^2 as a Fraction; the floor
+    2 N eps (1 + ||T||_F^2) of the exact ||T||_F, as a Fraction). Each
+    matrix of ints is s^2 A, s the scale of `_scaled`."""
+    m, scale = _scaled(t)
+    gram = m.T.dot(m)
+    matrices = {"normality_defect": gram - m.dot(m.T), "iso_defect": 2 * gram - scale * (m + m.T)}
+
+    def squared(a, power):
+        return Fraction(sum(int(x) * int(x) for x in a.ravel()), scale**power)
+
+    floor = 2 * t.shape[0] * Fraction(EPS) * (1 + squared(m, 2))
+    return {field: (a, scale, squared(a, 4)) for field, a in matrices.items()}, floor
+
+
+def reference_norm(a, scale):
+    """||A||_2 of the exact symmetric defect matrix A = a / scale^2: its
+    largest eigenvalue in modulus, by mpmath.eigsy at EIG_DIGITS digits."""
+    import mpmath
+
+    with mpmath.workdps(EIG_DIGITS):
+        divisor = mpmath.mpf(scale) ** 2
+        matrix = mpmath.matrix([[mpmath.mpf(int(x)) / divisor for x in row] for row in a.tolist()])
+        return float(max(abs(lam) for lam in mpmath.eigsy(matrix, eigvals_only=True)))
+
+
+def judge_norms(labels, sides):
+    """Print the `norms` summary of the labelled ops from each side's defect
+    rows, and return whether the new side passes the rule."""
+    failures = []
+    moved = 0
+    zeros, zero_worst = 0, 0.0  # moved figures printed as 0, and their largest exact ||A||_F / floor
+    norms, norm_worst = 0, 0.0  # other moved figures, and their largest error / bound
+    closer = farther = paired = 0
+    for label in labels:
+        old, new = sides["old"][label], sides["new"][label]
+        if old["exit"] != new["exit"]:
+            failures.append(f"{label} exits {new['exit']}, not {old['exit']}")
+            continue
+        if [report["t"] for report in old["reports"]] != [report["t"] for report in new["reports"]]:
+            raise SystemExit(f"{label}: the two sides build different float T")
+        if masked(old) != masked(new):
+            failures.append(f"{label} moves a field other than the defects")
+        for old_report, new_report in zip(old["reports"], new["reports"]):
+            if old_report.keys() != new_report.keys():
+                failures.append(f"{label} reads other defects")
+                continue
+            exact = None
+            for field in DEFECTS:
+                if field not in new_report or old_report[field] == new_report[field]:
+                    continue
+                moved += 1
+                t = _square(new_report["t"])
+                exact = exact or exact_defects(t)
+                (a, scale, squared), floor = exact[0][field], exact[1]
+                above = squared > (floor * 3 / 2) ** 2
+                value, before = new_report[field], old_report[field]
+                if value == 0.0:
+                    zeros += 1
+                    zero_worst = max(zero_worst, math.sqrt(squared / floor**2))
+                    if above:
+                        failures.append(f"{label} prints its {field} as 0 above 1.5 times the floor")
+                    continue
+                norms += 1
+                ref = reference_norm(a, scale)
+                error = abs(value - ref)
+                norm_worst = max(norm_worst, error / (1.5 * float(floor) + t.shape[0] ** 2 * EPS * ref))
+                if above and before != 0.0:
+                    paired += 1
+                    closer += error < abs(before - ref)
+                    farther += error > abs(before - ref)
+    print(f"{len(labels)} certify, verify and demo ops differ; {moved} defect figures moved")
+    print(
+        f"new: {zeros} moved figures print 0, exact ||A||_F at most {zero_worst:.3g} floor; "
+        f"{norms} print a norm, error at most {norm_worst:.3g} of 1.5 floor + N^2 eps ||A||_2"
+    )
+    print(f"paired, new against old: closer on {closer} and farther on {farther} of {paired} figures above the floor")
+    # The rule: see the module docstring.
+    if norm_worst > 1.0:
+        failures.append(f"a moved norm is {norm_worst:.3g} times its bound")
+    if not sign_test(closer, farther):
+        failures.append("farther on the figures above the floor")
+    verdict = "fail: " + "; ".join(failures) if failures else "pass"
+    print(f"rule: {verdict} (floor 2 N eps (1 + ||T||_F^2))")
+    return not failures
+
+
+def norms(old, new, moved):
+    """Print the `norms` summary of the certify and verify ops in moved and
+    of `demo all`, and return whether the new side passes the rule."""
+    labels = [label for label in moved if label.startswith(("certify ", "verify ", "demo "))]
+    sides = {side: side_rows("defects", rec["src"], labels) for side, rec in (("old", old), ("new", new))}
+    return judge_norms(labels, sides)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -454,6 +655,12 @@ def main(argv=None):
     spectra = commands.add_parser("spectra", help="T and eigenvalues of certify and tune ops, as JSON")
     spectra.add_argument("src")
     spectra.add_argument("labels", nargs="*")
+    norm = commands.add_parser("norms", help="references for the defect figures whose records differ")
+    norm.add_argument("old")
+    norm.add_argument("new")
+    defects = commands.add_parser("defects", help="output and defects of certify, verify and demo ops, as JSON")
+    defects.add_argument("src")
+    defects.add_argument("labels", nargs="*")
     args = parser.parse_args(argv)
     if args.command == "record":
         regenerate = load_regenerate(args.src)
@@ -462,11 +669,11 @@ def main(argv=None):
         Path(args.out).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
         print(f"{args.out}: {len(result['ops'])} records of {result['src']}")
         return 0
-    if args.command in ("sweeps", "spectra"):
+    if args.command in ("sweeps", "spectra", "defects"):
         regenerate = load_regenerate(args.src)
         seeds = sorted({int(label.split()[2]) for label in args.labels if " seed " in label})
         listed = dict(ops(regenerate, seeds))
-        row = sweep_rows if args.command == "sweeps" else spectrum_row
+        row = {"sweeps": sweep_rows, "spectra": spectrum_row, "defects": defect_row}[args.command]
         with tempfile.TemporaryDirectory() as tmp:
             rows = {label: row(regenerate, listed[label], Path(tmp)) for label in args.labels}
         print(json.dumps(rows))
@@ -475,6 +682,8 @@ def main(argv=None):
     moved = differing(old, new)
     if args.command == "eigs":
         return 0 if eigs(old, new, moved) else 1
+    if args.command == "norms":
+        return 0 if norms(old, new, moved) else 1
     if args.command == "rates":
         labels = [label for label in moved if label.startswith("tune ")]
         print(f"{len(labels)} tune ops differ")

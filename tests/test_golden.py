@@ -110,3 +110,31 @@ def test_the_referee_scores_the_eigenvalues_of_one_certify_op(tmp_path, capsys):
     with mpmath.workdps(referee.EIG_DIGITS):
         assert referee.rounded(mpmath.mpf("0.12345678901250000001"), 1.0) == 0.123456789013
         assert referee.rounded(mpmath.mpf("1e-52"), 1.0) == 0.0
+
+
+def test_the_referee_judges_the_defects_of_one_certify_op(tmp_path, capsys, monkeypatch):
+    referee = _load("referee")
+    src = Path(graphsplit.__file__).resolve().parent.parent
+    regenerate = referee.load_regenerate(src)
+    label, op = next((label, op) for label, op in referee.ops(regenerate) if label.startswith("certify "))
+    # Recorded twice from one tree, the op moves nothing, and nothing is run.
+    paths = [tmp_path / "first.json", tmp_path / "second.json"]
+    for path in paths:
+        path.write_text(json.dumps(referee.run(regenerate, [(label, op)], src)), encoding="utf-8")
+    assert referee.main(["norms", *map(str, paths)]) == 0
+    first, figures, paired, rule = capsys.readouterr().out.splitlines()
+    assert first == "0 certify, verify and demo ops differ; 0 defect figures moved"
+    assert rule.startswith("rule: pass ")
+    # A hand-edited field that is not a defect fails the rule, whatever the
+    # defects do.
+    row = referee.defect_row(regenerate, op, tmp_path)
+    edited = dict(row, text=json.dumps(dict(json.loads(row["text"]), fix_dim=-1)))
+    rows = iter([{label: row}, {label: edited}])
+    monkeypatch.setattr(referee, "side_rows", lambda command, src, labels: next(rows))
+    record = json.loads(paths[1].read_text(encoding="utf-8"))
+    record["ops"][label]["out"] = "moved"
+    paths[1].write_text(json.dumps(record), encoding="utf-8")
+    assert referee.main(["norms", *map(str, paths)]) == 1
+    first, figures, paired, rule = capsys.readouterr().out.splitlines()
+    assert first == "1 certify, verify and demo ops differ; 0 defect figures moved"
+    assert rule == f"rule: fail: {label} moves a field other than the defects (floor 2 N eps (1 + ||T||_F^2))"
