@@ -32,11 +32,15 @@ def integer(value):
 
 
 def real(value):
-    """value as a float; a bool or a string raises a ValueError, where float()
-    would read true as 1.0 and "0.5" as 0.5."""
-    if isinstance(value, (bool, str)):
+    """value as a float. Anything but a number raises a ValueError: a bool or
+    a string, which float() would read as 1.0 or 0.5, and a list, an object
+    or null; so does an int too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("expected a finite number, got an integer too large for a float") from None
 
 
 def reals(value):

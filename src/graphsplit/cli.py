@@ -1,7 +1,8 @@
 """Command-line front end: JSON configs in, JSON/CSV reports out.
 
 Four subcommands cover the library surface: `analyze` prints the spectral
-and structural certificates of a configured operator, `sweep` emits one CSV
+and structural certificates of a configured operator, with 0 for a defect
+under its round-off floor 2 N eps (1 + ||T||_F^2), `sweep` emits one CSV
 row per relaxation parameter, `demo` replays the golden worked examples,
 and `verify` runs the randomized graph-pair consistency check. All output
 is deterministic for a fixed config and seed; floats are printed with 12
@@ -9,6 +10,7 @@ significant digits.
 
 The config format lives here alone: `load_config` reads each field once,
 and bounds each size as it reads it, before anything is built from it.
+Each error names its field and what the format expects there.
 
 Exit status: 0 on success, 1 when a check fails, 2 on configuration errors,
 3 on an internal numerical failure (a failed self-check, an eigensolver that
@@ -75,34 +77,38 @@ def _known_fields(field, obj, fields):
 
 def _graph(field, obj):
     """The graph of a config field: {"preset": name, "n": k} or
-    {"n": k, "edges": [...]}, with any other field an error. n is bounded by
-    MAX_SIZE before the graph is built; each error names field."""
+    {"n": k, "edges": [[i, j], ...]}, with any other field an error. n is
+    bounded by MAX_SIZE before the graph is built; each error names field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{field}: graph fragment must be an object")
+    if "preset" in obj:
+        _known_fields(field, obj, ("preset", "n"))
+        if "n" not in obj:
+            raise ValueError(f'{field}: preset graph fragment needs "n"')
+    else:
+        _known_fields(field, obj, ("n", "edges"))
+        if "edges" not in obj or "n" not in obj:
+            raise ValueError(f'{field}: graph fragment needs either "preset"/"n" or "n"/"edges"')
+        edges = obj["edges"]
+        if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+            raise ValueError(f"{field}.edges: expected a list of [i, j] pairs")
+        edges = [[_number(f"{field}.edges", v, integer) for v in e] for e in edges]
+    n = _number(f"{field}.n", obj["n"], integer)
+    if n > MAX_SIZE:  # nothing is built
+        raise ValueError(f"{field}.n: must be at most {MAX_SIZE}")
     try:
-        if not isinstance(obj, dict):
-            raise ValueError("graph fragment must be an object")
         if "preset" in obj:
-            known_fields(obj, ("preset", "n"))
-            if "n" not in obj:
-                raise ValueError('preset graph fragment needs "n"')
-        else:
-            known_fields(obj, ("n", "edges"))
-            if "edges" not in obj or "n" not in obj:
-                raise ValueError('graph fragment needs either "preset"/"n" or "n"/"edges"')
-        n = integer(obj["n"])
-        if n <= MAX_SIZE:  # else nothing is built, and the error names n
-            if "preset" in obj:
-                return graphs.preset(obj["preset"], n)
-            return graphs.AlgorithmicGraph(n, [[integer(v) for v in e] for e in obj["edges"]])
-    except (KeyError, TypeError, ValueError) as exc:
+            return graphs.preset(obj["preset"], n)
+        return graphs.AlgorithmicGraph(n, edges)
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{field}: {exc}") from exc
-    raise ValueError(f"{field}.n: must be at most {MAX_SIZE}")
 
 
 def _space(field, obj, ambient):
     """The subspace of R^ambient of a config field, by its kind: span (a list
     of vectors), hyperplane (a normal vector), random (dim and seed), full or
-    trivial. A field the kind does not take is an error; each error names
-    field."""
+    trivial. A field the kind does not take, or lacks, is an error; each
+    error names field."""
     kind_fields = {
         "span": ("vectors",),
         "hyperplane": ("normal",),
@@ -112,10 +118,12 @@ def _space(field, obj, ambient):
     }
 
     def vector(value, what):
-        v = np.asarray(reals(value), dtype=float)
-        if v.shape != (ambient,):
-            raise ValueError(f"{what} must be a list of {ambient} numbers, got shape {v.shape}")
-        return v
+        if not isinstance(value, list) or len(value) != ambient:
+            raise ValueError(f"{what} must be a list of {ambient} numbers")
+        try:
+            return np.array([real(x) for x in value])
+        except ValueError as exc:
+            raise ValueError(f"{what}: {exc}") from None
 
     try:
         if not isinstance(obj, dict) or "kind" not in obj:
@@ -124,7 +132,12 @@ def _space(field, obj, ambient):
         if not isinstance(kind, str) or kind not in kind_fields:
             raise ValueError(f"unknown subspace kind {kind!r}")
         known_fields(obj, ("kind", *kind_fields[kind]))
+        for name in kind_fields[kind]:
+            if name not in obj:
+                raise ValueError(f'{kind} subspace needs "{name}"')
         if kind == "span":
+            if not isinstance(obj["vectors"], list):
+                raise ValueError("span vectors must be a list of vectors")
             vectors = [vector(v, "span vector") for v in obj["vectors"]]
             return subspaces.from_generators(vectors, ambient)
         if kind == "hyperplane":
@@ -132,7 +145,7 @@ def _space(field, obj, ambient):
         if kind == "random":
             return subspaces.random_subspace(ambient, integer(obj["dim"]), integer(obj["seed"]))
         return subspaces.full(ambient) if kind == "full" else subspaces.trivial(ambient)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{field}: {exc}") from exc
 
 
@@ -215,9 +228,13 @@ def load_config(obj, seed=None, eps=None):
     v0 = obj.get("v0", "random")
     if v0 != "random":
         try:
-            flat = np.asarray(reals(v0), dtype=float).ravel()
-        except (TypeError, ValueError, OverflowError) as exc:
+            values = reals(v0)
+        except ValueError as exc:
             raise ValueError(f"v0: expected a list of numbers: {exc}") from exc
+        try:
+            flat = np.asarray(values, dtype=float).ravel()
+        except ValueError as exc:  # lists of unequal lengths
+            raise ValueError("v0: expected a list of numbers, or of equal-length lists") from exc
         with np.errstate(over="ignore"):  # 1e200 is finite, but its square is not
             if not math.isfinite(flat @ flat):
                 raise ValueError("v0: entries and their squared norm must be finite")

@@ -14,7 +14,10 @@ relaxation parameter, and it holds for every choice of node subspaces
 exactly when G = G'. The report also holds the fixed subspace of T, its
 spectrum and its subdominant radius. It is one record over T whose fields
 are computed when first read: a caller pays for the fields it reads, and
-each quantity is computed once per report.
+each quantity is computed once per report. A defect under its floor
+2 N eps (1 + ||T||_F^2), the round-off of forming its matrix, reads 0 and
+takes no spectral norm: for G = G' both exact defects are 0, since an
+iso-averaged T = (I + S)/2 with S orthogonal is also normal.
 
 One rule, `_within`, turns a quantity into a verdict against ||T||: a
 defect counts as zero up to DEFECT_TOL (1 + ||T||^2), an eigenvalue at 1
@@ -33,6 +36,7 @@ from . import graphs, matlin, subspaces
 
 # Defects scale like ||T||^2, so classification thresholds do too.
 DEFECT_TOL = 1e-9
+EPS = float(np.finfo(float).eps)
 EIGENVALUE_ONE_TOL = 1e-7
 
 
@@ -239,10 +243,17 @@ class SpectralReport:
     The fields share a core that every read path needs and that is built
     with the report: one `_Norm` of T, one Gram matrix T^T T and `iso`, the
     `_Norm` of A = 2 T^T T - T - T^T. The two defects are the spectral norms
-    of T^T T - T T^T and of A, and each counts as zero up to
-    DEFECT_TOL (1 + ||T||^2) by the rule of `_within`: the iso verdict reads
-    the bounds of A first, and takes ||A||_2 only in their window. The
-    isometry defect of 2T - I is 2 iso_defect, since
+    of T^T T - T T^T and of A, printed as 0 under their floor
+    2 N eps (1 + ||T||_F^2): the first-order bound of the error of forming
+    either matrix in floating point (Higham, section 3.5), under which the
+    exact defect of the float T cannot be told from 0. A defect whose
+    Frobenius bound is at most the floor reads 0 with no spectral norm; any
+    other is ||A||_2. Each verdict reads the `_Norm` of its matrix by the
+    rule of `_within`, never a screened figure: a defect counts as zero up
+    to DEFECT_TOL (1 + ||T||^2), decided by the bounds of the matrix first,
+    and by its ||A||_2 only in their window. The floor lies below that
+    threshold for every N up to 10^3, so a 0 never hides a defect that a
+    verdict counts. The isometry defect of 2T - I is 2 iso_defect, since
     (2T - I)^T (2T - I) - I = 2 (2 T^T T - T - T^T).
     """
 
@@ -251,18 +262,26 @@ class SpectralReport:
         self._norm = _Norm(t)
         self._gram = t.T @ t
         self.iso = _Norm(2.0 * self._gram - t - t.T)
+        self._floor = 2.0 * t.shape[0] * EPS * (1.0 + self._norm.frobenius**2)
+
+    @functools.cached_property
+    def _normality(self):
+        return _Norm(self._gram - self._t @ self._t.T)
+
+    def _defect(self, a):
+        return 0.0 if a.upper() <= self._floor else a.exact()
 
     @functools.cached_property
     def normality_defect(self):
-        return matlin.operator_norm(self._gram - self._t @ self._t.T)
+        return self._defect(self._normality)
 
     @functools.cached_property
     def iso_defect(self):
-        return self.iso.exact()
+        return self._defect(self.iso)
 
     @functools.cached_property
     def is_normal(self):
-        return _within(self.normality_defect, DEFECT_TOL, self._norm, squared=True)
+        return _within(self._normality, DEFECT_TOL, self._norm, squared=True)
 
     @functools.cached_property
     def is_iso_averaged(self):

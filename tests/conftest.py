@@ -29,6 +29,12 @@ def svd_sigma_min(a):
     return float(s[-1]) if s.size else 0.0
 
 
+def defect_floor(t):
+    """2 N eps (1 + ||T||_F^2): the floor under which a report prints a
+    defect of T as 0, the first-order error of forming its matrix."""
+    return 2.0 * t.shape[0] * EPS * (1.0 + float(np.linalg.norm(t)) ** 2)
+
+
 def choice(rng, seq):
     """An item of seq, drawn by one rng.randint call over its indices."""
     return seq[rng.randint(0, len(seq) - 1)]

@@ -407,6 +407,41 @@ def _assert_config_error(tmp_path, capsys, cfg, field):
     assert capsys.readouterr().err.startswith(f"error: {field}")
 
 
+# Python's own texts, which a config error never carries: it names the
+# field and the shape it expects in the config format's terms.
+_PYTHON_TEXTS = (
+    "object is not", "values to unpack", "argument must be", "unhashable", "invalid literal",
+    "setting an array element", "too large to convert",
+)
+
+
+@pytest.mark.parametrize(
+    "overrides,message,python_text",
+    [
+        ({"spaces": [{"kind": "random", "dim": 1, "seed": 11}, {"kind": "random", "seed": 1},
+                     {"kind": "full"}]},
+         'spaces[2]: random subspace needs "dim"', "'dim'"),
+        ({"graph": {"n": 3, "edges": 5}},
+         "graph.edges: expected a list of [i, j] pairs", "'int' object is not iterable"),
+        ({"graph": {"n": 3, "edges": [[1, 2], [2]]}},
+         "graph.edges: expected a list of [i, j] pairs", "not enough values to unpack"),
+        ({"spaces": _first_space({"kind": "span", "vectors": [{"x": 1}]})},
+         "spaces[1]: span vector must be a list of 2 numbers", "float() argument must be"),
+        ({"spaces": _first_space({"kind": "span", "vectors": [[{"x": 1}, 0]]})},
+         "spaces[1]: span vector: expected a number, got {'x': 1}", "float() argument must be"),
+    ],
+    ids=["missing dim", "edges not a list", "edge not a pair", "object as a vector", "object in a vector"],
+)
+def test_config_errors_are_worded_in_the_format_s_terms(tmp_path, overrides, message, python_text,
+                                                        capsys):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cli.load_config(_config(**overrides))
+    assert cli.main(["analyze", "--config", _write(tmp_path, _config(**overrides))]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert python_text not in err and not any(text in err for text in _PYTHON_TEXTS)
+
+
 def _random_spaces(dim=1, seed=12):
     return [
         {"kind": "random", "dim": 1, "seed": 11},
@@ -573,6 +608,7 @@ def test_one_mutation_of_a_valid_config_exits_0_or_names_its_field(mutation_dir,
             allowed.add("config")  # a required field is missing
         named = re.fullmatch(r"error: (\w+)[.:\[][^\n]*\n", err.getvalue())
         assert named and named.group(1) in allowed, err.getvalue()
+        assert not any(text in err.getvalue() for text in _PYTHON_TEXTS), err.getvalue()
 
 
 def test_integral_floats_load_as_integers():

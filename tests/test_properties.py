@@ -1,15 +1,18 @@
 """Properties of the construction over random graph pairs and node spaces."""
 
 import functools
+import importlib.util
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assert_rate, eig_multiset_close, exact_rate, random_operator
+from conftest import EPS, assert_rate, eig_multiset_close, exact_rate, full_report, random_operator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphsplit import experiments, graphs, matlin, splitting, subspaces
+from graphsplit import cli, experiments, graphs, matlin, splitting, subspaces
 from graphsplit._rng import SplitMix64
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
@@ -20,11 +23,12 @@ SAME = [entry for entry in CATALOG if entry[1](3).same]
 
 
 @st.composite
-def configurations(draw, catalog=CATALOG, kind="random"):
-    """A graph pair on 3 to 6 nodes and one subspace of R^d (1 <= d <= 3) per node."""
+def configurations(draw, catalog=CATALOG, kind="random", d_max=3):
+    """A graph pair on 3 to 6 nodes and one subspace of R^d (1 <= d <= d_max,
+    3 by default) per node."""
     _, make = draw(st.sampled_from(catalog))
     n = draw(st.integers(3, 6))
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, d_max))
     if kind == "full":
         factors = [subspaces.full(d)] * n
     elif kind == "trivial":
@@ -84,6 +88,51 @@ def test_the_isometry_defect_of_2t_minus_i_is_twice_the_iso_defect(config):
     r = 2.0 * t - np.eye(len(t))
     iso = splitting.spectral_report(t).iso_defect
     assert abs(np.linalg.norm(r.T @ r - np.eye(len(t)), 2) - 2.0 * iso) <= 1e-12 * (1.0 + iso)
+
+
+@functools.cache
+def _referee():
+    """`tests/golden/referee.py`, whose exact defects judge printed ones."""
+    path = Path(__file__).resolve().parent / "golden" / "referee.py"
+    spec = importlib.util.spec_from_file_location("properties_referee", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# c T for c = 1 + eta: at eta = 0 a G = G' map has both defects under the
+# floor, and its iso defect, about 2 eta ||T||^2, crosses the floor as eta
+# grows; eta = -1/2 halves T.
+FLOOR_ETAS = [0.0, -0.5, *np.geomspace(1e-16, 1e-10, 13).tolist()]
+
+
+@SETTINGS
+@given(configurations(d_max=6), st.sampled_from(FLOOR_ETAS))
+def test_a_defect_under_its_floor_prints_0_and_one_above_keeps_its_norm(config, eta):
+    # N = (n - 1) d is at most 30, the benchmark's largest.
+    t = (1.0 + eta) * splitting.build(*config).T
+    report = full_report(t)
+    gram = t.T @ t
+    matrices = {"normality_defect": gram - t @ t.T, "iso_defect": 2.0 * gram - t - t.T}
+    exact, floor = _referee().exact_defects(t)
+    nrm = matlin.operator_norm(t)
+    for field, a in matrices.items():
+        defect, norm = getattr(report, field), matlin.operator_norm(a)
+        if defect == 0.0:
+            # ||A||_F of the matrix formed exactly in rationals from the float T.
+            assert exact[field][2] <= (Fraction(3, 2) * floor) ** 2, field
+        else:
+            assert defect.hex() == norm.hex(), field
+        verdict = report.is_normal if field == "normality_defect" else report.is_iso_averaged
+        assert verdict is (norm <= splitting.DEFECT_TOL * (1.0 + nrm * nrm)), field
+
+
+def test_a_printed_0_never_hides_a_counted_defect():
+    # ||T||_F^2 <= N ||T||_2^2, so at N = MAX_SIZE the floor
+    # 2 N eps (1 + ||T||_F^2) is at most 2 N^2 eps (1 + ||T||_2^2), which is
+    # below DEFECT_TOL (1 + ||T||_2^2): a defect printed as 0 counts as 0.
+    n = cli.MAX_SIZE
+    assert 2 * n * n * Fraction(EPS) <= Fraction(4.5e-10) < Fraction(splitting.DEFECT_TOL)
 
 
 def _squared_norm_gap(t, theta, x):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import eig_multiset_close, full_report, random_operator
+from conftest import defect_floor, eig_multiset_close, full_report, random_operator
 
 from graphsplit import experiments, graphs, matlin, splitting, subspaces
 from graphsplit._rng import SplitMix64
@@ -210,7 +210,9 @@ def test_certificates_projector_is_clean():
 
 def test_certificates_isometry_defect_is_twice_iso_and_norm_matches_numpy():
     # (2T - I)^T (2T - I) - I = 2 (2 T^T T - T - T^T), so the isometry
-    # defect of 2T - I needs no norm of its own.
+    # defect of 2T - I needs no norm of its own. Under its floor the iso
+    # defect prints as 0, and numpy's isometry defect is round-off of the
+    # floor's size.
     ring_seq = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
     spaces = subspaces.product([subspaces.random_subspace(2, 1, 900 + i) for i in range(4)])
     for t in (
@@ -222,7 +224,10 @@ def test_certificates_isometry_defect_is_twice_iso_and_norm_matches_numpy():
         report = splitting.spectral_report(t)
         s = 2.0 * t - np.eye(t.shape[0])
         isometry = np.linalg.norm(s.T @ s - np.eye(t.shape[0]), 2)
-        assert isometry == pytest.approx(2.0 * report.iso_defect, rel=1e-12, abs=1e-15)
+        if report.iso_defect == 0.0:
+            assert isometry <= 3.0 * defect_floor(t)
+        else:
+            assert isometry == pytest.approx(2.0 * report.iso_defect, rel=1e-12, abs=1e-15)
         assert matlin.operator_norm(t) == pytest.approx(np.linalg.norm(t, 2), rel=1e-12)
 
 
