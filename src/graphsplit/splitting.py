@@ -36,8 +36,8 @@ from . import graphs, matlin, subspaces
 
 # Defects scale like ||T||^2, so classification thresholds do too.
 DEFECT_TOL = 1e-9
-EPS = float(np.finfo(float).eps)
 EIGENVALUE_ONE_TOL = 1e-7
+EPS = float(np.finfo(float).eps)
 
 
 class SelfCheckFailedError(RuntimeError):

@@ -585,14 +585,14 @@ def judge_norms(labels, sides):
             if old_report.keys() != new_report.keys():
                 failures.append(f"{label} reads other defects")
                 continue
-            exact = None
-            for field in DEFECTS:
-                if field not in new_report or old_report[field] == new_report[field]:
-                    continue
+            fields = [field for field in DEFECTS if old_report.get(field) != new_report.get(field)]
+            if not fields:
+                continue
+            t = _square(new_report["t"])
+            exact, floor = exact_defects(t)
+            for field in fields:
                 moved += 1
-                t = _square(new_report["t"])
-                exact = exact or exact_defects(t)
-                (a, scale, squared), floor = exact[0][field], exact[1]
+                a, scale, squared = exact[field]
                 above = squared > (floor * 3 / 2) ** 2
                 value, before = new_report[field], old_report[field]
                 if value == 0.0:
