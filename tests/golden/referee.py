@@ -1,6 +1,6 @@
 """Byte-identity records of the benchmark ops for one source tree, their diff,
 long double references for the sweep rates that differ, and 50-digit
-references for the eigenvalues and the defects that differ.
+references for the operators, the eigenvalues and the defects that differ.
 
 A record holds, for every certify, tune and verify op of seeds 1 to 8 of
 `perfbench/workloads.py` (loaded by path, read only; `record --seeds 9-16`
@@ -26,6 +26,7 @@ root, with a second checkout in OLD:
     python3 tests/golden/referee.py rates old.json new.json
     python3 tests/golden/referee.py eigs old.json new.json
     python3 tests/golden/referee.py norms old.json new.json
+    python3 tests/golden/referee.py build old.json new.json
 
 `record` imports graphsplit from the given source tree, and runs the ops of
 this checkout's workloads with it. `diff` prints one line per op that
@@ -40,9 +41,11 @@ reference. It reports and decides nothing, and exits 0.
 `eigs` takes the certify and tune ops that differ, the ops whose printed
 figures rest on the eigenvalues of T: a certify op prints them and rho1, a
 tune op prints a predicted rate for each theta. It rebuilds T with each
-side's tree, in a process of its own (`spectra SRC LABEL...`), requires the
-same float T bytes on both sides, and takes the eigenvalues and right
-eigenvectors of that T with `mpmath.eig` at 50 digits. The reference
+side's tree, in a process of its own (`spectra SRC LABEL...`), and takes the
+eigenvalues and right eigenvectors of the reference T with `mpmath.eig` at
+50 digits, or at 80 where it does not converge at 50. Where both sides
+build the same float T bytes, the reference T is that float T; where they
+differ, it is the T_ref of `build` below. The reference
 eigenvalues fall into clusters: two groups join while they lie within
 ||T||_F (N eps)^(1/m) of each other, m the size of the joined group, the
 distance by which a backward error of N eps ||T||_F can move the members
@@ -92,25 +95,54 @@ figures above the floor.
 
 A last line applies the pass rule of a change that moves printed defects,
 and `norms` exits 1 when it fails. For each op that differs:
-- both sides exit alike, and build the same float T bytes for each report;
+- both sides exit alike, and build the same float T bytes for each report,
+  unless the two sides' builds differ: the T of a report is then judged
+  against the T_ref of `build` for the build that made it;
 - every printed field other than the two defects (the other fields of an
   `analyze` report, each demo line less the measured figure of a normality
-  or iso defect, every line of a `verify` summary) is byte-equal;
+  or iso defect, every line of a `verify` summary) is byte-equal, but for
+  the figures that `eigs` and the demo-line rule of `build` judge, where
+  the two sides' builds differ;
 - a defect that the new side prints as 0 passes only if the defect matrix
-  A, formed exactly in rationals from the float T, has ||A||_F at most 1.5
-  times the floor of the exact ||T||_F;
+  A, formed exactly in rationals from the float T (or at 50 digits from
+  T_ref), has ||A||_F at most 1.5 times the floor of that ||T||_F;
 - any other defect of the new side that moved is within 1.5 floor +
   N^2 eps ||A||_2 of ||A||_2, the largest eigenvalue in modulus of that
-  exact A by `mpmath.eigsy` at 50 digits: the error of forming A, and the
+  A by `mpmath.eigsy` at 50 digits: the error of forming A, and the
   first-order error of the norm of a Householder-reduced Gram matrix;
 - over the moved figures above the floor on both sides (an exact ||A||_F
   above 1.5 floor, and neither side 0), farther - closer <=
   2 sqrt(closer + farther), the sign test of `eigs`. Figures under the
   floor are round-off on both sides, and take no sign test.
+
+`build` takes every op that differs and judges the operators T that the
+two sides build. It runs each side in a process of its own (`operators SRC
+LABEL...`), keeps every operator an op builds, requires the same float
+node bases U_i, the same update matrix B of G and the same factor Z on
+both sides, and scores each side's T by ||T - T_ref||_F / (N eps
+||T_ref||_F). T_ref is the exact map of the spans of the float bases:
+with U the block-diagonal stack of the U_i, and B and Z taken as exact, it
+is I - (U^T Zbar)^T Y for the solve (U^T Bbar U) Y = U^T Zbar at 50
+digits. That holds whether or not U_i^T U_i = I holds exactly, so T_ref
+models no build. `build` prints each side's largest and median error, the
+paired count of the operators that the new side has closer to T_ref and
+of those it has farther, and the moved demo lines. A last line applies the
+pass rule of a change to the build, and `build` exits 1 when it fails. The
+new side passes when
+- every op exits as it does on the old side, so no op is lost;
+- every error is at most N;
+- farther - closer <= 2 sqrt(closer + farther), the sign test of `eigs`;
+- no printed field moves that no rule judges: an `analyze` report keeps
+  every field but its eigenvalues and rho1 (`eigs`) and its defects
+  (`norms`), a sweep keeps its thetas (its figures go to `eigs` and
+  `rates`), and every other line is byte-equal, but for a moved demo line
+  whose label, tag and expected text are byte-equal and whose measured
+  figure is a defect (`norms`) or is at most 1e-12 on both sides.
 """
 
 import argparse
 import csv
+import functools
 import importlib.util
 import io
 import itertools
@@ -133,7 +165,11 @@ SEEDS = range(1, 9)
 EIG_DIGITS = 50
 EPS = float(np.finfo(float).eps)
 DEFECTS = ("normality_defect", "iso_defect")
-DEMO_LINE = re.compile(r"  \[(?:pass|FAIL)\] (?P<label>.*): measured (?P<measured>.*), expected .*")
+RETRY_DIGITS = 80  # for an mpmath.eig that does not converge at EIG_DIGITS
+DEMO_LINE = re.compile(
+    r"  \[(?P<tag>pass|FAIL)\] (?P<label>.*): measured (?P<measured>.*), expected (?P<expected>.*)"
+)
+DEMO_FLOOR = 1e-12  # a moved demo figure at most this on both sides is round-off
 
 
 def load_regenerate(src):
@@ -233,8 +269,9 @@ def rate_summary(rows):
 
 
 def side_rows(command, src, labels):
-    """label -> what `command` (`sweeps` or `spectra`) prints for each of the
-    named ops, run in a process of its own with graphsplit from src."""
+    """label -> what `command` (`sweeps`, `spectra`, `defects` or
+    `operators`) prints for each of the named ops, run in a process of its
+    own with graphsplit from src."""
     done = subprocess.run(
         [sys.executable, __file__, command, str(src), *labels],
         check=True, capture_output=True, text=True,
@@ -242,19 +279,79 @@ def side_rows(command, src, labels):
     return json.loads(done.stdout)
 
 
+def build_inputs(built):
+    """The float inputs and the T of one operator built by graphsplit: the
+    hex bytes of T, and its factor Z, the update matrix B of its graph G
+    and its node bases as lists."""
+    from graphsplit import graphs
+
+    return {
+        "t": built.T.tobytes().hex(),
+        "z": built.Z.tolist(),
+        "b": graphs.matrices(built.graph_pair.g)[3].tolist(),
+        "bases": [factor.basis.tolist() for factor in built.spaces.factors],
+    }
+
+
+def same_inputs(label, old_build, new_build):
+    """The inputs of a build of the op label, checked to be the same float
+    numbers on both sides."""
+    if any(old_build[key] != new_build[key] for key in ("z", "b", "bases")):
+        raise SystemExit(f"{label}: the two sides build from different float bases")
+    return old_build
+
+
+def reference_t(inputs):
+    """T_ref of one build's inputs, as an mpmath matrix: with U the
+    block-diagonal stack of the float node bases, and B and Z taken as
+    exact, I - (U^T Zbar)^T Y for the solve (U^T Bbar U) Y = U^T Zbar at
+    EIG_DIGITS digits, Bbar = B (x) I_d and Zbar = Z (x) I_d. Block (i, j)
+    of U^T Bbar U is B_ij U_i^T U_j, and of U^T Zbar it is Z_ij U_i^T."""
+    import mpmath
+
+    b, z = inputs["b"], inputs["z"]
+    bases = [np.array(basis, dtype=float).reshape(len(basis), -1) for basis in inputs["bases"]]
+    d = bases[0].shape[0]
+    size = len(z[0]) * d
+    with mpmath.workdps(EIG_DIGITS):
+        # One column of U per node basis vector: (node, its entries).
+        columns = [(i, [mpmath.mpf(x) for x in u[:, c]]) for i, u in enumerate(bases) for c in range(u.shape[1])]
+        if not columns:
+            return mpmath.eye(size)
+        a = mpmath.matrix([[b[i][j] * mpmath.fdot(x, y) if b[i][j] else 0 for j, y in columns] for i, x in columns])
+        r = mpmath.matrix([[z[i][j // d] * x[j % d] for j in range(size)] for i, x in columns])
+        lu, pivots = mpmath.mp.LU_decomp(a)
+        y = mpmath.matrix(len(columns), size)
+        for j in range(size):
+            y[:, j] = mpmath.mp.U_solve(lu, mpmath.mp.L_solve(lu, r[:, j], pivots))
+        return mpmath.eye(size) - r.T * y
+
+
+def t_error(t, t_ref):
+    """||T - T_ref||_F / (N eps ||T_ref||_F), T the float matrix of the hex
+    bytes t."""
+    import mpmath
+
+    matrix = _square(t)
+    with mpmath.workdps(EIG_DIGITS):
+        error = mpmath.mnorm(mpmath.matrix(matrix.tolist()) - t_ref, "f")
+        return float(error / (len(matrix) * EPS * mpmath.mnorm(t_ref, "f")))
+
+
 def spectrum_row(regenerate, op, workdir):
     """T and what one certify or tune op prints from its eigenvalues, run
-    with the graphsplit that regenerate imported: the hex bytes of T, and,
-    unless the op fails, the fix_dim and eigenvalues of its report, the
-    iso verdict and the thetas of a tune op, each printed figure checked
-    against the op's output."""
+    with the graphsplit that regenerate imported: the hex bytes of T and
+    the inputs of its build, and, unless the op fails, the fix_dim and
+    eigenvalues of its report, the iso verdict and the thetas of a tune op,
+    each printed figure checked against the op's output."""
     from graphsplit import cli, splitting
 
     out_path = workdir / "out.txt"
     regenerate.record(op, workdir)
     config = cli.load_config(op.config)
-    t = splitting.build(config.graph_pair, config.spaces).T
-    row = {"t": t.tobytes().hex()}
+    built = splitting.build(config.graph_pair, config.spaces)
+    t = built.T
+    row = {"t": t.tobytes().hex(), "build": build_inputs(built)}
     if not out_path.exists():
         return row
     report = splitting.spectral_report(t)
@@ -318,19 +415,29 @@ def clusters(eigenvalues, scale):
 
 def reference(t):
     """(eigenvalues, clusters, the norm ||P|| of each cluster's spectral
-    projector, ||T||_F) of the float matrix t, by mpmath.eig at EIG_DIGITS
-    digits. P is the sum of x y^H over the cluster, x the right eigenvectors
-    and y^H the rows of their inverse."""
+    projector, ||T||_F) of t, a float matrix or the mpmath matrix T_ref, by
+    mpmath.eig at EIG_DIGITS digits, or at RETRY_DIGITS where that does not
+    converge. P is the sum of x y^H over the cluster, x the right
+    eigenvectors and y^H the rows of their inverse."""
     import mpmath
 
-    scale = float(np.linalg.norm(t))
-    with mpmath.workdps(EIG_DIGITS):
-        eigenvalues, right = mpmath.eig(mpmath.matrix(t.tolist()))
-        left = np.array(mpmath.inverse(right).tolist(), dtype=object)
-        right = np.array(right.tolist(), dtype=object)
-        groups = clusters(eigenvalues, scale)
-        norms = [float(np.linalg.norm((right[:, g] @ left[g, :]).astype(complex), 2)) for g in groups]
-    return eigenvalues, groups, norms, scale
+    if isinstance(t, np.ndarray):
+        scale, t = float(np.linalg.norm(t)), t.tolist()
+    else:
+        scale = float(mpmath.mnorm(t, "f"))
+    for digits in (EIG_DIGITS, RETRY_DIGITS):
+        with mpmath.workdps(digits):
+            try:
+                eigenvalues, right = mpmath.eig(mpmath.matrix(t))
+            except RuntimeError:  # "qr: failed to converge"
+                if digits == RETRY_DIGITS:
+                    raise
+                continue
+            left = np.array(mpmath.inverse(right).tolist(), dtype=object)
+            right = np.array(right.tolist(), dtype=object)
+            groups = clusters(eigenvalues, scale)
+            norms = [float(np.linalg.norm((right[:, g] @ left[g, :]).astype(complex), 2)) for g in groups]
+            return eigenvalues, groups, norms, scale
 
 
 def rounded(x, scale):
@@ -412,11 +519,11 @@ def eigs(old, new, moved):
     sides = {side: side_rows("spectra", rec["src"], labels) for side, rec in (("old", old), ("new", new))}
     references = {}
     for label in labels:
-        t = sides["old"][label]["t"]
-        if sides["new"][label]["t"] != t:
-            raise SystemExit(f"{label}: the two sides build different float T")
-        matrix = np.frombuffer(bytes.fromhex(t), dtype=float)
-        references[label] = reference(matrix.reshape(math.isqrt(matrix.size), -1))
+        old_row, new_row = sides["old"][label], sides["new"][label]
+        if new_row["t"] == old_row["t"]:
+            references[label] = reference(_square(old_row["t"]))
+        else:
+            references[label] = reference(reference_t(same_inputs(label, old_row["build"], new_row["build"])))
     scores = {}
     for side, rows in sides.items():
         scores[side] = {
@@ -469,29 +576,51 @@ def eigs(old, new, moved):
     return not failures
 
 
-def defect_row(regenerate, op, workdir):
-    """What one op prints and the defects it rests on, run with the
-    graphsplit that regenerate imported: its command and exit code, its
-    output, and, for each report of the run whose defects were read, the hex
-    bytes of its T and each defect read. The printed defects of an `analyze`
-    op are checked against its report."""
-    from graphsplit import cli, splitting
+def traced(regenerate, op, workdir):
+    """(exit code, output text or None, the operators built, the reports
+    made) of one op, run with the graphsplit that regenerate imported."""
+    from graphsplit import splitting
 
-    reports = []
-    original = splitting.spectral_report
+    built, reports = [], []
+    build, report = splitting.build, splitting.spectral_report
 
-    def keeping(t):
-        reports.append(original(t))
+    def keeping_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def keeping_report(t):
+        reports.append(report(t))
         return reports[-1]
 
-    splitting.spectral_report = keeping
+    splitting.build, splitting.spectral_report = keeping_build, keeping_report
     try:
         code = regenerate.record(op, workdir)["exit"]
     finally:
-        splitting.spectral_report = original
+        splitting.build, splitting.spectral_report = build, report
     out_path = workdir / "out.txt"
     text = out_path.read_text(encoding="utf-8") if out_path.exists() else None
-    row = {"command": op.command, "exit": code, "text": text, "reports": []}
+    return code, text, built, reports
+
+
+def operator_row(regenerate, op, workdir):
+    """What one op prints and the operators it builds, run with the
+    graphsplit that regenerate imported: its command, exit code and output,
+    and the `build_inputs` of each operator it builds."""
+    code, text, built, _ = traced(regenerate, op, workdir)
+    return {"command": op.command, "exit": code, "text": text, "builds": [build_inputs(b) for b in built]}
+
+
+def defect_row(regenerate, op, workdir):
+    """What one op prints and the defects it rests on, run with the
+    graphsplit that regenerate imported: its `operator_row`, and, for each
+    report of the run whose defects were read, the hex bytes of its T and
+    each defect read. The printed defects of an `analyze` op are checked
+    against its report."""
+    from graphsplit import cli
+
+    code, text, built, reports = traced(regenerate, op, workdir)
+    row = {"command": op.command, "exit": code, "text": text, "builds": [build_inputs(b) for b in built]}
+    row["reports"] = []
     for report in reports:
         # A field of the report that was read is cached in its __dict__.
         read = {field: report.__dict__[field] for field in DEFECTS if field in report.__dict__}
@@ -505,21 +634,46 @@ def defect_row(regenerate, op, workdir):
     return row
 
 
-def masked(row):
-    """The output of a defect row less its defect figures: an `analyze`
-    report without its two defects, and each other line with the measured
-    figure of a demo line that names a normality or iso defect masked."""
-    if row["text"] is None:
-        return None
-    if row["command"] == "analyze":
-        return {key: value for key, value in json.loads(row["text"]).items() if key not in DEFECTS}
-    lines = []
-    for line in row["text"].splitlines():
-        match = DEMO_LINE.fullmatch(line)
-        if match and ("normality defect" in match["label"] or "iso defect" in match["label"]):
-            line = line[: match.start("measured")] + "*" + line[match.end("measured") :]
-        lines.append(line)
-    return lines
+def builds_moved(old, new):
+    """Whether the operators that two rows of one op build differ."""
+    return [build["t"] for build in old["builds"]] != [build["t"] for build in new["builds"]]
+
+
+def moved_output(old, new, moved_builds):
+    """(whether a printed field of one op moved that no rule judges, the
+    measured figures of the moved demo lines that the demo-line rule
+    passes), from the op's rows on the two sides. `norms` judges the
+    defects. Where the builds moved, `eigs` judges the eigenvalues and rho1
+    of an `analyze` report, `eigs` and `rates` the figures of a sweep, and
+    the demo-line rule of `build` any other moved demo line."""
+    if old["text"] is None or new["text"] is None:
+        return old["text"] != new["text"], []
+    if old["command"] == "analyze":
+        judged = DEFECTS + (("eigenvalues", "rho1") if moved_builds else ())
+        kept = [
+            {key: value for key, value in json.loads(row["text"]).items() if key not in judged}
+            for row in (old, new)
+        ]
+        return kept[0] != kept[1], []
+    before, after = (row["text"].splitlines() for row in (old, new))
+    if old["command"] == "sweep" and moved_builds:
+        before, after = ([line.split(",")[0] for line in lines] for lines in (before, after))
+    if len(before) != len(after):
+        return True, []
+    figures = []
+    for lines in zip(before, after):
+        if lines[0] == lines[1]:
+            continue
+        old_line, new_line = matches = [DEMO_LINE.fullmatch(line) for line in lines]
+        if not all(matches) or any(old_line[key] != new_line[key] for key in ("tag", "label", "expected")):
+            return True, figures
+        if "normality defect" in old_line["label"] or "iso defect" in old_line["label"]:
+            continue
+        measured = max(abs(float(match["measured"])) for match in matches)
+        if not moved_builds or measured > DEMO_FLOOR:
+            return True, figures
+        figures.append(measured)
+    return False, figures
 
 
 def _square(t):
@@ -553,15 +707,46 @@ def exact_defects(t):
     return {field: (a, scale, squared(a, 4)) for field, a in matrices.items()}, floor
 
 
-def reference_norm(a, scale):
-    """||A||_2 of the exact symmetric defect matrix A = a / scale^2: its
-    largest eigenvalue in modulus, by mpmath.eigsy at EIG_DIGITS digits."""
+def reference_norm(a, scale=1):
+    """||A||_2 of a symmetric defect matrix: A = a / scale^2 for a matrix a
+    of ints, or A = a for an mpmath matrix a. Its largest eigenvalue in
+    modulus, by mpmath.eigsy at EIG_DIGITS digits."""
     import mpmath
 
     with mpmath.workdps(EIG_DIGITS):
-        divisor = mpmath.mpf(scale) ** 2
-        matrix = mpmath.matrix([[mpmath.mpf(int(x)) / divisor for x in row] for row in a.tolist()])
-        return float(max(abs(lam) for lam in mpmath.eigsy(matrix, eigvals_only=True)))
+        if isinstance(a, np.ndarray):
+            divisor = mpmath.mpf(scale) ** 2
+            a = mpmath.matrix([[mpmath.mpf(int(x)) / divisor for x in row] for row in a.tolist()])
+        return float(max(abs(lam) for lam in mpmath.eigsy(a, eigvals_only=True)))
+
+
+def defect_references(label, old_report, new_report, old, new):
+    """(field -> (||A||_F^2, a function of no arguments giving ||A||_2), the
+    floor 2 N eps (1 + ||T||_F^2)) of the defect matrices A of the reference
+    T of two reports of the op label: the float T, formed exactly, when
+    both sides have its bytes, or else the T_ref of the build that made the
+    T of each side, at EIG_DIGITS digits."""
+    import mpmath
+
+    if old_report["t"] == new_report["t"]:
+        exact, floor = exact_defects(_square(new_report["t"]))
+        return {
+            field: (squared, functools.partial(reference_norm, a, scale))
+            for field, (a, scale, squared) in exact.items()
+        }, floor
+    pairs = zip(old["builds"], new["builds"])
+    made = [(b, c) for b, c in pairs if (b["t"], c["t"]) == (old_report["t"], new_report["t"])]
+    if not made:
+        raise SystemExit(f"{label}: the T of a report moved, and no build made it")
+    t = reference_t(same_inputs(label, *made[0]))
+    with mpmath.workdps(EIG_DIGITS):
+        gram = t.T * t
+        matrices = {"normality_defect": gram - t * t.T, "iso_defect": 2 * gram - t - t.T}
+        floor = 2 * t.rows * mpmath.mpf(EPS) * (1 + mpmath.mnorm(t, "f") ** 2)
+        return {
+            field: (mpmath.mnorm(a, "f") ** 2, functools.partial(reference_norm, a))
+            for field, a in matrices.items()
+        }, floor
 
 
 def judge_norms(labels, sides):
@@ -577,9 +762,11 @@ def judge_norms(labels, sides):
         if old["exit"] != new["exit"]:
             failures.append(f"{label} exits {new['exit']}, not {old['exit']}")
             continue
-        if [report["t"] for report in old["reports"]] != [report["t"] for report in new["reports"]]:
+        moved_builds = builds_moved(old, new)
+        same_t = [report["t"] for report in old["reports"]] == [report["t"] for report in new["reports"]]
+        if not (same_t or moved_builds):
             raise SystemExit(f"{label}: the two sides build different float T")
-        if masked(old) != masked(new):
+        if moved_output(old, new, moved_builds)[0]:
             failures.append(f"{label} moves a field other than the defects")
         for old_report, new_report in zip(old["reports"], new["reports"]):
             if old_report.keys() != new_report.keys():
@@ -588,11 +775,11 @@ def judge_norms(labels, sides):
             fields = [field for field in DEFECTS if old_report.get(field) != new_report.get(field)]
             if not fields:
                 continue
-            t = _square(new_report["t"])
-            exact, floor = exact_defects(t)
+            size = len(_square(new_report["t"]))
+            exact, floor = defect_references(label, old_report, new_report, old, new)
             for field in fields:
                 moved += 1
-                a, scale, squared = exact[field]
+                squared, reference_2 = exact[field]
                 above = squared > (floor * 3 / 2) ** 2
                 value, before = new_report[field], old_report[field]
                 if value == 0.0:
@@ -602,9 +789,9 @@ def judge_norms(labels, sides):
                         failures.append(f"{label} prints its {field} as 0 above 1.5 times the floor")
                     continue
                 norms += 1
-                ref = reference_norm(a, scale)
+                ref = reference_2()
                 error = abs(value - ref)
-                norm_worst = max(norm_worst, error / (1.5 * float(floor) + t.shape[0] ** 2 * EPS * ref))
+                norm_worst = max(norm_worst, error / (1.5 * float(floor) + size**2 * EPS * ref))
                 if above and before != 0.0:
                     paired += 1
                     closer += error < abs(before - ref)
@@ -631,6 +818,67 @@ def norms(old, new, moved):
     labels = [label for label in moved if label.startswith(("certify ", "verify ", "demo "))]
     sides = {side: side_rows("defects", rec["src"], labels) for side, rec in (("old", old), ("new", new))}
     return judge_norms(labels, sides)
+
+
+def judge_build(labels, sides):
+    """Print the `build` summary of the labelled ops from each side's
+    operator rows, and return whether the new side passes the rule."""
+    failures = []
+    errors = {"old": [], "new": []}
+    closer = farther = moved_t = 0
+    worst, where = 0.0, None  # the largest error of the new side, in units of N, and its op
+    figures = []
+    for label in labels:
+        old, new = sides["old"][label], sides["new"][label]
+        if old["exit"] != new["exit"]:
+            failures.append(f"{label} exits {new['exit']}, not {old['exit']}")
+            continue
+        if len(old["builds"]) != len(new["builds"]):
+            failures.append(f"{label} builds {len(new['builds'])} operators, not {len(old['builds'])}")
+            continue
+        moved_builds = builds_moved(old, new)
+        moved, passed = moved_output(old, new, moved_builds)
+        if moved:
+            failures.append(f"{label} moves a field that no rule judges")
+        figures += passed
+        for old_build, new_build in zip(old["builds"], new["builds"]):
+            t_ref = reference_t(same_inputs(label, old_build, new_build))
+            before, after = t_error(old_build["t"], t_ref), t_error(new_build["t"], t_ref)
+            errors["old"].append(before)
+            errors["new"].append(after)
+            moved_t += old_build["t"] != new_build["t"]
+            closer += after < before
+            farther += after > before
+            size = math.isqrt(len(new_build["t"]) // 16)  # N: 16 hex digits per float
+            if after / size > worst:
+                worst, where = after / size, label
+    print(f"{len(labels)} ops differ; {len(errors['new'])} operators built, {moved_t} of them with other T bytes")
+    for side, side_errors in errors.items():
+        if side_errors:
+            print(
+                f"{side}: error max {max(side_errors):.3g} and median {np.median(side_errors):.3g} "
+                "N eps ||T_ref||_F"
+            )
+        else:
+            print(f"{side}: no operators")
+    print(f"paired, new against old: closer on {closer} and farther on {farther} of {len(errors['new'])} operators")
+    print(f"demo lines: {len(figures)} moved, measured at most {max(figures, default=0.0):.3g} on both sides")
+    # The rule: see the module docstring.
+    if worst > 1.0:
+        failures.append(f"{where} is {worst:.3g} times its bound")
+    if not sign_test(closer, farther):
+        failures.append("farther on the operators")
+    verdict = "fail: " + "; ".join(failures) if failures else "pass"
+    print(f"rule: {verdict} (largest error {worst:.3g} of its bound N N eps ||T_ref||_F)")
+    return not failures
+
+
+def build(old, new, moved):
+    """Print the `build` summary of the ops in moved, and return whether
+    the new side passes the rule."""
+    labels = [label for label in moved if label != "environment"]
+    sides = {side: side_rows("operators", rec["src"], labels) for side, rec in (("old", old), ("new", new))}
+    return judge_build(labels, sides)
 
 
 def main(argv=None):
@@ -661,6 +909,12 @@ def main(argv=None):
     defects = commands.add_parser("defects", help="output and defects of certify, verify and demo ops, as JSON")
     defects.add_argument("src")
     defects.add_argument("labels", nargs="*")
+    judge = commands.add_parser("build", help="50-digit references for the operators of the ops whose records differ")
+    judge.add_argument("old")
+    judge.add_argument("new")
+    operators = commands.add_parser("operators", help="output and built operators of any ops, as JSON")
+    operators.add_argument("src")
+    operators.add_argument("labels", nargs="*")
     args = parser.parse_args(argv)
     if args.command == "record":
         regenerate = load_regenerate(args.src)
@@ -669,11 +923,13 @@ def main(argv=None):
         Path(args.out).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
         print(f"{args.out}: {len(result['ops'])} records of {result['src']}")
         return 0
-    if args.command in ("sweeps", "spectra", "defects"):
+    if args.command in ("sweeps", "spectra", "defects", "operators"):
         regenerate = load_regenerate(args.src)
         seeds = sorted({int(label.split()[2]) for label in args.labels if " seed " in label})
         listed = dict(ops(regenerate, seeds))
-        row = {"sweeps": sweep_rows, "spectra": spectrum_row, "defects": defect_row}[args.command]
+        row = {"sweeps": sweep_rows, "spectra": spectrum_row, "defects": defect_row, "operators": operator_row}[
+            args.command
+        ]
         with tempfile.TemporaryDirectory() as tmp:
             rows = {label: row(regenerate, listed[label], Path(tmp)) for label in args.labels}
         print(json.dumps(rows))
@@ -684,6 +940,8 @@ def main(argv=None):
         return 0 if eigs(old, new, moved) else 1
     if args.command == "norms":
         return 0 if norms(old, new, moved) else 1
+    if args.command == "build":
+        return 0 if build(old, new, moved) else 1
     if args.command == "rates":
         labels = [label for label in moved if label.startswith("tune ")]
         print(f"{len(labels)} tune ops differ")

@@ -138,3 +138,40 @@ def test_the_referee_judges_the_defects_of_one_certify_op(tmp_path, capsys, monk
     first, figures, paired, rule = capsys.readouterr().out.splitlines()
     assert first == "1 certify, verify and demo ops differ; 0 defect figures moved"
     assert rule == f"rule: fail: {label} moves a field other than the defects (floor 2 N eps (1 + ||T||_F^2))"
+
+
+def test_the_referee_judges_the_build_of_one_certify_op(tmp_path, capsys, monkeypatch):
+    pytest.importorskip("mpmath")
+    referee = _load("referee")
+    src = Path(graphsplit.__file__).resolve().parent.parent
+    regenerate = referee.load_regenerate(src)
+    label, op = next((label, op) for label, op in referee.ops(regenerate) if label.startswith("certify "))
+    record = referee.run(regenerate, [(label, op)], src)
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    paths[0].write_text(json.dumps(record), encoding="utf-8")
+    record["ops"][label]["out"] = "moved"
+    paths[1].write_text(json.dumps(record), encoding="utf-8")
+    assert referee.main(["build", *map(str, paths)]) == 0
+    first, old_line, new_line, paired, demo, rule = capsys.readouterr().out.splitlines()
+    # Both sides run this tree: one operator, the same T, within its bound.
+    assert first == "1 ops differ; 1 operators built, 0 of them with other T bytes"
+    assert old_line.startswith("old: error max ")
+    assert new_line == "new" + old_line[3:]
+    assert paired == "paired, new against old: closer on 0 and farther on 0 of 1 operators"
+    assert demo == "demo lines: 0 moved, measured at most 0 on both sides"
+    assert rule.startswith("rule: pass (largest error ")
+    # A hand-edited fix_dim is a field that no rule judges.
+    row = referee.operator_row(regenerate, op, tmp_path)
+    edited = dict(row, text=json.dumps(dict(json.loads(row["text"]), fix_dim=-1)))
+    rows = iter([{label: row}, {label: edited}])
+    monkeypatch.setattr(referee, "side_rows", lambda command, src, labels: next(rows))
+    assert referee.main(["build", *map(str, paths)]) == 1
+    rule = capsys.readouterr().out.splitlines()[-1]
+    assert rule.startswith(f"rule: fail: {label} moves a field that no rule judges ")
+    # A moved demo line passes only at round-off on both sides, and only
+    # where the builds moved.
+    line = "  [pass] numeric limit vs closed form: measured {}, expected 0 (tol 1e-09)\n"
+    old, new = ({"command": "demo", "text": line.format(x)} for x in ("2.3e-15", "1.7e-15"))
+    assert referee.moved_output(old, new, True) == (False, [2.3e-15])
+    assert referee.moved_output(old, new, False)[0]
+    assert referee.moved_output(old, dict(new, text=line.format("2e-12")), True)[0]
