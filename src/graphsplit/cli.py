@@ -350,6 +350,9 @@ def _read_config(path, seed=None, eps=None):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except ValueError as exc:  # an integer literal above Python's int-string limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"config: an integer literal has more than {limit} digits") from exc
     return load_config(obj, seed=seed, eps=eps)
 
 

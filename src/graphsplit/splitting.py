@@ -2,9 +2,9 @@
 
 Given a graph pair (G, G') and one subspace per node, the fixed-point map
 acts on n-1 stacked copies of the ambient space. It is assembled both as a
-dense matrix T = I - C, with C = Zbar^T M^{-1} P Zbar, and as a matrix-free
-forward-substitution sweep; the two routes are kept in agreement by tests
-and serve as each other's oracle.
+dense matrix T = I - C, solved in the node bases (`build`), and as a
+matrix-free forward-substitution sweep; the two routes share no code, and
+the tests hold them in agreement.
 
 The report of T (`spectral_report`) quantifies how far T is from being
 normal (T^T T = T T^T) and from being iso-averaged, the average of an
@@ -67,17 +67,17 @@ class SplittingOperator:
 def build(graph_pair, spaces, z=None):
     """Assemble the splitting operator for a graph pair and node subspaces.
 
-    The block map is M = P Bbar P + (I - P) on the n-fold product space: P
-    is the block-diagonal projector of the product subspace and Bbar the
-    lift of the update matrix B of G. M acts as the identity on the
-    orthogonal complement and is invertible thanks to the forward
-    orientation of the graph edges.
-
-    One solve gives X = M^{-1} P Zbar, and C = Zbar^T X. The build checks
-    that solve and forms no inverse: X must stay in the product subspace,
-    ||X - P X||_F, and leave a small residual, ||M X - P Zbar||_F, both
-    within 1e-9 (1 + ||M||_F) (1 + ||X||_F). A failure signals a kernel
-    bug, not bad input.
+    The node points X of the map lie in the product subspace, so X = U Y,
+    U the block-diagonal stack of the node bases (nd x K, K the sum of the
+    node dimensions). With Bbar and Zbar the lifts of the update matrix B
+    of G and of the factor Z, one solve of A Y = U^T Zbar, A = U^T Bbar U,
+    gives T = I - (Zbar^T U) Y. Every edge points forward, so B is lower
+    triangular and A block lower triangular, with the invertible diagonal
+    blocks deg_i U_i^T U_i. T is the map of the spans of the float bases
+    whether or not U^T U = I holds exactly. The build forms no inverse and
+    checks its one solve: ||A Y - U^T Zbar||_F must stay within
+    1e-9 (1 + ||A||_F) (1 + ||Y||_F). A failure signals a kernel bug, not
+    bad input.
 
     z defaults to the QR-based Laplacian factor of the subgraph; a custom
     factor (for instance a tree incidence matrix) may be supplied as long
@@ -105,21 +105,15 @@ def build(graph_pair, spaces, z=None):
         zbar = matlin.kron_lift(z, d)
         bbar = matlin.kron_lift(graphs.matrices(graph_pair.g)[3], d)
 
-    p = spaces.projector()
-    m = p @ bbar @ p + (np.eye(p.shape[0]) - p)
-    pz = p @ zbar
-    x = np.linalg.solve(m, pz)
-    t = np.eye((n - 1) * d) - zbar.T @ x
+    u = spaces.basis
+    a = u.T @ bbar @ u
+    uz = u.T @ zbar
+    y = np.linalg.solve(a, uz)
+    t = np.eye((n - 1) * d) - uz.T @ y
 
-    tol = 1e-9 * (1.0 + np.linalg.norm(m)) * (1.0 + np.linalg.norm(x))
-    # (I - P) M = I - P, so the defect is at most the residual: it goes first
-    # to name a solve that leaves the subspace.
-    defect = np.linalg.norm(x - p @ x)
-    if defect > tol:
-        raise SelfCheckFailedError(f"block-map inverse leaves the product subspace ({defect:.3e})")
-    residual = np.linalg.norm(m @ x - pz)
-    if residual > tol:
-        raise SelfCheckFailedError(f"block-map inverse misses P Zbar (residual {residual:.3e})")
+    residual = np.linalg.norm(a @ y - uz)
+    if residual > 1e-9 * (1.0 + np.linalg.norm(a)) * (1.0 + np.linalg.norm(y)):
+        raise SelfCheckFailedError(f"node-basis solve misses U^T Zbar (residual {residual:.3e})")
 
     return SplittingOperator(n=n, d=d, T=t, Z=z, graph_pair=graph_pair, spaces=spaces)
 

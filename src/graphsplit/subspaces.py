@@ -2,8 +2,8 @@
 
 A subspace carries its basis (d x k, orthonormal columns, k possibly zero)
 and hands out the projector basis @ basis.T. Products of subspaces model
-the per-node constraint sets of a splitting method; their projectors are
-block diagonal. A config's node spaces are read by `cli`, which builds them
+the per-node constraint sets of a splitting method; their bases are block
+diagonal. A config's node spaces are read by `cli`, which builds them
 with the constructors here.
 """
 
@@ -174,13 +174,16 @@ class ProductSubspace:
     def ambient(self):
         return self.factors[0].ambient
 
-    def projector(self):
-        """Block-diagonal stack of the factor projectors (exactly)."""
+    @property
+    def basis(self):
+        """Block-diagonal stack of the factor bases: (n d) x (sum of their dimensions)."""
         d = self.ambient
-        p = np.zeros((self.n * d, self.n * d))
+        u = np.zeros((self.n * d, sum(f.dim for f in self.factors)))
+        k = 0
         for i, f in enumerate(self.factors):
-            p[i * d : (i + 1) * d, i * d : (i + 1) * d] = f.projector()
-        return p
+            u[i * d : (i + 1) * d, k : k + f.dim] = f.basis
+            k += f.dim
+        return u
 
 
 def product(factors):

@@ -690,8 +690,8 @@ _SOLVE = np.linalg.solve
 
 
 def _perturbed_solve(a, b):
-    # A solution off by 1e-3 in every entry: build's own checks of the
-    # block-map inverse must fail.
+    # A solution off by 1e-3 in every entry: build's residual check of its
+    # node-basis solve must fail.
     return _SOLVE(a, b) + 1e-3
 
 
@@ -703,7 +703,7 @@ def _perturbed_solve(a, b):
         ((matlin, "general_eigenvalues"), _off_one, "analyze",
          "within the band at 1 (0) disagree with the fixed-subspace dimension (1)"),
         ((np.linalg, "solve"), _singular, "analyze", "Singular matrix"),
-        ((np.linalg, "solve"), _perturbed_solve, "analyze", "block-map inverse"),
+        ((np.linalg, "solve"), _perturbed_solve, "analyze", "node-basis solve misses U^T Zbar"),
     ],
     ids=["no-convergence", "self-check", "at-one-self-check", "linalg-error", "build-self-check"],
 )
@@ -758,6 +758,15 @@ def test_invalid_json_reports_location(tmp_path, capsys):
     path.write_text("{not json")
     assert cli.main(["analyze", "--config", str(path)]) == 2
     assert "line" in capsys.readouterr().err
+
+
+def test_an_integer_literal_too_long_for_python_is_a_config_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for it.
+    path = tmp_path / "long.json"
+    path.write_text('{"graph": {"preset": "ring", "n": 3}, "ambient": 1' + "0" * 5000 + ', "spaces": []}')
+    assert cli.main(["analyze", "--config", str(path)]) == 2
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr().err == f"error: config: an integer literal has more than {limit} digits\n"
 
 
 def test_explicit_v0_roundtrip(tmp_path, capsys):

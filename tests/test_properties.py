@@ -220,6 +220,35 @@ def test_trivial_spaces_give_the_identity(config):
     assert np.array_equal(op.T, np.eye(op.size))
 
 
+def _padded_t(graph_pair, spaces, z):
+    """T by the nd x nd ambient system, the oracle for `build`: X solves
+    M X = P Zbar with M = P Bbar P + (I - P), P the block-diagonal stack of
+    the factor projectors, and T = I - Zbar^T X."""
+    n, d = graph_pair.g.n, spaces.ambient
+    p = np.zeros((n * d, n * d))
+    for i, f in enumerate(spaces.factors):
+        p[i * d : (i + 1) * d, i * d : (i + 1) * d] = f.projector()
+    bbar, zbar = matlin.kron_lift(graphs.matrices(graph_pair.g)[3], d), matlin.kron_lift(z, d)
+    m = p @ bbar @ p + (np.eye(n * d) - p)
+    return np.eye((n - 1) * d) - zbar.T @ np.linalg.solve(m, p @ zbar)
+
+
+@SETTINGS
+@given(configurations(d_max=4), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+def test_build_matches_the_padded_ambient_system(config, seed):
+    # The node dimensions run from 0 (a trivial factor) to d (a full one);
+    # a seed supplies the factor Z O, O orthogonal, in place of the default.
+    graph_pair, spaces = config
+    z = None
+    if seed is not None:
+        n = graph_pair.g.n
+        o, _, _ = matlin.qr(SplitMix64(seed).normal_matrix(n - 1, n - 1))
+        z = graphs.laplacian_factor(graph_pair.gp) @ o
+    op = splitting.build(graph_pair, spaces, z=z)
+    want = _padded_t(graph_pair, spaces, op.Z)
+    assert np.linalg.norm(op.T - want) <= op.size**2 * EPS * (1.0 + np.linalg.norm(op.T))
+
+
 @SETTINGS
 @given(configurations(kind="full"))
 def test_full_spaces_solve_against_the_lifted_update_matrix(config):

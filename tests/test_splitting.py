@@ -24,38 +24,38 @@ def _dr_pair(angle_deg):
     return op, u1, u2
 
 
-def test_build_forms_the_projector_once_and_lifts_twice(monkeypatch):
-    counts = {"projector": 0, "kron_lift": 0}
-    projector, kron_lift = subspaces.ProductSubspace.projector, matlin.kron_lift
+def test_build_forms_the_basis_once_and_lifts_twice(monkeypatch):
+    counts = {"basis": 0, "kron_lift": 0}
+    basis, kron_lift = subspaces.ProductSubspace.basis.fget, matlin.kron_lift
 
-    def counting_projector(self):
-        counts["projector"] += 1
-        return projector(self)
+    def counting_basis(self):
+        counts["basis"] += 1
+        return basis(self)
 
     def counting_kron_lift(z, d):
         counts["kron_lift"] += 1
         return kron_lift(z, d)
 
-    monkeypatch.setattr(subspaces.ProductSubspace, "projector", counting_projector)
+    monkeypatch.setattr(subspaces.ProductSubspace, "basis", property(counting_basis))
     monkeypatch.setattr(matlin, "kron_lift", counting_kron_lift)
     splitting._lifts.cache_clear()
     gp = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
     spaces = subspaces.product([subspaces.random_subspace(3, 2, k) for k in range(4)])
     # The first build of a (pair, d) lifts B and Z ...
     first = splitting.build(gp, spaces)
-    assert counts == {"projector": 1, "kron_lift": 2}
+    assert counts == {"basis": 1, "kron_lift": 2}
     # ... and an equal pair of distinct objects with the same d lifts nothing.
     equal = graphs.pair(
         graphs.AlgorithmicGraph(4, gp.g.edges), graphs.AlgorithmicGraph(4, gp.gp.edges)
     )
     assert equal is not gp
     again = splitting.build(equal, spaces)
-    assert counts == {"projector": 2, "kron_lift": 2}
+    assert counts == {"basis": 2, "kron_lift": 2}
     assert np.array_equal(again.T, first.T)
     # A supplied z is lifted, with B, on every call.
     for calls in (1, 2):
         splitting.build(gp, spaces, z=graphs.incidence(gp.gp))
-        assert counts == {"projector": 2 + calls, "kron_lift": 2 + 2 * calls}
+        assert counts == {"basis": 2 + calls, "kron_lift": 2 + 2 * calls}
     # The cached factor and lifts are shared and read-only, and a build with
     # the default factor holds the cached Z.
     lifts = splitting._lifts(gp, 3)
@@ -73,37 +73,26 @@ def test_build_solves_once(monkeypatch):
     solve = np.linalg.solve
 
     def counting(a, b):
-        calls.append(b.shape)
+        calls.append((a.shape, b.shape))
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting)
     gp = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
-    splitting.build(gp, subspaces.product([subspaces.random_subspace(3, 2, k) for k in range(4)]))
-    # P Zbar alone: 3 (n - 1) columns, and no inverse.
-    assert calls == [(12, 9)]
-
-
-def _build_with_solve_moved(monkeypatch, move):
-    """Build with a solve whose answer X is shifted by move(P) @ ones."""
-    gp = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
-    spaces = subspaces.product([subspaces.random_subspace(3, 2, k) for k in range(4)])
-    shift = move(spaces.projector()) @ np.ones((12, 9))
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + shift)
-    return splitting.build(gp, spaces)
+    splitting.build(gp, subspaces.product([subspaces.random_subspace(3, k % 3, k) for k in range(4)]))
+    # One K x K system, K = 0 + 1 + 2 + 0 the sum of the node dimensions,
+    # for U^T Zbar alone: 3 (n - 1) columns, and no inverse.
+    assert calls == [((3, 3), (3, 9))]
 
 
 def test_a_solve_off_inside_the_subspace_trips_the_residual_check(monkeypatch):
-    # The move lies in range(P), so only the residual ||M X - P Zbar|| sees it.
-    with pytest.raises(splitting.SelfCheckFailedError, match="^block-map inverse misses P Zbar"):
-        _build_with_solve_moved(monkeypatch, lambda p: 1e-6 * p)
-
-
-def test_a_solve_off_the_subspace_trips_the_range_check(monkeypatch):
-    with pytest.raises(
-        splitting.SelfCheckFailedError, match="^block-map inverse leaves the product subspace"
-    ):
-        _build_with_solve_moved(monkeypatch, lambda p: 1e-6 * (np.eye(12) - p))
+    # X = U Y lies in the product subspace whatever Y is, so only the
+    # residual ||A Y - U^T Zbar|| can see a wrong solve.
+    gp = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
+    spaces = subspaces.product([subspaces.random_subspace(3, 2, k) for k in range(4)])
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
+    with pytest.raises(splitting.SelfCheckFailedError, match="^node-basis solve misses U\\^T Zbar"):
+        splitting.build(gp, spaces)
 
 
 def test_build_two_nodes_is_douglas_rachford():
