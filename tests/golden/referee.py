@@ -577,8 +577,10 @@ def eigs(old, new, moved):
 
 
 def traced(regenerate, op, workdir):
-    """(exit code, output text or None, the operators built, the reports
-    made) of one op, run with the graphsplit that regenerate imported."""
+    """(its row, the reports made) of one op, run with the graphsplit that
+    regenerate imported. The row holds the op's command, exit code and
+    output (None for none), and the `build_inputs` of each operator it
+    builds."""
     from graphsplit import splitting
 
     built, reports = [], []
@@ -599,35 +601,31 @@ def traced(regenerate, op, workdir):
         splitting.build, splitting.spectral_report = build, report
     out_path = workdir / "out.txt"
     text = out_path.read_text(encoding="utf-8") if out_path.exists() else None
-    return code, text, built, reports
+    row = {"command": op.command, "exit": code, "text": text, "builds": [build_inputs(b) for b in built]}
+    return row, reports
 
 
 def operator_row(regenerate, op, workdir):
-    """What one op prints and the operators it builds, run with the
-    graphsplit that regenerate imported: its command, exit code and output,
-    and the `build_inputs` of each operator it builds."""
-    code, text, built, _ = traced(regenerate, op, workdir)
-    return {"command": op.command, "exit": code, "text": text, "builds": [build_inputs(b) for b in built]}
+    """What one op prints and the operators it builds: the row of `traced`."""
+    return traced(regenerate, op, workdir)[0]
 
 
 def defect_row(regenerate, op, workdir):
-    """What one op prints and the defects it rests on, run with the
-    graphsplit that regenerate imported: its `operator_row`, and, for each
-    report of the run whose defects were read, the hex bytes of its T and
-    each defect read. The printed defects of an `analyze` op are checked
-    against its report."""
+    """What one op prints and the defects it rests on: the row of `traced`,
+    and, for each report of the run whose defects were read, the hex bytes
+    of its T and each defect read. The printed defects of an `analyze` op
+    are checked against its report."""
     from graphsplit import cli
 
-    code, text, built, reports = traced(regenerate, op, workdir)
-    row = {"command": op.command, "exit": code, "text": text, "builds": [build_inputs(b) for b in built]}
+    row, reports = traced(regenerate, op, workdir)
     row["reports"] = []
     for report in reports:
         # A field of the report that was read is cached in its __dict__.
         read = {field: report.__dict__[field] for field in DEFECTS if field in report.__dict__}
         if read:
             row["reports"].append({"t": report._t.tobytes().hex(), **read})
-    if op.command == "analyze" and text is not None:
-        printed = json.loads(text)
+    if op.command == "analyze" and row["text"] is not None:
+        printed = json.loads(row["text"])
         [report] = row["reports"]
         if any(printed[field] != cli._sig12(report[field]) for field in DEFECTS):
             raise SystemExit(f"{op}: the printed defects are not those of the report of T")
