@@ -315,10 +315,14 @@ def reference_t(inputs):
     size = len(z[0]) * d
     with mpmath.workdps(EIG_DIGITS):
         # One column of U per node basis vector: (node, its entries).
-        columns = [(i, [mpmath.mpf(x) for x in u[:, c]]) for i, u in enumerate(bases) for c in range(u.shape[1])]
+        columns = [
+            (i, [mpmath.mpf(x) for x in u[:, c]]) for i, u in enumerate(bases) for c in range(u.shape[1])
+        ]
         if not columns:
             return mpmath.eye(size)
-        a = mpmath.matrix([[b[i][j] * mpmath.fdot(x, y) if b[i][j] else 0 for j, y in columns] for i, x in columns])
+        a = mpmath.matrix(
+            [[b[i][j] * mpmath.fdot(x, y) if b[i][j] else 0 for j, y in columns] for i, x in columns]
+        )
         r = mpmath.matrix([[z[i][j // d] * x[j % d] for j in range(size)] for i, x in columns])
         lu, pivots = mpmath.mp.LU_decomp(a)
         y = mpmath.matrix(len(columns), size)

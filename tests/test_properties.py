@@ -252,7 +252,8 @@ def test_build_matches_the_padded_ambient_system(config, seed):
 @SETTINGS
 @given(configurations(kind="full"))
 def test_full_spaces_solve_against_the_lifted_update_matrix(config):
-    # With full spaces U = I, so U^T Bbar U is the lifted B itself, and C = Zbar^T Bbar^{-1} Zbar.
+    # With full spaces U = I, so U^T Bbar U is the lifted B itself, and
+    # C = Zbar^T Bbar^{-1} Zbar.
     graph_pair, spaces = config
     n, d = graph_pair.g.n, spaces.ambient
     tree = len(graph_pair.gp.edges) == n - 1
