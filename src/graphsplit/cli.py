@@ -12,9 +12,9 @@ The config format lives here alone: `load_config` reads each field once,
 and bounds each size as it reads it, before anything is built from it.
 Each error names its field and what the format expects there.
 
-Exit status: 0 on success, 1 when a check fails, 2 on configuration errors,
-3 on an internal numerical failure (a failed self-check, an eigensolver that
-does not converge, a singular linear solve).
+Exit status: 0 on success, 1 when a check fails, 2 on configuration errors
+and on an `--out` path that cannot be written, 3 on an internal numerical
+failure (a failed self-check, an eigensolver that does not converge).
 """
 
 import argparse
@@ -359,9 +359,12 @@ def _read_config(path, seed=None, eps=None):
 def _emit(text, out_path):
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"--out: cannot write {out_path!r}: {exc}") from exc
 
 
 @functools.cache
@@ -414,11 +417,7 @@ def main(argv=None):
         text, ok = cmd_verify(args.seed, args.trials)
         _emit(text, args.out)
         return 0 if ok else 1
-    except (
-        matlin.NoConvergenceError, splitting.SelfCheckFailedError, np.linalg.LinAlgError
-    ) as exc:
-        # LinAlgError is a ValueError, but a numerical failure, not bad input,
-        # so this clause comes before the one for config and input errors.
+    except (matlin.NoConvergenceError, splitting.SelfCheckFailedError) as exc:
         print(f"error: internal numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -502,12 +502,7 @@ def _close(label, measured, expected, tol):
 
 
 def _bound(label, measured, relation, bound):
-    ok = {
-        "<=": measured <= bound,
-        "<": measured < bound,
-        ">=": measured >= bound,
-        ">": measured > bound,
-    }[relation]
+    ok = {"<=": measured <= bound, ">": measured > bound}[relation]
     return CheckLine(label, f"{measured:.12g}", f"{relation} {bound:.12g}", ok)
 
 

@@ -2,9 +2,10 @@
 
 Given a graph pair (G, G') and one subspace per node, the fixed-point map
 acts on n-1 stacked copies of the ambient space. It is assembled both as a
-dense matrix T = I - C, solved in the node bases (`build`), and as a
-matrix-free forward-substitution sweep; the two routes share no code, and
-the tests hold them in agreement.
+dense matrix T = I - C, by forward substitution over the nodes in their
+bases (`build`), and as a matrix-free sweep applied to one vector
+(`apply_iterative`); the two routes share no code, and the tests hold them
+in agreement.
 
 The report of T (`spectral_report`) quantifies how far T is from being
 normal (T^T T = T T^T) and from being iso-averaged, the average of an
@@ -67,25 +68,27 @@ class SplittingOperator:
 def build(graph_pair, spaces, z=None):
     """Assemble the splitting operator for a graph pair and node subspaces.
 
-    The node points X of the map lie in the product subspace, so X = U Y,
-    U the block-diagonal stack of the node bases (nd x K, K the sum of the
-    node dimensions). With Bbar and Zbar the lifts of the update matrix B
-    of G and of the factor Z, one solve of A Y = U^T Zbar, A = U^T Bbar U,
-    gives T = I - (Zbar^T U) Y. Every edge points forward, so B is lower
-    triangular and A block lower triangular, with the invertible diagonal
-    blocks deg_i U_i^T U_i. T is the map of the spans of the float bases
-    whether or not U^T U = I holds exactly. The build forms no inverse and
-    checks its one solve: ||A Y - U^T Zbar||_F must stay within
-    1e-9 (1 + ||A||_F) (1 + ||Y||_F). A failure signals a kernel bug, not
-    bad input.
+    Every edge points forward, so the node points X_i of the map follow by
+    forward substitution over the nodes. With U_i the basis of node i, deg_i
+    its degree and Zbar_i its d rows of the lift Zbar = Z (x) I_d, node i in
+    order takes acc = Zbar_i + 2 sum_{h -> i} X_h, w = U_i^T acc and
+    G = U_i^T U_i, and sets X_i = U_i y with y = (2 w - G w) / deg_i: one
+    Newton step for G^{-1} w / deg_i, whose error O(||G - I||^2) lies below
+    round-off, since a node basis is orthonormal to 1e-12. A node of
+    dimension 0 has X_i = 0. Then T = I - Zbar^T X. T is the map of the spans
+    of the float bases, the build forms no inverse and calls no LAPACK, and
+    it checks its node steps once: the block residuals deg_i G y - w,
+    stacked over the nodes, must have a Frobenius norm within
+    1e-9 (1 + ||W||_F), W the stacked w. A failure signals a kernel bug or a
+    basis that is not orthonormal, not bad input.
 
     z defaults to the QR-based Laplacian factor of the subgraph; a custom
     factor (for instance a tree incidence matrix) may be supplied as long
     as z z^T reproduces the subgraph Laplacian. Z O for an orthogonal O is
     one, and its C is Obar^T C Obar with Obar = O (x) I_d, so spectra and
     defects do not depend on the factorization of the Laplacian. The default
-    factor and the lifts Bbar and Zbar come from one cache keyed on
-    (graph pair, d); a supplied z is checked and lifted on every call.
+    factor and its lift Zbar come from one cache keyed on (graph pair, d); a
+    supplied z is checked and lifted on every call.
     """
     n = graph_pair.g.n
     d = spaces.ambient
@@ -94,7 +97,7 @@ def build(graph_pair, spaces, z=None):
     if n < 2:
         raise ValueError("need at least two nodes")
     if z is None:
-        z, bbar, zbar = _lifts(graph_pair, d)
+        z, zbar = _lifts(graph_pair, d)
     else:
         z = np.asarray(z, dtype=float)
         if z.shape != (n, n - 1):
@@ -103,32 +106,49 @@ def build(graph_pair, spaces, z=None):
         if np.linalg.norm(z @ z.T - lap_sub) > 1e-9 * (1.0 + np.linalg.norm(lap_sub)):
             raise ValueError("Z Z^T does not reproduce the subgraph Laplacian")
         zbar = matlin.kron_lift(z, d)
-        bbar = matlin.kron_lift(graphs.matrices(graph_pair.g)[3], d)
 
-    u = spaces.basis
-    a = u.T @ bbar @ u
-    uz = u.T @ zbar
-    y = np.linalg.solve(a, uz)
-    t = np.eye((n - 1) * d) - uz.T @ y
+    size = (n - 1) * d
+    bases = [f.basis for f in spaces.factors]
+    zbars = zbar.reshape(n, d, size)
+    x = np.zeros((n, d, size))
+    w = np.empty((sum(u.shape[1] for u in bases), size))
+    r = np.empty_like(w)
+    k = 0
+    graph = graph_pair.g
+    nodes = zip(bases, graph.degrees().tolist(), graph.in_neighbors())
+    for i, (u, deg, sources) in enumerate(nodes):
+        m = u.shape[1]
+        if not m:
+            continue
+        acc = zbars[i]
+        for h in sources:
+            acc = acc + 2.0 * x[h]
+        wi = w[k : k + m] = u.T @ acc
+        gram = u.T @ u
+        y = (2.0 * wi - gram @ wi) / deg
+        x[i] = u @ y
+        r[k : k + m] = deg * (gram @ y) - wi
+        k += m
+    t = np.eye(size) - zbar.T @ x.reshape(n * d, size)
 
-    residual = np.linalg.norm(a @ y - uz)
-    if residual > 1e-9 * (1.0 + np.linalg.norm(a)) * (1.0 + np.linalg.norm(y)):
-        raise SelfCheckFailedError(f"node-basis solve misses U^T Zbar (residual {residual:.3e})")
+    residual = np.linalg.norm(r)
+    if residual > 1e-9 * (1.0 + np.linalg.norm(w)):
+        raise SelfCheckFailedError(f"node solves miss deg_i G y = w (residual {residual:.3e})")
 
     return SplittingOperator(n=n, d=d, T=t, Z=z, graph_pair=graph_pair, spaces=spaces)
 
 
 @functools.lru_cache(maxsize=256)
 def _lifts(graph_pair, d):
-    """(Z, Bbar, Zbar): the default factor Z of the subgraph Laplacian, and
-    Bbar = B (x) I_d and Zbar = Z (x) I_d.
+    """(Z, Zbar): the default factor Z of the subgraph Laplacian, and
+    Zbar = Z (x) I_d.
 
     A pure function of the frozen pair and d, so computed once per (pair, d)
     (the last 256 are kept) and returned read-only: equal calls share the
-    three arrays, which no caller can modify.
+    two arrays, which no caller can modify.
     """
     z = graphs.laplacian_factor(graph_pair.gp)
-    lifts = (z, matlin.kron_lift(graphs.matrices(graph_pair.g)[3], d), matlin.kron_lift(z, d))
+    lifts = (z, matlin.kron_lift(z, d))
     for m in lifts:
         m.flags.writeable = False
     return lifts

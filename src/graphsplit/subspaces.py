@@ -1,10 +1,10 @@
 """Linear subspaces of R^d held as orthonormal bases.
 
 A subspace carries its basis (d x k, orthonormal columns, k possibly zero)
-and hands out the projector basis @ basis.T. Products of subspaces model
-the per-node constraint sets of a splitting method; their bases are block
-diagonal. A config's node spaces are read by `cli`, which builds them
-with the constructors here.
+and hands out the projector basis @ basis.T. A product of subspaces holds
+the per-node constraint sets of a splitting method, one factor per node,
+and `splitting.build` reads each factor's basis in turn. A config's node
+spaces are read by `cli`, which builds them with the constructors here.
 """
 
 from dataclasses import dataclass
@@ -173,17 +173,6 @@ class ProductSubspace:
     @property
     def ambient(self):
         return self.factors[0].ambient
-
-    @property
-    def basis(self):
-        """Block-diagonal stack of the factor bases: (n d) x (sum of their dimensions)."""
-        d = self.ambient
-        u = np.zeros((self.n * d, sum(f.dim for f in self.factors)))
-        k = 0
-        for i, f in enumerate(self.factors):
-            u[i * d : (i + 1) * d, k : k + f.dim] = f.basis
-            k += f.dim
-        return u
 
 
 def product(factors):

@@ -1,12 +1,13 @@
 """Operator assembly, matrix-free application, and the spectral report."""
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 from conftest import defect_floor, eig_multiset_close, full_report, random_operator
 
-from graphsplit import experiments, graphs, matlin, splitting, subspaces
+from graphsplit import cli, experiments, graphs, matlin, splitting, subspaces
 from graphsplit._rng import SplitMix64
 
 
@@ -24,75 +25,55 @@ def _dr_pair(angle_deg):
     return op, u1, u2
 
 
-def test_build_forms_the_basis_once_and_lifts_twice(monkeypatch):
-    counts = {"basis": 0, "kron_lift": 0}
-    basis, kron_lift = subspaces.ProductSubspace.basis.fget, matlin.kron_lift
-
-    def counting_basis(self):
-        counts["basis"] += 1
-        return basis(self)
+def test_build_lifts_once(monkeypatch):
+    lifted = []
+    kron_lift = matlin.kron_lift
 
     def counting_kron_lift(z, d):
-        counts["kron_lift"] += 1
+        lifted.append(z.shape)
         return kron_lift(z, d)
 
-    monkeypatch.setattr(subspaces.ProductSubspace, "basis", property(counting_basis))
     monkeypatch.setattr(matlin, "kron_lift", counting_kron_lift)
     splitting._lifts.cache_clear()
     gp = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
     spaces = subspaces.product([subspaces.random_subspace(3, 2, k) for k in range(4)])
-    # The first build of a (pair, d) lifts B and Z ...
+    # The first build of a (pair, d) lifts Z, and nothing else ...
     first = splitting.build(gp, spaces)
-    assert counts == {"basis": 1, "kron_lift": 2}
+    assert lifted == [(4, 3)]
     # ... and an equal pair of distinct objects with the same d lifts nothing.
     equal = graphs.pair(
         graphs.AlgorithmicGraph(4, gp.g.edges), graphs.AlgorithmicGraph(4, gp.gp.edges)
     )
     assert equal is not gp
     again = splitting.build(equal, spaces)
-    assert counts == {"basis": 2, "kron_lift": 2}
+    assert lifted == [(4, 3)]
     assert np.array_equal(again.T, first.T)
-    # A supplied z is lifted, with B, on every call.
+    # A supplied z is lifted on every call.
     for calls in (1, 2):
         splitting.build(gp, spaces, z=graphs.incidence(gp.gp))
-        assert counts == {"basis": 2 + calls, "kron_lift": 2 + 2 * calls}
-    # The cached factor and lifts are shared and read-only, and a build with
+        assert len(lifted) == 1 + calls
+    # The cached factor and lift are shared and read-only, and a build with
     # the default factor holds the cached Z.
     lifts = splitting._lifts(gp, 3)
+    assert len(lifts) == 2
     assert all(a is b for a, b in zip(splitting._lifts(equal, 3), lifts))
     assert first.Z is again.Z is lifts[0]
-    assert counts["kron_lift"] == 6
+    assert len(lifted) == 3
     assert not any(m.flags.writeable for m in lifts)
     for m in lifts:
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
 
 
-def test_build_solves_once(monkeypatch):
-    calls = []
-    solve = np.linalg.solve
-
-    def counting(a, b):
-        calls.append((a.shape, b.shape))
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", counting)
+def test_a_solve_off_inside_the_subspace_trips_the_residual_check():
+    # X_i = U_i y lies in the span of U_i whatever y is, so only the
+    # residual of the node steps can see a wrong y. A basis of norm 2 is
+    # not orthonormal: one Newton step from G = I then misses G^{-1}.
     gp = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
-    splitting.build(gp, subspaces.product([subspaces.random_subspace(3, k % 3, k) for k in range(4)]))
-    # One K x K system, K = 0 + 1 + 2 + 0 the sum of the node dimensions,
-    # for U^T Zbar alone: 3 (n - 1) columns, and no inverse.
-    assert calls == [((3, 3), (3, 9))]
-
-
-def test_a_solve_off_inside_the_subspace_trips_the_residual_check(monkeypatch):
-    # X = U Y lies in the product subspace whatever Y is, so only the
-    # residual ||A Y - U^T Zbar|| can see a wrong solve.
-    gp = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
-    spaces = subspaces.product([subspaces.random_subspace(3, 2, k) for k in range(4)])
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
-    with pytest.raises(splitting.SelfCheckFailedError, match="^node-basis solve misses U\\^T Zbar"):
-        splitting.build(gp, spaces)
+    factors = [subspaces.random_subspace(3, 2, k) for k in range(4)]
+    factors[2] = subspaces._trusted(2.0 * factors[2].basis)
+    with pytest.raises(splitting.SelfCheckFailedError, match="^node solves miss deg_i G y = w"):
+        splitting.build(gp, subspaces.product(factors))
 
 
 def test_build_two_nodes_is_douglas_rachford():
@@ -269,11 +250,22 @@ def test_bad_t_is_one_value_error_that_names_t(entry, bad, message):
             ENTRY_POINTS[entry](bad)
 
 
-LAPACK = ("solve", "inv", "eig", "eigvals", "eigh", "svd", "qr", "lstsq", "det")
+LAPACK = (
+    "solve", "inv", "eig", "eigvals", "eigh", "eigvalsh", "svd", "qr", "lstsq", "det", "slogdet",
+    "cholesky", "pinv", "matrix_rank",
+)
+
+
+def _bar_lapack(monkeypatch):
+    def barred(*args, **kwargs):
+        raise AssertionError("graphsplit called LAPACK")
+
+    for name in LAPACK:
+        monkeypatch.setattr(np.linalg, name, barred)
 
 
 def test_the_analysis_of_t_calls_no_lapack(monkeypatch):
-    # build solves with numpy, so every T is built before LAPACK is barred.
+    _bar_lapack(monkeypatch)
     ts = [np.eye(3), np.zeros((3, 3))]
     for k, (_, make) in enumerate(experiments.pair_catalog()):
         dims = [(k + i) % 4 for i in range(4)]
@@ -281,14 +273,31 @@ def test_the_analysis_of_t_calls_no_lapack(monkeypatch):
             subspaces.random_subspace(3, dim, 40 * k + i) for i, dim in enumerate(dims)
         )
         ts.append(splitting.build(make(4), spaces).T)
-
-    def barred(*args, **kwargs):
-        raise AssertionError("the analysis of T called LAPACK")
-
-    for name in LAPACK:
-        monkeypatch.setattr(np.linalg, name, barred)
     for t in ts:
         full_report(t)
+
+
+def test_the_cli_calls_no_lapack(monkeypatch, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "graph": {"preset": "ring", "n": 4},
+        "subgraph": {"preset": "sequential", "n": 4},
+        "ambient": 2,
+        "spaces": [{"kind": "random", "dim": 1, "seed": 10 + i} for i in range(4)],
+        "thetas": [0.5, 1.0],
+        "eps": 1e-6,
+    }))
+    # No factor, lift or witness search may come from a cache filled before the bar.
+    splitting._lifts.cache_clear()
+    experiments._witness_search.cache_clear()
+    _bar_lapack(monkeypatch)
+    for argv in (
+        ["analyze", "--config", str(config)],
+        ["sweep", "--config", str(config)],
+        ["verify", "--trials", "2"],
+        ["demo", "all"],
+    ):
+        assert cli.main(argv) == 0, argv
 
 
 def test_spectral_report_dr_sixty_degrees():
