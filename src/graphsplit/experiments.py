@@ -416,19 +416,36 @@ def with_extra_edge(gp, edge):
     return graphs.pair(graphs.AlgorithmicGraph(gp.n, gp.edges + (edge,)), gp)
 
 
+# The catalogue's families: each preset paired with itself, then three pairs
+# "G/G'" with G != G'.
+_FAMILIES = (*graphs.PRESETS, "parallel_down+edge/parallel_down", "biparallel/parallel_up",
+             "ring/sequential")
+
+
 def pair_catalog():
-    """Named graph-pair builders, each taking the number of nodes (at least 3)."""
-    same = [(name, (lambda nm: lambda n: graphs.pair(graphs.preset(nm, n)))(name))
-            for name in graphs.PRESETS]
-    diff = [
-        ("parallel_down+edge/parallel_down",
-         lambda n: with_extra_edge(graphs.preset("parallel_down", n), (1, 2))),
-        ("biparallel/parallel_up",
-         lambda n: graphs.pair(graphs.preset("biparallel", n), graphs.preset("parallel_up", n))),
-        ("ring/sequential",
-         lambda n: graphs.pair(graphs.preset("ring", n), graphs.preset("sequential", n))),
-    ]
-    return same + diff
+    """Named graph-pair builders, each taking the number of nodes (at least 3).
+
+    The pairs are frozen, so a builder makes one pair per (family, n) (the
+    last 256 are kept) and an equal call gets the same object, which the
+    caches keyed on a pair (`splitting._lifts`, `witness_search`) then find
+    by identity. n is checked before that cache is consulted.
+    """
+    return [(name, functools.partial(_catalog_pair, name)) for name in _FAMILIES]
+
+
+def _catalog_pair(name, n):
+    check_count("n", n, 3)
+    return _family_pair(name, int(n))
+
+
+@functools.lru_cache(maxsize=256)
+def _family_pair(name, n):
+    if name in graphs.PRESETS:
+        return graphs.pair(graphs.preset(name, n))
+    g, gp = name.split("/")
+    if g == "parallel_down+edge":
+        return with_extra_edge(graphs.preset(gp, n), (1, 2))
+    return graphs.pair(graphs.preset(g, n), graphs.preset(gp, n))
 
 
 @dataclass

@@ -5,9 +5,10 @@ every edge (i, j) satisfies i < j; the orientation is what later makes the
 splitting operator computable by forward substitution. This module builds
 the adjacency, degree, Laplacian and update matrices, and factors the
 Laplacian of a connected spanning subgraph as Z Z^T with Z of full column
-rank n-1. Only `preset` keeps a cache, of frozen graphs: the matrices and
-the factor are fresh arrays on every call, and `splitting` keeps the
-factor and its lifts once per (graph pair, d).
+rank n-1. `preset` keeps a cache of frozen graphs, and a graph keeps its
+degree list and in-neighbour tuples: the matrices and the factor are fresh
+arrays on every call, and `splitting` keeps the factor and its lifts once
+per (graph pair, d).
 
 Node indices are 1-based at the boundary (matching the usual convention
 for these methods) and 0-based in array code. A config's graphs are read
@@ -46,20 +47,29 @@ class AlgorithmicGraph:
         if not _connected(self.n, self.edges):
             raise ValueError("underlying undirected graph is not connected")
 
-    def degrees(self):
-        """Undirected degree of every node (in-edges plus out-edges)."""
-        d = np.zeros(self.n, dtype=int)
+    # The graph is frozen, so its node structure is computed on first read
+    # and kept: every build and sweep over the graph reads the same tuples.
+    @functools.cached_property
+    def degree_list(self):
+        """Undirected degree of every node (in-edges plus out-edges), a tuple."""
+        d = [0] * self.n
         for i, j in self.edges:
             d[i - 1] += 1
             d[j - 1] += 1
-        return d
+        return tuple(d)
 
+    @functools.cached_property
     def in_neighbors(self):
-        """For each node i (0-based), the 0-based sources h of edges (h, i)."""
+        """For each node i (0-based), the tuple of 0-based sources h of edges
+        (h, i), in edge order."""
         inn = [[] for _ in range(self.n)]
         for i, j in self.edges:
             inn[j - 1].append(i - 1)
-        return [tuple(t) for t in inn]
+        return tuple(map(tuple, inn))
+
+    def degrees(self):
+        """The degree list as a fresh integer array."""
+        return np.array(self.degree_list)
 
 
 def _connected(n, edges):

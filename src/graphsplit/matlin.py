@@ -24,6 +24,10 @@ class NoConvergenceError(RuntimeError):
     """QR eigenvalue iteration exhausted its sweep budget."""
 
 
+class SelfCheckFailedError(RuntimeError):
+    """An internal algebraic identity failed beyond tolerance (kernel bug)."""
+
+
 def _as_matrix(a):
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:

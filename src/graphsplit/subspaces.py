@@ -1,12 +1,15 @@
 """Linear subspaces of R^d held as orthonormal bases.
 
 A subspace carries its basis (d x k, orthonormal columns, k possibly zero)
-and hands out the projector basis @ basis.T. A product of subspaces holds
-the per-node constraint sets of a splitting method, one factor per node,
-and `splitting.build` reads each factor's basis in turn. A config's node
-spaces are read by `cli`, which builds them with the constructors here.
+and hands out the projector basis @ basis.T. Every basis but the exact axes
+of `full` and `trivial` is checked to be orthonormal once, when it is made,
+which `splitting.build` relies on. A product of subspaces holds the
+per-node constraint sets of a splitting method, one factor per node, and
+`splitting.build` reads each factor's basis in turn. A config's node spaces
+are read by `cli`, which builds them with the constructors here.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,21 +19,35 @@ from ._json import check_count
 from ._rng import SplitMix64
 
 
+# The most max |B^T B - I| of a node basis B may be: it keeps the Newton
+# step of `splitting.build` exact to round-off.
+ORTHONORMAL_TOL = 1e-12
+
+
+def _gram_error(b):
+    """max |B^T B - I| of a basis B with at least one column."""
+    return float(np.abs(b.T @ b - np.eye(b.shape[1])).max())
+
+
 @dataclass(frozen=True)
 class Subspace:
+    """A subspace of R^d by an orthonormal basis, checked once here and then
+    read-only: a copy of the caller's array, so no later write can break it."""
+
     basis: np.ndarray  # (d, k), orthonormal columns
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=float)
+        b = np.array(self.basis, dtype=float)
         if b.ndim != 2:
             raise ValueError("basis must be a 2-d array")
+        b.flags.writeable = False
         object.__setattr__(self, "basis", b)
         d, k = b.shape
         if k > d:
             raise ValueError("more basis vectors than ambient dimensions")
         if not np.isfinite(b).all():
             raise ValueError("basis must have finite entries")
-        if k and np.max(np.abs(b.T @ b - np.eye(k))) > 1e-12:
+        if k and _gram_error(b) > ORTHONORMAL_TOL:
             raise ValueError("basis columns are not orthonormal")
 
     @property
@@ -49,10 +66,13 @@ class Subspace:
 
 
 def _trusted(basis):
-    """Subspace of a float basis whose columns are orthonormal by construction.
+    """Subspace of a float basis, taken without the orthonormality check of
+    `Subspace`, which a caller's basis still gets.
 
-    Skips the orthonormality check of `Subspace`, which a caller's basis
-    still gets; the property tests keep the invariant for every use.
+    The basis must be exact, as the axes of `full` and `trivial` are, or a
+    draw of `random_subspace` that has passed its own check of the same rule,
+    and read-only, as every `Subspace` basis is, so that nothing can break
+    the rule after it was checked.
     """
     s = object.__new__(Subspace)
     object.__setattr__(s, "basis", basis)
@@ -60,11 +80,26 @@ def _trusted(basis):
 
 
 def trivial(ambient):
-    return _trusted(np.zeros((ambient, 0)))
+    """The zero subspace of R^ambient, one shared read-only object per ambient."""
+    check_count("ambient", ambient, 1)
+    return _axes(int(ambient), 0)
 
 
 def full(ambient):
-    return _trusted(np.eye(ambient))
+    """R^ambient itself, one shared read-only object per ambient."""
+    check_count("ambient", ambient, 1)
+    return _axes(int(ambient), int(ambient))
+
+
+@functools.lru_cache(maxsize=256)
+def _axes(ambient, dim):
+    """The span of the first dim coordinate axes of R^ambient, read-only:
+    `trivial` for dim 0 and `full` for dim = ambient. The ambient is checked
+    before the cache is consulted, which would answer for 2.0 or True with
+    the subspace of 2 or 1."""
+    basis = np.eye(ambient, dim)
+    basis.flags.writeable = False
+    return _trusted(basis)
 
 
 def from_generators(vectors, ambient=None):
@@ -137,19 +172,29 @@ def random_subspace(ambient, dim, seed):
     Deterministic for a given seed; the construction has full support on
     the set of dim-dimensional subspaces. dim 0 and dim == ambient have one
     subspace each, `trivial` and `full`, and draw nothing. The columns of
-    the Householder Q are orthonormal by construction, so they are taken
-    without the check a caller's basis gets.
+    the Householder Q are orthonormal by construction, and each draw is
+    checked once against the rule a caller's basis gets,
+    max |Q^T Q - I| <= ORTHONORMAL_TOL: a draw that fails it is a kernel
+    bug, and raises `matlin.SelfCheckFailedError`. Draws measure at most
+    about 2e-15 up to ambient 1000. That check is what lets
+    `splitting.build` take the basis without a residual of its own.
     """
+    check_count("ambient", ambient, 1)
     check_count("dim", dim, 0)
     if dim > ambient:
         raise ValueError("dimension must lie between 0 and the ambient dimension")
-    if dim == 0:
-        return trivial(ambient)
-    if dim == ambient:
-        return full(ambient)
+    if dim in (0, ambient):
+        return _axes(int(ambient), int(dim))
     g = SplitMix64(seed).normal_matrix(ambient, dim)
     q, _, _ = matlin.qr(g)
-    return _trusted(q[:, :dim].copy())
+    q = q[:, :dim].copy()
+    error = _gram_error(q)
+    if error > ORTHONORMAL_TOL:
+        raise matlin.SelfCheckFailedError(
+            f"random_subspace: drawn basis is not orthonormal (max |Q^T Q - I| = {error:.3e})"
+        )
+    q.flags.writeable = False
+    return _trusted(q)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
-from graphsplit import experiments, graphs, splitting, subspaces
+from graphsplit import experiments, graphs, matlin, splitting, subspaces
 from graphsplit._rng import SplitMix64
 
 EPS = float(np.finfo(float).eps)
@@ -117,6 +117,16 @@ def full_report(t):
     for field in REPORT_FIELDS:
         getattr(report, field)
     return report
+
+
+_QR = matlin.qr
+
+
+def doubled_qr(a, pivoting=False):
+    """matlin.qr with a Q of norm 2: a drawn node basis that is not
+    orthonormal (G = 4 I), which the check of every draw must catch."""
+    q, r, perm = _QR(a, pivoting)
+    return 2.0 * q, r, perm
 
 
 def perfbench_module(name):

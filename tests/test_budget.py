@@ -230,6 +230,48 @@ def test_an_equal_graph_trial_and_a_non_witness_node_take_no_norm(norm_calls):
     assert len(norm_calls) == len({(r.pair_name, r.n, r.d) for r in unequal})
 
 
+def test_a_trial_run_pays_once_for_each_structure(monkeypatch):
+    # A build takes no norm, each graph computes its degree list once, and
+    # each catalogue pair is built once. The caches are emptied first, so
+    # every count starts from nothing.
+    for cache in (graphs._preset, experiments._family_pair, experiments._witness_search,
+                  splitting._lifts):
+        cache.cache_clear()
+    degree_list = graphs.AlgorithmicGraph.degree_list
+    build, pair, norm, degrees = splitting.build, graphs.pair, np.linalg.norm, degree_list.func
+    inside, norms, pairs, counted = [False], [], [], []
+
+    def building(*args):
+        inside[0] = True
+        try:
+            return build(*args)
+        finally:
+            inside[0] = False
+
+    def norming(*args, **kwargs):
+        norms.append(inside[0])
+        return norm(*args, **kwargs)
+
+    def pairing(*args):
+        pairs.append(pair(*args))
+        return pairs[-1]
+
+    def counting(graph):
+        counted.append(graph)
+        return degrees(graph)
+
+    monkeypatch.setattr(splitting, "build", building)
+    monkeypatch.setattr(np.linalg, "norm", norming)
+    monkeypatch.setattr(graphs, "pair", pairing)
+    monkeypatch.setattr(degree_list, "func", counting)
+    records = experiments.graph_equality_trials(seed=3, trials=4)
+    assert all(r.consistent for r in records)
+    assert True not in norms
+    assert len(pairs) == len({(r.pair_name, r.n) for r in records})
+    assert len(counted) == len(set(map(id, counted)))
+    assert set(map(id, counted)) == {id(p.g) for p in pairs}
+
+
 def _iso_bounds(t):
     """Which bound of A = 2 T^T T - T - T^T decides the iso verdict of T,
     "upper" (2 ||A||_F <= DEFECT_TOL) or "lower" (||A||_F / (2 sqrt(N)) above

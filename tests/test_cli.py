@@ -18,7 +18,7 @@ import warnings
 import pytest
 
 import numpy as np
-from conftest import perfbench_module
+from conftest import doubled_qr, perfbench_module
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -698,15 +698,6 @@ def _off_one(t):
     return eigs
 
 
-_RANDOM_SUBSPACE = subspaces.random_subspace
-
-
-def _doubled_subspace(ambient, dim, seed):
-    # A node basis of norm 2, not orthonormal: build's residual check of its
-    # node steps must fail.
-    return subspaces._trusted(2.0 * _RANDOM_SUBSPACE(ambient, dim, seed).basis)
-
-
 @pytest.mark.parametrize(
     "target,replacement,command,message",
     [
@@ -714,8 +705,8 @@ def _doubled_subspace(ambient, dim, seed):
         ((matlin, "general_eigenvalues"), _off_circle, "sweep", "off the half-circle"),
         ((matlin, "general_eigenvalues"), _off_one, "analyze",
          "within the band at 1 (0) disagree with the fixed-subspace dimension (1)"),
-        ((subspaces, "random_subspace"), _doubled_subspace, "analyze",
-         "node solves miss deg_i G y = w"),
+        ((matlin, "qr"), doubled_qr, "analyze",
+         "random_subspace: drawn basis is not orthonormal"),
     ],
     ids=["no-convergence", "self-check", "at-one-self-check", "build-self-check"],
 )

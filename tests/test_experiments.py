@@ -605,6 +605,23 @@ def test_graph_equality_trials_consistent():
         experiments.graph_equality_trials(seed=1, trials=0)
 
 
+def test_each_catalogue_builder_returns_one_pair_per_n():
+    # The pairs are frozen, so the caches keyed on a pair find them by identity.
+    again = dict(experiments.pair_catalog())
+    for name, make in experiments.pair_catalog():
+        for n in (3, 6):
+            gp = make(n)
+            assert make(n) is gp and make(np.int64(n)) is gp and again[name](n) is gp
+            assert gp.g.n == n
+
+
+@pytest.mark.parametrize("n", [2, 3.0, True, "3"])
+def test_a_catalogue_size_is_checked_before_the_cache(n):
+    for _, make in experiments.pair_catalog():
+        with pytest.raises(ValueError, match=f"^n must be an integer of at least 3, got {n!r}$"):
+            make(n)
+
+
 def test_random_operator_deterministic():
     a = random_operator(seed=5)
     b = random_operator(seed=5)

@@ -162,7 +162,13 @@ def test_pair_rejects_non_subgraph():
 def test_degrees_and_in_neighbors():
     g = graphs.preset("biparallel", 4)
     assert list(g.degrees()) == [3, 2, 2, 3]
-    assert g.in_neighbors() == [(), (0,), (0,), (0, 1, 2)]
+    assert g.degree_list == (3, 2, 2, 3)
+    assert g.in_neighbors == ((), (0,), (0,), (0, 1, 2))
+    # The graph is frozen, so each is computed once and read back as the same
+    # object, while degrees() stays a fresh array.
+    assert g.degree_list is g.degree_list
+    assert g.in_neighbors is g.in_neighbors
+    assert g.degrees() is not g.degrees()
 
 
 def test_presets_are_cached_and_checked_first():

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import defect_floor, eig_multiset_close, full_report, random_operator
+from conftest import defect_floor, doubled_qr, eig_multiset_close, full_report, random_operator
 
 from graphsplit import cli, experiments, graphs, matlin, splitting, subspaces
 from graphsplit._rng import SplitMix64
@@ -65,15 +65,16 @@ def test_build_lifts_once(monkeypatch):
             m[0, 0] = 1.0
 
 
-def test_a_solve_off_inside_the_subspace_trips_the_residual_check():
-    # X_i = U_i y lies in the span of U_i whatever y is, so only the
-    # residual of the node steps can see a wrong y. A basis of norm 2 is
-    # not orthonormal: one Newton step from G = I then misses G^{-1}.
-    gp = graphs.pair(graphs.preset("ring", 4), graphs.preset("sequential", 4))
-    factors = [subspaces.random_subspace(3, 2, k) for k in range(4)]
-    factors[2] = subspaces._trusted(2.0 * factors[2].basis)
-    with pytest.raises(splitting.SelfCheckFailedError, match="^node solves miss deg_i G y = w"):
-        splitting.build(gp, subspaces.product(factors))
+def test_a_solve_off_inside_the_subspace_trips_the_residual_check(monkeypatch):
+    # X_i = U_i y lies in the span of U_i whatever y is, and the residual of
+    # a node's Newton step is -(G - I)^2 w, so only a node basis that is not
+    # orthonormal can put y off. A drawn Q of norm 2 (G = 4 I) must trip the
+    # check of the draw, before any build, with the exit-3 error class.
+    assert splitting.SelfCheckFailedError is matlin.SelfCheckFailedError
+    monkeypatch.setattr(matlin, "qr", doubled_qr)
+    message = r"^random_subspace: drawn basis is not orthonormal \(max \|Q\^T Q - I\| = 3\.000e\+00\)$"
+    with pytest.raises(splitting.SelfCheckFailedError, match=message):
+        subspaces.random_subspace(3, 2, 2)
 
 
 def test_build_two_nodes_is_douglas_rachford():

@@ -1,5 +1,7 @@
 """Subspace construction, projectors, angles, and product spaces."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,43 @@ def test_random_subspace_endpoints():
     assert random_subspace(3, 0, 1).dim == 0
     r3 = random_subspace(3, 3, 1)
     assert np.array_equal(r3.projector(), np.eye(3))
+
+
+def test_full_and_trivial_are_one_read_only_object_per_ambient():
+    for make in (full, trivial):
+        u = make(3)
+        assert make(3) is u and make(np.int64(3)) is u
+        assert make(4) is not u
+        with pytest.raises(ValueError, match="read-only"):
+            u.basis[0, 0] = 1.0
+    assert random_subspace(3, 0, 7) is trivial(3)
+    assert random_subspace(3, 3, 7) is full(3)
+
+
+def test_every_basis_is_read_only_once_checked():
+    # build takes every basis without a check of its own, so no write may
+    # break the orthonormality a basis was checked for.
+    mine = np.eye(3)[:, :2]
+    u = Subspace(mine)
+    mine[0, 0] = 2.0  # the caller's array stays the caller's
+    assert u.basis[0, 0] == 1.0
+    for basis in (u.basis, random_subspace(4, 2, 5).basis, hyperplane([1.0, 2.0]).basis):
+        with pytest.raises(ValueError, match="read-only"):
+            basis *= 2.0
+
+
+@pytest.mark.parametrize("ambient", [2.0, True, -1, 0, "2", None])
+@pytest.mark.parametrize(
+    "make",
+    [full, trivial, lambda a: random_subspace(a, 0, 1), lambda a: random_subspace(a, 1, 1)],
+    ids=["full", "trivial", "random-dim-0", "random-dim-1"],
+)
+def test_an_ambient_that_is_not_a_positive_integer_is_named(make, ambient):
+    # Checked before any cache, which would answer for 2.0 or True with the
+    # subspace of 2 or 1.
+    message = f"^ambient must be an integer of at least 1, got {re.escape(repr(ambient))}$"
+    with pytest.raises(ValueError, match=message):
+        make(ambient)
 
 
 def test_random_subspace_deterministic():
